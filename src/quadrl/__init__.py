@@ -5,7 +5,7 @@ from .config import CemHyperparams, ConfigError, RunConfig, load_config, parse_c
 from .env import (Normalizers, ProtocolError, QuadrupedEnv, RobotConfig,
                   RobotState, SimulationDiverged, StepResult)
 from .evaluate import EvalReport, evaluate, summarize, transfer_experiment
-from .rl import DdpgLearner, RlHyperparams, Td3Learner
+from .rl import Learner, RlHyperparams
 from .terrain import Terrain, load_terrain, make_terrain, save_terrain
 from .train import train
 
@@ -17,7 +17,7 @@ __all__ = [
     "Normalizers", "ProtocolError", "QuadrupedEnv", "RobotConfig", "RobotState",
     "SimulationDiverged", "StepResult",
     "EvalReport", "evaluate", "summarize", "transfer_experiment",
-    "DdpgLearner", "RlHyperparams", "Td3Learner",
+    "Learner", "RlHyperparams",
     "Terrain", "load_terrain", "make_terrain", "save_terrain",
     "train", "__version__",
 ]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import net
 from .replay import ReplayBuffer
-from .rl import Td3Learner, train_step
+from .rl import Learner, train_step
 from .rollout import run_episode
 from .seeds import SeedStream
 
@@ -123,20 +123,21 @@ class GenerationLog:
     fitnesses: list[float] = field(default_factory=list)
 
 
-def _load_actor(learner, params: np.ndarray) -> None:
+def _load_actor(learner: Learner, params: np.ndarray) -> None:
     """Install population parameters as the learner's (transient) actor."""
     actor = net.unflatten(learner.actor.spec, params)
     learner.actor = actor
     learner.target_actor = actor
     learner.actor_adam = net.init_adam(actor.spec.param_count)
-    if isinstance(learner, Td3Learner):
-        learner.update_counter = 0
+    learner.update_counter = 0
 
 
-def cem_rl_generation(state: CemState, learner, env_factory: Callable[[], object],
-                      buffer: ReplayBuffer, t_max: int, grad_steps: int,
-                      seed: int) -> tuple[CemState, object, ReplayBuffer, GenerationLog]:
+def cem_rl_generation(state: CemState, learner: Learner, env, buffer: ReplayBuffer,
+                      grad_steps: int, seed: int) -> tuple[CemState, GenerationLog]:
     """One generation: sample, gradient-coach half, evaluate, refit, decay.
+
+    The learner and the buffer are updated in place. Every individual is
+    rolled out in env, whose reset rebuilds all episode state.
 
     Seed draw order (fixed): one population seed; then grad_steps seeds
     per coached individual, first-half individuals in index order (only
@@ -145,7 +146,6 @@ def cem_rl_generation(state: CemState, learner, env_factory: Callable[[], object
     fill a batch, and an individual's rl_updated flag records whether
     gradient steps were actually applied to it.
     """
-    del t_max  # episode caps live in the envs the factory builds
     stream = SeedStream(seed)
     individuals = sample_population(state, stream.next())
     half = state.population_size // 2
@@ -163,7 +163,6 @@ def cem_rl_generation(state: CemState, learner, env_factory: Callable[[], object
     collected = 0
     for individual, eval_seed in zip(individuals, eval_seeds):
         actor = net.unflatten(actor_spec, individual.params)
-        env = env_factory()
         result = run_episode(env, lambda obs: net.forward(actor, obs), eval_seed)
         individual.fitness = result.episode_return
         diverged += int(result.diverged)
@@ -190,7 +189,7 @@ def cem_rl_generation(state: CemState, learner, env_factory: Callable[[], object
         diverged_count=diverged,
         fitnesses=[float(f) for f in fitnesses],
     )
-    return new_state, learner, buffer, log
+    return new_state, log
 
 
 def cem_solve_toy(objective: Callable[[np.ndarray], float], dim: int,

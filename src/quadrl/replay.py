@@ -108,7 +108,3 @@ class ReplayBuffer:
         return Batch(self._obs[idx].copy(), self._act[idx].copy(),
                      self._rew[idx].copy(), self._next_obs[idx].copy(),
                      self._done[idx].copy())
-
-
-def sample_batch(buffer: ReplayBuffer, batch_size: int, seed: int) -> Batch:
-    return buffer.sample_batch(batch_size, seed)

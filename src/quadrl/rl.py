@@ -1,8 +1,8 @@
 """Deterministic-policy gradient learners over flat-parameter networks.
 
-Two learners share the same machinery: a single-critic learner with
-per-call target blending, and a twin-critic learner with min-backup
-targets, smoothed target actions, and actor updates delayed to every
+One learner covers DDPG and TD3. With a single critic it blends its
+targets every call; with a twin pair of critics it takes min-backup
+targets at smoothed target actions and delays actor updates to every
 d-th call. Critic inputs are the observation concatenated with the
 action, so the actor update chains the critic's action-input gradient
 through the actor.
@@ -63,55 +63,41 @@ def critic_spec(obs_size: int, action_size: int,
 
 
 @dataclass
-class DdpgLearner:
-    actor: net.ParamVector
-    critic: net.ParamVector
-    target_actor: net.ParamVector
-    target_critic: net.ParamVector
-    actor_adam: net.AdamState
-    critic_adam: net.AdamState
-    hp: RlHyperparams
+class Learner:
+    """Actor plus one critic (DDPG) or a twin pair (TD3), with their targets.
 
+    The number of critics decides the update rule: a twin learner backs
+    up the min over its target critics at a smoothed target action and
+    updates its actor and targets every policy_delay-th call; a single
+    critic learner does neither.
+    """
 
-@dataclass
-class Td3Learner:
     actor: net.ParamVector
-    critic_1: net.ParamVector
-    critic_2: net.ParamVector
     target_actor: net.ParamVector
-    target_critic_1: net.ParamVector
-    target_critic_2: net.ParamVector
     actor_adam: net.AdamState
-    critic_1_adam: net.AdamState
-    critic_2_adam: net.AdamState
+    critics: tuple[net.ParamVector, ...]
+    target_critics: tuple[net.ParamVector, ...]
+    critic_adams: tuple[net.AdamState, ...]
     hp: RlHyperparams
     update_counter: int = 0
 
+    @property
+    def twin(self) -> bool:
+        return len(self.critics) == 2
 
-def init_ddpg(obs_size: int, action_size: int, hp: RlHyperparams, seed: int,
-              hidden: tuple[int, ...] = (64, 64)) -> DdpgLearner:
+
+def init_learner(obs_size: int, action_size: int, hp: RlHyperparams, seed: int,
+                 *, twin: bool, hidden: tuple[int, ...] = (64, 64)) -> Learner:
+    """Seed draw order: the actor, then one seed per critic."""
     stream = SeedStream(seed)
     a_spec = actor_spec(obs_size, action_size, hp.action_bound, hidden)
     c_spec = critic_spec(obs_size, action_size, hidden)
     actor = net.init_network(a_spec, stream.next())
-    critic = net.init_network(c_spec, stream.next())
-    return DdpgLearner(actor, critic, actor, critic,
-                       net.init_adam(a_spec.param_count),
-                       net.init_adam(c_spec.param_count), hp)
-
-
-def init_td3(obs_size: int, action_size: int, hp: RlHyperparams, seed: int,
-             hidden: tuple[int, ...] = (64, 64)) -> Td3Learner:
-    stream = SeedStream(seed)
-    a_spec = actor_spec(obs_size, action_size, hp.action_bound, hidden)
-    c_spec = critic_spec(obs_size, action_size, hidden)
-    actor = net.init_network(a_spec, stream.next())
-    critic_1 = net.init_network(c_spec, stream.next())
-    critic_2 = net.init_network(c_spec, stream.next())
-    return Td3Learner(actor, critic_1, critic_2, actor, critic_1, critic_2,
-                      net.init_adam(a_spec.param_count),
-                      net.init_adam(c_spec.param_count),
-                      net.init_adam(c_spec.param_count), hp)
+    critics = tuple(net.init_network(c_spec, stream.next())
+                    for _ in range(2 if twin else 1))
+    return Learner(actor, actor, net.init_adam(a_spec.param_count),
+                   critics, critics,
+                   tuple(net.init_adam(c_spec.param_count) for _ in critics), hp)
 
 
 def exploration_action(actor: net.ParamVector, observation, sigma: float,
@@ -128,15 +114,6 @@ def _critic_input(observations: np.ndarray, actions: np.ndarray) -> np.ndarray:
     return np.concatenate([observations, actions], axis=1)
 
 
-def ddpg_critic_target(batch: Batch, target_actor: net.ParamVector,
-                       target_critic: net.ParamVector, gamma: float) -> np.ndarray:
-    """y = r + gamma * (1 - done) * Q'(s', pi'(s')), one value per item."""
-    next_actions = net.forward(target_actor, batch.next_observations)
-    q = net.forward(target_critic, _critic_input(batch.next_observations,
-                                                 next_actions))[:, 0]
-    return batch.rewards + gamma * (1.0 - batch.dones.astype(np.float64)) * q
-
-
 def smoothed_target_action(target_actor: net.ParamVector, next_observations,
                            hp: RlHyperparams, seed: int) -> np.ndarray:
     """Target action with clipped Gaussian smoothing noise, clamped to bounds."""
@@ -147,16 +124,21 @@ def smoothed_target_action(target_actor: net.ParamVector, next_observations,
     return np.clip(actions + noise, -hp.action_bound, hp.action_bound)
 
 
-def td3_critic_target(batch: Batch, target_actor: net.ParamVector,
-                      target_critics: tuple[net.ParamVector, net.ParamVector],
-                      hp: RlHyperparams, seed: int) -> np.ndarray:
-    """Min-of-twin-critics backup on a smoothed target action."""
-    a = smoothed_target_action(target_actor, batch.next_observations, hp, seed)
+def critic_target(batch: Batch, learner: Learner, seed: int) -> np.ndarray:
+    """y = r + gamma * (1 - done) * Q'(s', a'), one value per item.
+
+    A single critic backs up at a' = pi'(s'). A twin learner backs up the
+    min of its target critics at a smoothed a' drawn from seed.
+    """
+    hp = learner.hp
+    if learner.twin:
+        a = smoothed_target_action(learner.target_actor, batch.next_observations,
+                                   hp, seed)
+    else:
+        a = net.forward(learner.target_actor, batch.next_observations)
     x = _critic_input(batch.next_observations, a)
-    q1 = net.forward(target_critics[0], x)[:, 0]
-    q2 = net.forward(target_critics[1], x)[:, 0]
-    return (batch.rewards
-            + hp.gamma * (1.0 - batch.dones.astype(np.float64)) * np.minimum(q1, q2))
+    q = np.min([net.forward(c, x)[:, 0] for c in learner.target_critics], axis=0)
+    return batch.rewards + hp.gamma * (1.0 - batch.dones.astype(np.float64)) * q
 
 
 def _critic_gradient(critic: net.ParamVector, batch: Batch,
@@ -174,20 +156,13 @@ def _critic_gradient(critic: net.ParamVector, batch: Batch,
     return grad
 
 
-def update_critic(learner, batch: Batch, targets: np.ndarray):
-    """One Adam step on the squared-error critic loss (both critics if twin)."""
-    hp = learner.hp
-    if isinstance(learner, Td3Learner):
-        g1 = _critic_gradient(learner.critic_1, batch, targets)
-        g2 = _critic_gradient(learner.critic_2, batch, targets)
-        learner.critic_1, learner.critic_1_adam = net.adam_step(
-            learner.critic_1, g1, learner.critic_1_adam, hp.critic_lr)
-        learner.critic_2, learner.critic_2_adam = net.adam_step(
-            learner.critic_2, g2, learner.critic_2_adam, hp.critic_lr)
-    else:
-        g = _critic_gradient(learner.critic, batch, targets)
-        learner.critic, learner.critic_adam = net.adam_step(
-            learner.critic, g, learner.critic_adam, hp.critic_lr)
+def update_critic(learner: Learner, batch: Batch, targets: np.ndarray) -> Learner:
+    """One Adam step on the squared-error loss of every critic."""
+    grads = [_critic_gradient(c, batch, targets) for c in learner.critics]
+    steps = [net.adam_step(c, g, adam, learner.hp.critic_lr)
+             for c, g, adam in zip(learner.critics, grads, learner.critic_adams)]
+    learner.critics = tuple(critic for critic, _ in steps)
+    learner.critic_adams = tuple(adam for _, adam in steps)
     return learner
 
 
@@ -203,10 +178,9 @@ def actor_gradient(actor: net.ParamVector, critic: net.ParamVector,
     return grad
 
 
-def update_actor(learner, batch: Batch):
-    """One Adam ascent step on mean Q; the twin learner uses its first critic."""
-    critic = learner.critic_1 if isinstance(learner, Td3Learner) else learner.critic
-    grad = actor_gradient(learner.actor, critic, batch.observations)
+def update_actor(learner: Learner, batch: Batch) -> Learner:
+    """One Adam ascent step on mean Q under the first critic."""
+    grad = actor_gradient(learner.actor, learner.critics[0], batch.observations)
     if not np.all(np.isfinite(grad)):
         raise TrainingDiverged("actor gradient is non-finite")
     learner.actor, learner.actor_adam = net.adam_step(
@@ -214,46 +188,28 @@ def update_actor(learner, batch: Batch):
     return learner
 
 
-def _blend_targets_ddpg(learner: DdpgLearner) -> None:
+def _blend_targets(learner: Learner) -> None:
     tau = learner.hp.tau
     learner.target_actor = net.polyak_blend(learner.target_actor, learner.actor, tau)
-    learner.target_critic = net.polyak_blend(learner.target_critic,
-                                             learner.critic, tau)
+    learner.target_critics = tuple(
+        net.polyak_blend(target, critic, tau)
+        for target, critic in zip(learner.target_critics, learner.critics))
 
 
-def _blend_targets_td3(learner: Td3Learner) -> None:
-    tau = learner.hp.tau
-    learner.target_actor = net.polyak_blend(learner.target_actor, learner.actor, tau)
-    learner.target_critic_1 = net.polyak_blend(learner.target_critic_1,
-                                               learner.critic_1, tau)
-    learner.target_critic_2 = net.polyak_blend(learner.target_critic_2,
-                                               learner.critic_2, tau)
-
-
-def train_step(learner, buffer: ReplayBuffer, seed: int):
+def train_step(learner: Learner, buffer: ReplayBuffer, seed: int) -> Learner:
     """One minibatch update.
 
-    The single-critic learner updates critic, actor, and both targets
-    every call. The twin learner updates its critics every call but the
-    actor and targets only on every policy_delay-th call, so after n
-    calls exactly floor(n / policy_delay) actor updates have happened.
+    The critics update every call. The actor and all targets update on
+    every policy_delay-th call for a twin learner and on every call for a
+    single-critic one, so after n calls a twin learner has made exactly
+    floor(n / policy_delay) actor updates.
     """
     hp = learner.hp
     stream = SeedStream(seed)
     batch = buffer.sample_batch(hp.batch_size, stream.next())
-    if isinstance(learner, Td3Learner):
-        targets = td3_critic_target(
-            batch, learner.target_actor,
-            (learner.target_critic_1, learner.target_critic_2), hp, stream.next())
-        update_critic(learner, batch, targets)
-        learner.update_counter += 1
-        if learner.update_counter % hp.policy_delay == 0:
-            update_actor(learner, batch)
-            _blend_targets_td3(learner)
-    else:
-        targets = ddpg_critic_target(batch, learner.target_actor,
-                                     learner.target_critic, hp.gamma)
-        update_critic(learner, batch, targets)
+    update_critic(learner, batch, critic_target(batch, learner, stream.next()))
+    learner.update_counter += 1
+    if learner.update_counter % (hp.policy_delay if learner.twin else 1) == 0:
         update_actor(learner, batch)
-        _blend_targets_ddpg(learner)
+        _blend_targets(learner)
     return learner

@@ -29,7 +29,8 @@ from .checkpoint import Checkpoint, save_checkpoint
 from .config import RunConfig
 from .env import OBS_SIZE, N_JOINTS, QuadrupedEnv, SimulationDiverged
 from .replay import ReplayBuffer
-from .rl import actor_spec, exploration_action, init_ddpg, init_td3, train_step
+from .rl import (Learner, TrainingDiverged, actor_spec, exploration_action,
+                 init_learner, train_step)
 from .seeds import SeedStream
 from .terrain import make_terrain
 
@@ -54,18 +55,30 @@ def _write_rows(path: str, header: str, rows: list[list]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _learner_networks(learner) -> tuple[dict, dict]:
-    specs = {"actor": learner.actor.spec}
-    params = {"actor": net.flatten(learner.actor)}
-    if hasattr(learner, "critic"):
-        specs["critic"] = learner.critic.spec
-        params["critic"] = net.flatten(learner.critic)
-    else:
-        specs["critic_1"] = learner.critic_1.spec
-        params["critic_1"] = net.flatten(learner.critic_1)
-        specs["critic_2"] = learner.critic_2.spec
-        params["critic_2"] = net.flatten(learner.critic_2)
-    return specs, params
+def _learner_networks(learner: Learner) -> tuple[dict, dict]:
+    names = ("critic_1", "critic_2") if learner.twin else ("critic",)
+    networks = {"actor": learner.actor, **dict(zip(names, learner.critics))}
+    return ({name: p.spec for name, p in networks.items()},
+            {name: net.flatten(p) for name, p in networks.items()})
+
+
+def _write_artifacts(config: RunConfig, header: str, rows: list[list],
+                     progress: dict, learner: Learner, final_actor: np.ndarray,
+                     best_actor: np.ndarray) -> Checkpoint:
+    """Write metrics.csv, checkpoint.json and checkpoint_best.json.
+
+    Both checkpoints hold the learner's critics and the same progress;
+    they differ only in their actor.
+    """
+    _write_rows(os.path.join(config.out_dir, "metrics.csv"), header, rows)
+    specs, params = _learner_networks(learner)
+    final = Checkpoint(config.algorithm, specs, dict(params, actor=final_actor),
+                       config, progress)
+    save_checkpoint(final, os.path.join(config.out_dir, "checkpoint.json"))
+    best = Checkpoint(config.algorithm, specs, dict(params, actor=best_actor),
+                      config, progress)
+    save_checkpoint(best, os.path.join(config.out_dir, "checkpoint_best.json"))
+    return final
 
 
 def _flat_env(config: RunConfig) -> QuadrupedEnv:
@@ -94,21 +107,20 @@ def train(config: RunConfig) -> tuple[Checkpoint, str]:
     """Run one training job; returns the final checkpoint and metrics path.
 
     Writes metrics.csv, checkpoint.json (final) and checkpoint_best.json
-    (best return seen) into config.out_dir. If the simulation diverges,
-    partial artifacts are written with a diverged progress flag and the
-    divergence is re-raised.
+    (best return seen) into config.out_dir. If the simulation or the
+    learner diverges, partial artifacts are written with a diverged
+    progress flag and the divergence is re-raised.
     """
     os.makedirs(config.out_dir, exist_ok=True)
-    if config.algorithm in ("ddpg", "td3"):
-        return _train_gradient(config)
-    return _train_cem(config)
+    loop = _train_gradient if config.algorithm in ("ddpg", "td3") else _train_cem
+    return loop(config), os.path.join(config.out_dir, "metrics.csv")
 
 
-def _train_gradient(config: RunConfig) -> tuple[Checkpoint, str]:
+def _train_gradient(config: RunConfig) -> Checkpoint:
     stream = SeedStream(config.master_seed)
     hp = config.rl
-    init = init_ddpg if config.algorithm == "ddpg" else init_td3
-    learner = init(OBS_SIZE, N_JOINTS, hp, stream.next())
+    learner = init_learner(OBS_SIZE, N_JOINTS, hp, stream.next(),
+                           twin=config.algorithm == "td3")
     env = _flat_env(config)
     buffer = ReplayBuffer(REPLAY_CAPACITY, OBS_SIZE, N_JOINTS)
     bound = hp.action_bound
@@ -150,30 +162,24 @@ def _train_gradient(config: RunConfig) -> tuple[Checkpoint, str]:
                 best_return = ep_return
                 best_params = net.flatten(learner.actor)
             rows.append([episode, ep_return, best_return, clock.lap()])
-    except SimulationDiverged:
+    except (SimulationDiverged, TrainingDiverged):
         diverged = True
         raise
     finally:
-        metrics_path = os.path.join(config.out_dir, "metrics.csv")
-        _write_rows(metrics_path, GRADIENT_HEADER, rows)
         progress = {"episodes": episodes_run, "env_steps": total_steps,
                     "best_return": float(best_return), "diverged": diverged}
-        specs, params = _learner_networks(learner)
-        final = Checkpoint(config.algorithm, specs, params, config, progress)
-        save_checkpoint(final, os.path.join(config.out_dir, "checkpoint.json"))
-        best_p = dict(params, actor=best_params)
-        save_checkpoint(Checkpoint(config.algorithm, specs, best_p, config, progress),
-                        os.path.join(config.out_dir, "checkpoint_best.json"))
-    return final, metrics_path
+        final = _write_artifacts(config, GRADIENT_HEADER, rows, progress, learner,
+                                 net.flatten(learner.actor), best_params)
+    return final
 
 
-def _train_cem(config: RunConfig) -> tuple[Checkpoint, str]:
+def _train_cem(config: RunConfig) -> Checkpoint:
     stream = SeedStream(config.master_seed)
     hp, ch = config.rl, config.cem
     a_spec = actor_spec(OBS_SIZE, N_JOINTS, hp.action_bound)
     mean = net.flatten(net.init_network(a_spec, stream.next()))
-    init = init_ddpg if config.algorithm == "cem_ddpg" else init_td3
-    learner = init(OBS_SIZE, N_JOINTS, hp, stream.next())
+    learner = init_learner(OBS_SIZE, N_JOINTS, hp, stream.next(),
+                           twin=config.algorithm == "cem_td3")
     state = CemState(
         mean=mean,
         variance=np.full(mean.size, ch.init_variance),
@@ -184,7 +190,8 @@ def _train_cem(config: RunConfig) -> tuple[Checkpoint, str]:
         noise_decay=ch.noise_decay,
     )
     buffer = ReplayBuffer(REPLAY_CAPACITY, OBS_SIZE, N_JOINTS)
-    half = max(1, ch.population_size // 2)
+    env = _flat_env(config)
+    half = ch.population_size // 2
 
     rows: list[list] = []
     clock = _Clock(config.record_wall_time)
@@ -193,19 +200,18 @@ def _train_cem(config: RunConfig) -> tuple[Checkpoint, str]:
     total_steps = 0
     prev_collected = 0
     generations_run = 0
-    diverged_generations = 0
+    diverged = False
     try:
         for generation in range(1, config.generations + 1):
             if config.max_env_steps and total_steps >= config.max_env_steps:
                 break
             grad_steps = min(ch.grad_steps_cap, prev_collected // half)
-            state, learner, buffer, log = cem_rl_generation(
-                state, learner, lambda: _flat_env(config), buffer,
-                config.t_max, grad_steps, stream.next())
+            state, log = cem_rl_generation(state, learner, env, buffer,
+                                           grad_steps, stream.next())
             prev_collected = log.transitions_collected
             total_steps += log.transitions_collected
             generations_run = generation
-            diverged_generations += int(log.diverged_count > 0)
+            diverged |= log.diverged_count > 0
             if log.best_fitness > best_return:
                 best_return = log.best_fitness
                 best_params = log.best_params.copy()
@@ -213,18 +219,13 @@ def _train_cem(config: RunConfig) -> tuple[Checkpoint, str]:
                          log.mean_fitness, log.median_fitness, log.noise_floor,
                          log.buffer_size, log.rl_mean_fitness,
                          log.evo_mean_fitness])
+    except (SimulationDiverged, TrainingDiverged):
+        diverged = True
+        raise
     finally:
-        metrics_path = os.path.join(config.out_dir, "metrics.csv")
-        _write_rows(metrics_path, CEM_HEADER, rows)
         progress = {"generations": generations_run, "env_steps": total_steps,
                     "best_return": float(best_return),
-                    "diverged": diverged_generations > 0}
-        specs, params = _learner_networks(learner)
-        specs = dict(specs, actor=a_spec)
-        final_params = dict(params, actor=state.mean.copy())
-        final = Checkpoint(config.algorithm, specs, final_params, config, progress)
-        save_checkpoint(final, os.path.join(config.out_dir, "checkpoint.json"))
-        best_p = dict(params, actor=best_params)
-        save_checkpoint(Checkpoint(config.algorithm, specs, best_p, config, progress),
-                        os.path.join(config.out_dir, "checkpoint_best.json"))
-    return final, metrics_path
+                    "diverged": diverged}
+        final = _write_artifacts(config, CEM_HEADER, rows, progress, learner,
+                                 state.mean.copy(), best_params)
+    return final

@@ -25,9 +25,9 @@ from quadrl.env import (OBS_SIZE, QuadrupedEnv, RobotConfig, RobotState,
                         compute_reward, contact_forces, reward_terms)
 from quadrl.evaluate import TABLE_COLUMNS, evaluate, summarize, transfer_table
 from quadrl.replay import Batch, ReplayBuffer
-from quadrl.rl import (RlHyperparams, actor_spec, exploration_action,
-                       init_ddpg, init_td3, smoothed_target_action,
-                       td3_critic_target, train_step)
+from quadrl.rl import (RlHyperparams, actor_spec, critic_target,
+                       exploration_action, init_learner,
+                       smoothed_target_action, train_step)
 from quadrl.rollout import run_episode
 from quadrl.seeds import SeedStream
 from quadrl.terrain import make_terrain
@@ -172,7 +172,7 @@ def test_criterion_02_reward_oracle():
 
 def test_criterion_03_td3_target_properties():
     hp = RlHyperparams()
-    learner = init_td3(3, 2, hp, seed=1, hidden=(8, 8))
+    learner = init_learner(3, 2, hp, seed=1, twin=True, hidden=(8, 8))
     rng = np.random.default_rng(42)
     done_rows = 0
     min_holds = True
@@ -187,18 +187,16 @@ def test_criterion_03_td3_target_properties():
             dones=rng.random(n) < 0.3,
         )
         seed = int(rng.integers(2**62))
-        y = td3_critic_target(
-            batch, learner.target_actor,
-            (learner.target_critic_1, learner.target_critic_2), hp, seed)
+        y = critic_target(batch, learner, seed)
         # reconstruct both single-critic targets with the same a' and seed
         a = smoothed_target_action(learner.target_actor,
                                    batch.next_observations, hp, seed)
         x = np.concatenate([batch.next_observations, a], axis=1)
         not_done = 1.0 - batch.dones.astype(np.float64)
         y1 = batch.rewards + hp.gamma * not_done * net.forward(
-            learner.target_critic_1, x)[:, 0]
+            learner.target_critics[0], x)[:, 0]
         y2 = batch.rewards + hp.gamma * not_done * net.forward(
-            learner.target_critic_2, x)[:, 0]
+            learner.target_critics[1], x)[:, 0]
         min_holds = min_holds and bool(np.all(y <= y1) and np.all(y <= y2)
                                        and np.array_equal(y, np.minimum(y1, y2)))
         done = batch.dones
@@ -338,7 +336,7 @@ def test_criterion_07_toy_learning():
 
     start = time.time()
     hp = RlHyperparams(batch_size=64, exploration_sigma=0.14)
-    learner = init_ddpg(1, 1, hp, seed=5, hidden=(32, 32))
+    learner = init_learner(1, 1, hp, seed=5, twin=False, hidden=(32, 32))
     stream = SeedStream(99)
     buffer = ReplayBuffer(100_000, 1, 1)
     env = ToyEnv()

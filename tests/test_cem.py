@@ -4,7 +4,7 @@ import pytest
 from quadrl import cem
 from quadrl.env import OBS_SIZE, QuadrupedEnv
 from quadrl.replay import ReplayBuffer
-from quadrl.rl import RlHyperparams, init_td3
+from quadrl.rl import RlHyperparams, init_learner
 from quadrl.terrain import make_terrain
 
 
@@ -197,19 +197,18 @@ def test_solve_toy_dimension_check():
 def make_generation_fixture(batch_size=8):
     terrain = make_terrain("flat", seed=0)
     hp = RlHyperparams(batch_size=batch_size)
-    learner = init_td3(OBS_SIZE, 8, hp, seed=0, hidden=(8, 8))
+    learner = init_learner(OBS_SIZE, 8, hp, seed=0, twin=True, hidden=(8, 8))
     dim = learner.actor.spec.param_count
     state = cem.CemState(learner.actor.values.copy(), np.full(dim, 1e-4),
                          1e-5, 4, 2)
     buffer = ReplayBuffer(capacity=10000, obs_size=OBS_SIZE, action_size=8)
-    factory = lambda: QuadrupedEnv(terrain, t_max=5)
-    return state, learner, buffer, factory
+    return state, learner, buffer, QuadrupedEnv(terrain, t_max=5)
 
 
 def test_generation_collects_transitions_and_logs():
-    state, learner, buffer, factory = make_generation_fixture()
-    new_state, learner, buffer, log = cem.cem_rl_generation(
-        state, learner, factory, buffer, t_max=5, grad_steps=0, seed=0)
+    state, learner, buffer, env = make_generation_fixture()
+    new_state, log = cem.cem_rl_generation(
+        state, learner, env, buffer, grad_steps=0, seed=0)
     assert new_state.generation == 1
     assert log.generation == 1
     assert len(buffer) == log.transitions_collected == 4 * 5
@@ -223,29 +222,29 @@ def test_generation_collects_transitions_and_logs():
 
 
 def test_generation_skips_coaching_until_buffer_fills():
-    state, learner, buffer, factory = make_generation_fixture(batch_size=512)
-    _, _, buffer, log = cem.cem_rl_generation(
-        state, learner, factory, buffer, t_max=5, grad_steps=3, seed=0)
+    state, learner, buffer, env = make_generation_fixture(batch_size=512)
+    _, log = cem.cem_rl_generation(
+        state, learner, env, buffer, grad_steps=3, seed=0)
     # 20 transitions < batch 512, so no individual got gradient steps.
     assert np.isnan(log.rl_mean_fitness)
 
 
 def test_generation_coaches_first_half_once_possible():
-    state, learner, buffer, factory = make_generation_fixture(batch_size=8)
-    state, learner, buffer, _ = cem.cem_rl_generation(
-        state, learner, factory, buffer, t_max=5, grad_steps=0, seed=0)
-    _, _, _, log = cem.cem_rl_generation(
-        state, learner, factory, buffer, t_max=5, grad_steps=2, seed=1)
+    state, learner, buffer, env = make_generation_fixture(batch_size=8)
+    state, _ = cem.cem_rl_generation(
+        state, learner, env, buffer, grad_steps=0, seed=0)
+    _, log = cem.cem_rl_generation(
+        state, learner, env, buffer, grad_steps=2, seed=1)
     assert not np.isnan(log.rl_mean_fitness)
     assert not np.isnan(log.evo_mean_fitness)
 
 
 def test_generation_deterministic():
     def run():
-        state, learner, buffer, factory = make_generation_fixture()
+        state, learner, buffer, env = make_generation_fixture()
         for g in range(3):
-            state, learner, buffer, log = cem.cem_rl_generation(
-                state, learner, factory, buffer, t_max=5, grad_steps=1, seed=g)
+            state, log = cem.cem_rl_generation(
+                state, learner, env, buffer, grad_steps=1, seed=g)
         return state, log
 
     s1, l1 = run()
@@ -258,17 +257,17 @@ def test_generation_deterministic():
 def test_generation_odd_population_coaches_floor_half():
     terrain = make_terrain("flat", seed=0)
     hp = RlHyperparams(batch_size=4)
-    learner = init_td3(OBS_SIZE, 8, hp, seed=0, hidden=(8, 8))
+    learner = init_learner(OBS_SIZE, 8, hp, seed=0, twin=True, hidden=(8, 8))
     dim = learner.actor.spec.param_count
     state = cem.CemState(learner.actor.values.copy(), np.full(dim, 1e-4),
                          1e-5, 5, 2)
     buffer = ReplayBuffer(capacity=10000, obs_size=OBS_SIZE, action_size=8)
-    factory = lambda: QuadrupedEnv(terrain, t_max=3)
-    state, learner, buffer, _ = cem.cem_rl_generation(
-        state, learner, factory, buffer, t_max=3, grad_steps=0, seed=0)
+    env = QuadrupedEnv(terrain, t_max=3)
+    state, _ = cem.cem_rl_generation(
+        state, learner, env, buffer, grad_steps=0, seed=0)
     collected_before = len(buffer)
-    _, _, _, log = cem.cem_rl_generation(
-        state, learner, factory, buffer, t_max=3, grad_steps=1, seed=1)
+    _, log = cem.cem_rl_generation(
+        state, learner, env, buffer, grad_steps=1, seed=1)
     # floor(5 / 2) = 2 coached individuals, in index order, then 3 pure draws.
     assert log.rl_mean_fitness == pytest.approx(np.mean(log.fitnesses[:2]))
     assert log.evo_mean_fitness == pytest.approx(np.mean(log.fitnesses[2:]))

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from quadrl.config import (CemHyperparams, ConfigError, RunConfig,
 from quadrl.env import OBS_SIZE, QuadrupedEnv, RobotConfig
 from quadrl.evaluate import (EvalReport, evaluate, report_csv, summarize,
                              transfer_experiment, transfer_table, TABLE_COLUMNS)
-from quadrl.rl import actor_spec
+from quadrl.rl import TrainingDiverged, actor_spec
 from quadrl.rollout import run_episode
 from quadrl.seeds import SeedStream
 from quadrl.svgplot import plot_metrics, read_metrics, render_curve
@@ -322,6 +323,25 @@ def test_train_cem_artifacts(tmp_path):
         float(l.split(",")[1]) for l in lines[1:])
     # Final actor is the distribution mean, best is one individual.
     assert not np.array_equal(best.params["actor"], ck.params["actor"])
+
+
+@pytest.mark.parametrize("algo", ["ddpg", "td3", "cem_ddpg", "cem_td3"])
+def test_train_records_learner_divergence(tmp_path, monkeypatch, algo):
+    def diverge(learner, buffer, seed):
+        raise TrainingDiverged("forced")
+
+    # The package re-exports the function `train` under the module's name.
+    monkeypatch.setattr(importlib.import_module("quadrl.train"), "train_step",
+                        diverge)
+    monkeypatch.setattr(importlib.import_module("quadrl.cem"), "train_step",
+                        diverge)
+    tiny = TINY_GRADIENT if algo in ("ddpg", "td3") else TINY_CEM
+    cfg = parse_config(tiny + "rl.batch_size = 8\n", algorithm=algo,
+                       out_dir=str(tmp_path))
+    with pytest.raises(TrainingDiverged):
+        train(cfg)
+    for name in ("checkpoint.json", "checkpoint_best.json"):
+        assert load_checkpoint(str(tmp_path / name)).progress["diverged"] is True
 
 
 def test_train_deterministic_bytes(tmp_path):

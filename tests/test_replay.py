@@ -132,14 +132,6 @@ def test_capacity_validation():
         replay.ReplayBuffer(capacity=0, obs_size=3, action_size=2)
 
 
-def test_module_level_sample_helper():
-    buf = replay.ReplayBuffer(capacity=10, obs_size=3, action_size=2)
-    buf.push_transition(make_transition(2))
-    a = replay.sample_batch(buf, 4, seed=9)
-    b = buf.sample_batch(4, seed=9)
-    assert np.array_equal(a.observations, b.observations)
-
-
 def test_growth_preserves_order_across_wrap():
     buf = replay.ReplayBuffer(capacity=4, obs_size=1, action_size=1)
     for i in range(6):

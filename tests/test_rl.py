@@ -19,8 +19,7 @@ def filled_buffer(seed=0, n=200, reward_scale=1.0):
 
 
 def small_learner(kind, seed=0, hp=HP):
-    init = rl.init_td3 if kind == "td3" else rl.init_ddpg
-    return init(OBS, ACT, hp, seed, hidden=(8, 8))
+    return rl.init_learner(OBS, ACT, hp, seed, twin=kind == "td3", hidden=(8, 8))
 
 
 def test_hyperparams_defaults():
@@ -62,13 +61,15 @@ def test_network_shapes():
 
 def test_init_targets_start_equal():
     ddpg = small_learner("ddpg")
+    assert len(ddpg.critics) == 1 and not ddpg.twin
     assert np.array_equal(ddpg.actor.values, ddpg.target_actor.values)
-    assert np.array_equal(ddpg.critic.values, ddpg.target_critic.values)
+    assert np.array_equal(ddpg.critics[0].values, ddpg.target_critics[0].values)
     td3 = small_learner("td3")
+    assert len(td3.critics) == 2 and td3.twin
     assert np.array_equal(td3.actor.values, td3.target_actor.values)
-    assert np.array_equal(td3.critic_1.values, td3.target_critic_1.values)
-    assert np.array_equal(td3.critic_2.values, td3.target_critic_2.values)
-    assert not np.array_equal(td3.critic_1.values, td3.critic_2.values)
+    assert np.array_equal(td3.critics[0].values, td3.target_critics[0].values)
+    assert np.array_equal(td3.critics[1].values, td3.target_critics[1].values)
+    assert not np.array_equal(td3.critics[0].values, td3.critics[1].values)
     assert td3.update_counter == 0
 
 
@@ -103,13 +104,12 @@ def test_exploration_action_bounded_and_seeded():
 
 
 def test_ddpg_target_formula():
-    learner = small_learner("ddpg")
+    learner = small_learner("ddpg", hp=rl.RlHyperparams(batch_size=16, gamma=0.9))
     buf = filled_buffer()
     batch = buf.sample_batch(16, seed=5)
-    y = rl.ddpg_critic_target(batch, learner.target_actor, learner.target_critic,
-                              gamma=0.9)
+    y = rl.critic_target(batch, learner, seed=0)
     a_next = net.forward(learner.target_actor, batch.next_observations)
-    q_next = net.forward(learner.target_critic,
+    q_next = net.forward(learner.target_critics[0],
                          np.concatenate([batch.next_observations, a_next],
                                         axis=1))[:, 0]
     expected = batch.rewards + 0.9 * (1.0 - batch.dones) * q_next
@@ -136,14 +136,12 @@ def test_td3_target_uses_pessimistic_critic():
     buf = filled_buffer(seed=3)
     for seed in range(50):
         batch = buf.sample_batch(16, seed=seed)
-        y = rl.td3_critic_target(batch, learner.target_actor,
-                                 (learner.target_critic_1,
-                                  learner.target_critic_2), HP, seed=seed)
+        y = rl.critic_target(batch, learner, seed=seed)
         a = rl.smoothed_target_action(learner.target_actor,
                                       batch.next_observations, HP, seed=seed)
         x = np.concatenate([batch.next_observations, a], axis=1)
-        q1 = net.forward(learner.target_critic_1, x)[:, 0]
-        q2 = net.forward(learner.target_critic_2, x)[:, 0]
+        q1 = net.forward(learner.target_critics[0], x)[:, 0]
+        q2 = net.forward(learner.target_critics[1], x)[:, 0]
         not_done = 1.0 - batch.dones
         y1 = batch.rewards + HP.gamma * not_done * q1
         y2 = batch.rewards + HP.gamma * not_done * q2
@@ -157,16 +155,15 @@ def test_critic_gradient_matches_finite_differences():
                             hp=rl.RlHyperparams(batch_size=8))
     buf = filled_buffer(seed=4)
     batch = buf.sample_batch(8, seed=0)
-    targets = rl.ddpg_critic_target(batch, learner.target_actor,
-                                    learner.target_critic, 0.99)
-    grad = rl._critic_gradient(learner.critic, batch, targets)
+    targets = rl.critic_target(batch, learner, seed=0)
+    grad = rl._critic_gradient(learner.critics[0], batch, targets)
     x = np.concatenate([batch.observations, batch.actions], axis=1)
 
     def loss(values):
-        q = net.forward(net.unflatten(learner.critic.spec, values), x)[:, 0]
+        q = net.forward(net.unflatten(learner.critics[0].spec, values), x)[:, 0]
         return float(np.mean((q - targets) ** 2))
 
-    v = learner.critic.values
+    v = learner.critics[0].values
     h = 1e-6
     rng = np.random.default_rng(7)
     for j in rng.choice(v.size, size=20, replace=False):
@@ -181,13 +178,13 @@ def test_actor_gradient_matches_finite_differences():
     learner = small_learner("ddpg", seed=5)
     buf = filled_buffer(seed=6)
     batch = buf.sample_batch(16, seed=1)
-    grad = rl.actor_gradient(learner.actor, learner.critic, batch.observations)
+    grad = rl.actor_gradient(learner.actor, learner.critics[0], batch.observations)
 
     def mean_q(values):
         actor = net.unflatten(learner.actor.spec, values)
         a = net.forward(actor, batch.observations)
         x = np.concatenate([batch.observations, a], axis=1)
-        return float(np.mean(net.forward(learner.critic, x)[:, 0]))
+        return float(np.mean(net.forward(learner.critics[0], x)[:, 0]))
 
     v = learner.actor.values
     h = 1e-6
@@ -205,12 +202,11 @@ def test_critic_update_reduces_bellman_error():
     learner = small_learner("ddpg", seed=9)
     buf = filled_buffer(seed=10)
     batch = buf.sample_batch(16, seed=2)
-    targets = rl.ddpg_critic_target(batch, learner.target_actor,
-                                    learner.target_critic, 0.99)
+    targets = rl.critic_target(batch, learner, seed=0)
     x = np.concatenate([batch.observations, batch.actions], axis=1)
 
     def loss():
-        q = net.forward(learner.critic, x)[:, 0]
+        q = net.forward(learner.critics[0], x)[:, 0]
         return float(np.mean((q - targets) ** 2))
 
     before = loss()
@@ -227,7 +223,7 @@ def test_actor_update_increases_mean_q():
     def mean_q():
         a = net.forward(learner.actor, batch.observations)
         x = np.concatenate([batch.observations, a], axis=1)
-        return float(np.mean(net.forward(learner.critic, x)[:, 0]))
+        return float(np.mean(net.forward(learner.critics[0], x)[:, 0]))
 
     before = mean_q()
     for _ in range(25):
@@ -239,11 +235,11 @@ def test_ddpg_train_step_moves_everything():
     learner = small_learner("ddpg")
     buf = filled_buffer()
     actor0 = learner.actor.values.copy()
-    critic0 = learner.critic.values.copy()
+    critic0 = learner.critics[0].values.copy()
     t_actor0 = learner.target_actor.values.copy()
     rl.train_step(learner, buf, seed=0)
     assert not np.array_equal(learner.actor.values, actor0)
-    assert not np.array_equal(learner.critic.values, critic0)
+    assert not np.array_equal(learner.critics[0].values, critic0)
     assert not np.array_equal(learner.target_actor.values, t_actor0)
     # Targets move slowly: the blend keeps them near where they were.
     assert np.max(np.abs(learner.target_actor.values - t_actor0)) < 1e-3
@@ -269,22 +265,22 @@ def test_td3_actor_updates_are_delayed():
 def test_td3_critics_update_every_step():
     learner = small_learner("td3")
     buf = filled_buffer()
-    c1 = learner.critic_1.values.copy()
+    c1 = learner.critics[0].values.copy()
     rl.train_step(learner, buf, seed=0)
-    assert not np.array_equal(learner.critic_1.values, c1)
-    c1 = learner.critic_1.values.copy()
+    assert not np.array_equal(learner.critics[0].values, c1)
+    c1 = learner.critics[0].values.copy()
     rl.train_step(learner, buf, seed=1)
-    assert not np.array_equal(learner.critic_1.values, c1)
+    assert not np.array_equal(learner.critics[0].values, c1)
 
 
 def test_td3_targets_only_move_with_actor():
     learner = small_learner("td3")
     buf = filled_buffer()
-    t0 = learner.target_critic_1.values.copy()
+    t0 = learner.target_critics[0].values.copy()
     rl.train_step(learner, buf, seed=0)
-    assert np.array_equal(learner.target_critic_1.values, t0)
+    assert np.array_equal(learner.target_critics[0].values, t0)
     rl.train_step(learner, buf, seed=1)
-    assert not np.array_equal(learner.target_critic_1.values, t0)
+    assert not np.array_equal(learner.target_critics[0].values, t0)
 
 
 def test_train_step_deterministic():

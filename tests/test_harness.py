@@ -335,9 +335,10 @@ def test_train_records_learner_divergence(tmp_path, monkeypatch, algo):
                         diverge)
     monkeypatch.setattr(importlib.import_module("quadrl.cem"), "train_step",
                         diverge)
-    tiny = TINY_GRADIENT if algo in ("ddpg", "td3") else TINY_CEM
-    cfg = parse_config(tiny + "rl.batch_size = 8\n", algorithm=algo,
-                       out_dir=str(tmp_path))
+    # A batch of 8 lets the second CEM generation coach, so train_step runs.
+    tiny = (TINY_GRADIENT if algo in ("ddpg", "td3")
+            else TINY_CEM + "rl.batch_size = 8\n")
+    cfg = parse_config(tiny, algorithm=algo, out_dir=str(tmp_path))
     with pytest.raises(TrainingDiverged):
         train(cfg)
     for name in ("checkpoint.json", "checkpoint_best.json"):

@@ -1,17 +1,23 @@
-"""Pinned sha256 of the criterion-5 training artifacts, per algorithm.
+"""Pinned sha256 of the criterion-5 training artifacts, per algorithm,
+and of one transfer report.
 
 Byte-identical artifacts are the behaviour spec: a refactor that claims
 to keep behaviour must reproduce these digests bit for bit. A change
 that alters numerics on purpose updates them here and says so in
-CHANGES.md. The digests were the same across processes and at 1 and 2
-OpenBLAS threads.
+CHANGES.md. The training digests were the same across processes and at
+1 and 2 OpenBLAS threads.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from quadrl.checkpoint import Checkpoint
 from quadrl.config import parse_config
+from quadrl.env import OBS_SIZE
+from quadrl.evaluate import report_csv, transfer_experiment
+from quadrl.rl import actor_spec
 from quadrl.train import train
 from test_acceptance import _ARTIFACTS, _TINY_BUDGET
 
@@ -59,3 +65,18 @@ def test_artifacts_match_pinned_sha256(algorithm, tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in _ARTIFACTS}
     assert digests == PINNED[algorithm]
+
+
+TRANSFER_REPORT_SHA256 = (
+    "431ad41b18ab7c4b14c1ab5ab1c1614c5df958005744adb0b5eb82d3f8cd4e9d")
+
+
+def test_transfer_report_matches_pinned_sha256():
+    # The criterion-8 checkpoint: a random small actor, 30-step episodes.
+    spec = actor_spec(OBS_SIZE, 8, hidden=(8, 8))
+    ck = Checkpoint("td3", {"actor": spec},
+                    {"actor": np.random.default_rng(0).normal(size=spec.param_count)},
+                    parse_config("t_max = 30"))
+    flat, rough, _ = transfer_experiment(ck, eval_seed=0, trials=3)
+    digest = hashlib.sha256(report_csv([flat, rough]).encode("ascii")).hexdigest()
+    assert digest == TRANSFER_REPORT_SHA256

@@ -3,7 +3,9 @@
 The search distribution is a diagonal Gaussian with an additive noise
 floor that decays geometrically per generation. Updates refit the mean
 to a log-rank weighted combination of the elites and refit the variance
-about the pre-update mean, which delays variance collapse.
+about the pre-update mean, which delays variance collapse. A CemState
+carries its CemHyperparams, which fix the population size, the elite
+count and the floor's decay.
 
 The coupled generation (used by the hybrid algorithms) gives the first
 half of each sampled population critic-guided gradient steps before
@@ -19,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import net
+from .config import CemHyperparams
 from .replay import ReplayBuffer
 from .rl import Learner, train_step
 from .rollout import run_episode
@@ -27,14 +30,17 @@ from .seeds import SeedStream
 
 @dataclass(frozen=True, eq=False)
 class CemState:
+    """The search distribution plus the hyperparameters that drive it.
+
+    hp supplies the population size, the elite count and the noise-floor
+    decay; they are validated once, by CemHyperparams.
+    """
+
     mean: np.ndarray
     variance: np.ndarray
     noise_floor: float
-    population_size: int
-    elite_count: int
+    hp: CemHyperparams
     generation: int = 0
-    noise_floor_final: float = 1e-5
-    noise_decay: float = 0.999
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=np.float64)
@@ -45,14 +51,8 @@ class CemState:
             raise ValueError("mean and variance must be matching 1-D arrays")
         if np.any(variance < 0.0):
             raise ValueError("variance must be non-negative componentwise")
-        if self.population_size < 2:
-            raise ValueError("population_size must be at least 2")
-        if not 1 <= self.elite_count <= self.population_size:
-            raise ValueError("elite_count must lie in [1, population_size]")
-        if self.noise_floor < 0.0 or self.noise_floor_final < 0.0:
+        if self.noise_floor < 0.0:
             raise ValueError("noise floor must be non-negative")
-        if not 0.0 < self.noise_decay <= 1.0:
-            raise ValueError("noise_decay must lie in (0, 1]")
 
 
 @dataclass
@@ -63,10 +63,10 @@ class Individual:
 
 
 def sample_population(state: CemState, seed: int) -> list[Individual]:
-    """Draw population_size individuals from the current Gaussian."""
+    """Draw hp.population_size individuals from the current Gaussian."""
     rng = np.random.default_rng(seed)
     std = np.sqrt(state.variance + state.noise_floor)
-    draws = rng.standard_normal((state.population_size, state.mean.size))
+    draws = rng.standard_normal((state.hp.population_size, state.mean.size))
     return [Individual(state.mean + std * g) for g in draws]
 
 
@@ -88,13 +88,13 @@ def cem_update(state: CemState, individuals: list[Individual],
     the current noise floor is added componentwise.
     """
     fit = np.asarray(fitnesses, dtype=np.float64)
-    if fit.shape != (state.population_size,) or len(individuals) != fit.size:
+    if fit.shape != (state.hp.population_size,) or len(individuals) != fit.size:
         raise ValueError("need one fitness per population member")
     if not np.all(np.isfinite(fit)):
         raise ValueError("non-finite fitness")
-    order = np.argsort(-fit, kind="stable")[:state.elite_count]
+    order = np.argsort(-fit, kind="stable")[:state.hp.elite_count]
     elites = np.stack([individuals[i].params for i in order])
-    weights = elite_weights(state.elite_count)
+    weights = elite_weights(state.hp.elite_count)
     new_mean = weights @ elites
     centered = elites - state.mean
     new_variance = weights @ (centered * centered) + state.noise_floor
@@ -103,7 +103,7 @@ def cem_update(state: CemState, individuals: list[Individual],
 
 
 def decay_noise(state: CemState) -> CemState:
-    floor = max(state.noise_floor_final, state.noise_floor * state.noise_decay)
+    floor = max(state.hp.noise_floor_final, state.noise_floor * state.hp.noise_decay)
     return replace(state, noise_floor=floor)
 
 
@@ -137,7 +137,8 @@ def cem_rl_generation(state: CemState, learner: Learner, env, buffer: ReplayBuff
     """One generation: sample, gradient-coach half, evaluate, refit, decay.
 
     The learner and the buffer are updated in place. Every individual is
-    rolled out in env, whose reset rebuilds all episode state.
+    rolled out in env, whose reset rebuilds all episode state, and each
+    step of its episode is pushed into the buffer as it happens.
 
     Seed draw order (fixed): one population seed; then grad_steps seeds
     per coached individual, first-half individuals in index order (only
@@ -148,7 +149,7 @@ def cem_rl_generation(state: CemState, learner: Learner, env, buffer: ReplayBuff
     """
     stream = SeedStream(seed)
     individuals = sample_population(state, stream.next())
-    half = state.population_size // 2
+    half = state.hp.population_size // 2
     for individual in individuals[:half]:
         if grad_steps > 0 and len(buffer) >= learner.hp.batch_size:
             _load_actor(learner, individual.params)
@@ -163,12 +164,11 @@ def cem_rl_generation(state: CemState, learner: Learner, env, buffer: ReplayBuff
     collected = 0
     for individual, eval_seed in zip(individuals, eval_seeds):
         actor = net.unflatten(actor_spec, individual.params)
-        result = run_episode(env, lambda obs: net.forward(actor, obs), eval_seed)
+        result = run_episode(env, lambda obs: net.forward(actor, obs), eval_seed,
+                             buffer)
         individual.fitness = result.episode_return
         diverged += int(result.diverged)
-        collected += len(result.transitions)
-        for transition in result.transitions:
-            buffer.push_transition(transition)
+        collected += result.steps
 
     fitnesses = np.array([ind.fitness for ind in individuals])
     new_state = decay_noise(cem_update(state, individuals, fitnesses))

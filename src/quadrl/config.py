@@ -43,8 +43,11 @@ class CemHyperparams:
             raise ConfigError("cem.population_size must be at least 2")
         if not 1 <= self.elite_count <= self.population_size:
             raise ConfigError("cem.elite_count must lie in [1, population_size]")
-        if self.init_variance < 0.0 or self.noise_floor < 0.0:
+        if (self.init_variance < 0.0 or self.noise_floor < 0.0
+                or self.noise_floor_final < 0.0):
             raise ConfigError("cem variances must be non-negative")
+        if not 0.0 < self.noise_decay <= 1.0:
+            raise ConfigError("cem.noise_decay must lie in (0, 1]")
         if self.grad_steps_cap < 0:
             raise ConfigError("cem.grad_steps_cap must be non-negative")
 
@@ -76,6 +79,10 @@ class RunConfig:
             raise ConfigError("t_max must be at least 1")
         if self.warmup_steps < 0 or self.max_env_steps < 0:
             raise ConfigError("step counts must be non-negative")
+        if self.terrain_amplitude < 0.0:
+            raise ConfigError("terrain_amplitude must be non-negative")
+        if self.terrain_cell_size <= 0.0 or self.terrain_extent <= 0.0:
+            raise ConfigError("terrain_cell_size and terrain_extent must be positive")
 
     @property
     def budget(self) -> int:
@@ -84,8 +91,6 @@ class RunConfig:
 
 
 _SECTIONS = {"robot": RobotConfig, "rl": RlHyperparams, "cem": CemHyperparams}
-_RUN_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)
-               if f.name not in _SECTIONS}
 
 
 def _coerce(key: str, raw: str, default):
@@ -112,19 +117,9 @@ def _coerce(key: str, raw: str, default):
     return raw
 
 
-def _field_default(cls, name: str):
-    for f in dataclasses.fields(cls):
-        if f.name == name:
-            if f.default is not dataclasses.MISSING:
-                return f.default
-            return f.default_factory()
-    return dataclasses.MISSING
-
-
 def parse_config(text: str, **overrides) -> RunConfig:
     """Parse config text; keyword overrides (e.g. from CLI flags) win."""
-    top: dict = {}
-    sections: dict[str, dict] = {name: {} for name in _SECTIONS}
+    data: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -133,27 +128,11 @@ def parse_config(text: str, **overrides) -> RunConfig:
         if not sep:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = key.strip(), value.strip()
-        section, dot, name = key.partition(".")
-        if dot and section in _SECTIONS:
-            default = _field_default(_SECTIONS[section], name)
-            if default is dataclasses.MISSING:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            sections[section][name] = _coerce(key, value, default)
-        elif not dot and key in _RUN_FIELDS:
-            default = _field_default(RunConfig, key)
-            top[key] = _coerce(key, value, default)
-        else:
+        if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    top.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return RunConfig(
-            robot=RobotConfig(**sections["robot"]),
-            rl=RlHyperparams(**sections["rl"]),
-            cem=CemHyperparams(**sections["cem"]),
-            **top,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        data[key] = _coerce(key, value, _DEFAULTS[key])
+    data.update({k: v for k, v in overrides.items() if v is not None})
+    return config_from_dict(data)
 
 
 def load_config(path: str, **overrides) -> RunConfig:
@@ -179,25 +158,24 @@ def config_to_dict(config: RunConfig) -> dict:
     return out
 
 
+# Every settable key, dotted for section fields, with its default value.
+_DEFAULTS = dict(config_to_dict(RunConfig()), out_dir=RunConfig().out_dir)
+
+
 def config_from_dict(data: dict) -> RunConfig:
+    """Build a RunConfig from dotted keys; missing keys take their defaults."""
     top: dict = {}
     sections: dict[str, dict] = {name: {} for name in _SECTIONS}
     for key, value in data.items():
-        section, dot, name = key.partition(".")
-        if dot and section in _SECTIONS:
-            if _field_default(_SECTIONS[section], name) is dataclasses.MISSING:
-                raise ConfigError(f"unknown config key {key!r}")
-            sections[section][name] = value
-        elif not dot and key in _RUN_FIELDS:
-            top[key] = value
-        else:
+        if key not in _DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
+        section, dot, name = key.partition(".")
+        if dot:
+            sections[section][name] = value
+        else:
+            top[key] = value
     try:
-        return RunConfig(
-            robot=RobotConfig(**sections["robot"]),
-            rl=RlHyperparams(**sections["rl"]),
-            cem=CemHyperparams(**sections["cem"]),
-            **top,
-        )
+        return RunConfig(**top, **{name: cls(**sections[name])
+                                   for name, cls in _SECTIONS.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -60,11 +60,9 @@ def _trial_terrain(ck: Checkpoint, kind: str, seed: int,
     if fixed is not None:
         return fixed
     cfg = ck.config
-    if kind == "flat":
-        return make_terrain("flat", seed, 0.0, cfg.terrain_cell_size,
-                            cfg.terrain_extent)
-    return make_terrain("rough", seed, cfg.terrain_amplitude,
-                        cfg.terrain_cell_size, cfg.terrain_extent)
+    # Flat terrain ignores the amplitude.
+    return make_terrain(kind, seed, cfg.terrain_amplitude, cfg.terrain_cell_size,
+                        cfg.terrain_extent)
 
 
 def evaluate(ck: Checkpoint, terrain_kind: str, trials: int = 10,
@@ -81,8 +79,7 @@ def evaluate(ck: Checkpoint, terrain_kind: str, trials: int = 10,
         seed = eval_seed + t
         terrain = _trial_terrain(ck, terrain_kind, seed, fixed_terrain)
         env = QuadrupedEnv(terrain, cfg.robot, cfg.t_max)
-        result = run_episode(env, lambda obs: net.forward(actor, obs), seed,
-                             collect=False)
+        result = run_episode(env, lambda obs: net.forward(actor, obs), seed)
         returns.append(result.episode_return)
     return EvalReport.from_returns(terrain_kind, returns)
 

@@ -1,5 +1,9 @@
 """Fixed-capacity transition store with seeded uniform sampling.
 
+A transition is pushed as its five fields (observation, action, reward,
+next observation, done); rollout.run_episode pushes each step of an
+episode as it happens.
+
 Storage is column-major numpy arrays grown by doubling up to the
 configured capacity, so a large nominal capacity costs nothing until the
 buffer actually fills. Once full, the oldest transition is overwritten
@@ -14,18 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Transition:
-    observation: np.ndarray
-    action: np.ndarray
-    reward: float
-    next_observation: np.ndarray
-    done: bool
-
-
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """Stacked transition arrays; indexable as a sequence of Transitions."""
+    """Stacked transition arrays, one row per sampled transition."""
 
     observations: np.ndarray
     actions: np.ndarray
@@ -35,11 +30,6 @@ class Batch:
 
     def __len__(self) -> int:
         return self.rewards.shape[0]
-
-    def __getitem__(self, i: int) -> Transition:
-        return Transition(self.observations[i], self.actions[i],
-                          float(self.rewards[i]), self.next_observations[i],
-                          bool(self.dones[i]))
 
 
 class ReplayBuffer:
@@ -92,10 +82,6 @@ class ReplayBuffer:
         self._done[i] = bool(done)
         self.write_index = (self.write_index + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
-
-    def push_transition(self, transition: Transition) -> None:
-        self.push(transition.observation, transition.action, transition.reward,
-                  transition.next_observation, transition.done)
 
     def sample_batch(self, batch_size: int, seed: int) -> Batch:
         """batch_size uniform draws with replacement, seeded."""

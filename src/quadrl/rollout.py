@@ -1,14 +1,18 @@
-"""Run one episode of any env exposing reset(seed) and step(action)."""
+"""Run one episode of any env exposing reset(seed) and step(action).
+
+This module owns the reset/step loop: training, CEM fitness evaluation
+and the evaluation protocol all roll their policies through
+episode_steps, directly or through run_episode.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .env import SimulationDiverged
-from .replay import Transition
 
 
 @dataclass
@@ -17,39 +21,45 @@ class EpisodeResult:
     steps: int
     done_reason: str
     diverged: bool
-    transitions: list[Transition] = field(default_factory=list)
+
+
+def episode_steps(env, policy: Callable[[np.ndarray], np.ndarray],
+                  reset_seed: int) -> Iterator[tuple]:
+    """Reset env, then yield (obs, action, result) per step until done.
+
+    The policy is called for the next action only after the consumer has
+    handled the previous step, so a consumer may draw seeds or update
+    the policy between steps. A SimulationDiverged from env.step
+    propagates to the consumer.
+    """
+    obs = env.reset(reset_seed)
+    while True:
+        action = policy(obs)
+        result = env.step(action)
+        yield obs, action, result
+        if result.done:
+            return
+        obs = result.observation
 
 
 def run_episode(env, policy: Callable[[np.ndarray], np.ndarray], reset_seed: int,
-                collect: bool = True) -> EpisodeResult:
+                buffer=None) -> EpisodeResult:
     """Roll the policy until the env reports done.
 
-    A simulation divergence ends the episode early with the return
-    accumulated so far and the diverged flag set, so a caller can treat
-    the partial return as a (poor) fitness instead of crashing.
+    Each step is pushed into buffer when one is given. A simulation
+    divergence ends the episode early with the return accumulated so far
+    and the diverged flag set, so a caller can treat the partial return
+    as a (poor) fitness instead of crashing.
     """
-    obs = env.reset(reset_seed)
     total = 0.0
     steps = 0
-    transitions: list[Transition] = []
-    reason = "none"
-    diverged = False
-    while True:
-        action = policy(obs)
-        try:
-            result = env.step(action)
-        except SimulationDiverged:
-            reason = "diverged"
-            diverged = True
-            break
-        total += result.reward
-        steps += 1
-        if collect:
-            transitions.append(Transition(obs, np.asarray(action, dtype=np.float64),
-                                          result.reward, result.observation,
-                                          result.done))
-        obs = result.observation
-        if result.done:
-            reason = result.done_reason
-            break
-    return EpisodeResult(total, steps, reason, diverged, transitions)
+    try:
+        for obs, action, result in episode_steps(env, policy, reset_seed):
+            total += result.reward
+            steps += 1
+            if buffer is not None:
+                buffer.push(obs, action, result.reward, result.observation,
+                            result.done)
+    except SimulationDiverged:
+        return EpisodeResult(total, steps, "diverged", True)
+    return EpisodeResult(total, steps, result.done_reason, False)

@@ -31,6 +31,7 @@ from .env import OBS_SIZE, N_JOINTS, QuadrupedEnv, SimulationDiverged
 from .replay import ReplayBuffer
 from .rl import (Learner, TrainingDiverged, actor_spec, exploration_action,
                  init_learner, train_step)
+from .rollout import episode_steps
 from .seeds import SeedStream
 from .terrain import make_terrain
 
@@ -42,8 +43,6 @@ CEM_HEADER = (GRADIENT_HEADER + ",mean_fitness,median_fitness,noise_floor,"
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
@@ -132,31 +131,28 @@ def _train_gradient(config: RunConfig) -> Checkpoint:
     total_steps = 0
     episodes_run = 0
     diverged = False
+
+    def policy(obs):
+        # Uniform warmup actions, then the actor plus exploration noise.
+        action_seed = stream.next()
+        if total_steps < config.warmup_steps:
+            return np.random.default_rng(action_seed).uniform(-bound, bound,
+                                                              N_JOINTS)
+        return exploration_action(learner.actor, obs, hp.exploration_sigma,
+                                  action_seed, bound)
+
     try:
         for episode in range(1, config.episodes + 1):
             if config.max_env_steps and total_steps >= config.max_env_steps:
                 break
-            obs = env.reset(stream.next())
             ep_return = 0.0
-            while True:
-                action_seed = stream.next()
-                if total_steps < config.warmup_steps:
-                    action = np.random.default_rng(action_seed).uniform(
-                        -bound, bound, N_JOINTS)
-                else:
-                    action = exploration_action(learner.actor, obs,
-                                                hp.exploration_sigma,
-                                                action_seed, bound)
-                result = env.step(action)
+            for obs, action, result in episode_steps(env, policy, stream.next()):
                 buffer.push(obs, action, result.reward, result.observation,
                             result.done)
-                obs = result.observation
                 ep_return += result.reward
                 total_steps += 1
                 if total_steps > config.warmup_steps and len(buffer) >= hp.batch_size:
                     train_step(learner, buffer, stream.next())
-                if result.done:
-                    break
             episodes_run = episode
             if ep_return > best_return:
                 best_return = ep_return
@@ -180,15 +176,7 @@ def _train_cem(config: RunConfig) -> Checkpoint:
     mean = net.flatten(net.init_network(a_spec, stream.next()))
     learner = init_learner(OBS_SIZE, N_JOINTS, hp, stream.next(),
                            twin=config.algorithm == "cem_td3")
-    state = CemState(
-        mean=mean,
-        variance=np.full(mean.size, ch.init_variance),
-        noise_floor=ch.noise_floor,
-        population_size=ch.population_size,
-        elite_count=ch.elite_count,
-        noise_floor_final=ch.noise_floor_final,
-        noise_decay=ch.noise_decay,
-    )
+    state = CemState(mean, np.full(mean.size, ch.init_variance), ch.noise_floor, ch)
     buffer = ReplayBuffer(REPLAY_CAPACITY, OBS_SIZE, N_JOINTS)
     env = _flat_env(config)
     half = ch.population_size // 2

@@ -20,7 +20,7 @@ from quadrl.cem import CemState, Individual, cem_solve_toy, cem_update, \
     elite_weights
 from quadrl.checkpoint import Checkpoint, load_checkpoint
 from quadrl.cli import main
-from quadrl.config import parse_config
+from quadrl.config import CemHyperparams, parse_config
 from quadrl.env import (OBS_SIZE, QuadrupedEnv, RobotConfig, RobotState,
                         compute_reward, contact_forces, reward_terms)
 from quadrl.evaluate import TABLE_COLUMNS, evaluate, summarize, transfer_table
@@ -218,7 +218,8 @@ def test_criterion_04_cem_oracle():
     # 1-D hand-worked update: elites are the members at 2.0 and 4.0,
     # old mean 0, so mean' = 0.7304*2 + 0.2696*4 = 2.539 and
     # var' = 0.7304*4 + 0.2696*16 + floor = 7.235 + floor.
-    state = CemState(np.zeros(1), np.ones(1), 1e-3, 5, 2)
+    state = CemState(np.zeros(1), np.ones(1), 1e-3,
+                     CemHyperparams(population_size=5, elite_count=2))
     members = [Individual(np.array([p])) for p in (-1.0, 0.0, 2.0, 1.0, 4.0)]
     fitnesses = np.array([-5.0, -2.0, 10.0, 0.0, 7.0])
     updated = cem_update(state, members, fitnesses)
@@ -236,8 +237,10 @@ def test_criterion_04_cem_oracle():
             and np.array_equal(shuffled.variance, updated.variance))
 
     start = time.time()
-    sphere_state = CemState(np.full(5, 1.0), np.full(5, 1.0), 1e-6, 32, 16,
-                            noise_floor_final=1e-12, noise_decay=0.9)
+    sphere_state = CemState(np.full(5, 1.0), np.full(5, 1.0), 1e-6,
+                            CemHyperparams(population_size=32, elite_count=16,
+                                           noise_floor_final=1e-12,
+                                           noise_decay=0.9))
     _, final = cem_solve_toy(lambda p: -float(np.sum(p * p)), 5,
                              sphere_state, generations=60, seed=7)
     elapsed = time.time() - start
@@ -326,8 +329,8 @@ def test_criterion_06_physics_sanity():
 # --- 7: learning on the 1-DOF toy task ---------------------------------------
 
 def _toy_eval(actor):
-    return run_episode(ToyEnv(), lambda obs: net.forward(actor, obs), 0,
-                       collect=False).episode_return
+    return run_episode(ToyEnv(), lambda obs: net.forward(actor, obs),
+                       0).episode_return
 
 
 def test_criterion_07_toy_learning():
@@ -370,15 +373,16 @@ def test_criterion_07_toy_learning():
     start = time.time()
     spec = actor_spec(1, 1, hidden=(8,))
     mean = net.flatten(net.init_network(spec, 0))
-    state = CemState(mean, np.full(mean.size, 0.05), 1e-3, 16, 8)
+    state = CemState(mean, np.full(mean.size, 0.05), 1e-3,
+                     CemHyperparams(population_size=16, elite_count=8))
     best, _ = cem_solve_toy(
         lambda p: run_episode(ToyEnv(),
                               lambda obs: net.forward(net.unflatten(spec, p), obs),
-                              0, collect=False).episode_return,
+                              0).episode_return,
         mean.size, state, generations=100, seed=3)
     cem_score = run_episode(ToyEnv(),
                             lambda obs: net.forward(net.unflatten(spec, best), obs),
-                            0, collect=False).episode_return
+                            0).episode_return
     cem_elapsed = time.time() - start
     _verdict(7, "toy task learning",
              hit_episode is not None and cem_score >= target

@@ -2,31 +2,30 @@ import numpy as np
 import pytest
 
 from quadrl import cem
+from quadrl.config import CemHyperparams
 from quadrl.env import OBS_SIZE, QuadrupedEnv
 from quadrl.replay import ReplayBuffer
 from quadrl.rl import RlHyperparams, init_learner
 from quadrl.terrain import make_terrain
 
 
+def cem_hp(pop, elites, **kwargs):
+    return CemHyperparams(population_size=pop, elite_count=elites, **kwargs)
+
+
 def simple_state(dim=1, mean=0.0, variance=1.0, pop=4, elites=2,
                  noise_floor=1e-3):
     return cem.CemState(np.full(dim, float(mean)), np.full(dim, float(variance)),
-                        noise_floor, pop, elites)
+                        noise_floor, cem_hp(pop, elites))
 
 
 def test_state_validation():
     with pytest.raises(ValueError):
-        cem.CemState(np.zeros(3), np.zeros(2), 1e-3, 4, 2)
+        cem.CemState(np.zeros(3), np.zeros(2), 1e-3, cem_hp(4, 2))
     with pytest.raises(ValueError):
-        cem.CemState(np.zeros(3), -np.ones(3), 1e-3, 4, 2)
+        cem.CemState(np.zeros(3), -np.ones(3), 1e-3, cem_hp(4, 2))
     with pytest.raises(ValueError):
-        cem.CemState(np.zeros(3), np.ones(3), 1e-3, 1, 1)
-    with pytest.raises(ValueError):
-        cem.CemState(np.zeros(3), np.ones(3), 1e-3, 4, 5)
-    with pytest.raises(ValueError):
-        cem.CemState(np.zeros(3), np.ones(3), -1.0, 4, 2)
-    with pytest.raises(ValueError):
-        cem.CemState(np.zeros(3), np.ones(3), 1e-3, 4, 2, noise_decay=0.0)
+        cem.CemState(np.zeros(3), np.ones(3), -1.0, cem_hp(4, 2))
 
 
 def test_elite_weights_known_values():
@@ -63,14 +62,14 @@ def test_sample_population_shape_and_seeding():
 
 def test_sample_population_statistics():
     state = cem.CemState(np.array([3.0, -1.0]), np.array([0.25, 4.0]),
-                         0.0, 4000, 10)
+                         0.0, cem_hp(4000, 10))
     draws = np.stack([ind.params for ind in cem.sample_population(state, 0)])
     assert np.allclose(draws.mean(axis=0), [3.0, -1.0], atol=0.1)
     assert np.allclose(draws.std(axis=0), [0.5, 2.0], rtol=0.1)
 
 
 def test_sample_population_noise_floor_keeps_spread():
-    state = cem.CemState(np.zeros(1), np.zeros(1), 0.01, 1000, 10)
+    state = cem.CemState(np.zeros(1), np.zeros(1), 0.01, cem_hp(1000, 10))
     draws = np.stack([ind.params for ind in cem.sample_population(state, 1)])
     assert draws.std() == pytest.approx(0.1, rel=0.1)
 
@@ -80,7 +79,7 @@ def test_cem_update_hand_example():
     # are [0.7304, 0.2696], so the new mean is 2.539 and the refit
     # variance is 0.7304*4 + 0.2696*16 plus the noise floor.
     floor = 1e-3
-    state = cem.CemState(np.zeros(1), np.ones(1), floor, 4, 2)
+    state = cem.CemState(np.zeros(1), np.ones(1), floor, cem_hp(4, 2))
     individuals = [
         cem.Individual(np.array([2.0])),
         cem.Individual(np.array([4.0])),
@@ -105,7 +104,7 @@ def test_cem_update_identical_elites_collapse_to_floor():
 def test_cem_update_variance_refit_about_old_mean():
     # Single elite at z with old mean m: sigma^2 = (z - m)^2 + floor,
     # not zero, because the refit centers on the pre-update mean.
-    state = cem.CemState(np.array([1.0]), np.array([1.0]), 0.0, 2, 1)
+    state = cem.CemState(np.array([1.0]), np.array([1.0]), 0.0, cem_hp(2, 1))
     individuals = [cem.Individual(np.array([4.0])), cem.Individual(np.array([0.0]))]
     new = cem.cem_update(state, individuals, [1.0, 0.0])
     assert new.mean[0] == pytest.approx(4.0, abs=0)
@@ -114,7 +113,7 @@ def test_cem_update_variance_refit_about_old_mean():
 
 def test_cem_update_permutation_invariant():
     rng = np.random.default_rng(2)
-    state = cem.CemState(rng.normal(size=4), np.ones(4), 1e-3, 8, 3)
+    state = cem.CemState(rng.normal(size=4), np.ones(4), 1e-3, cem_hp(8, 3))
     individuals = [cem.Individual(rng.normal(size=4)) for _ in range(8)]
     fitnesses = rng.normal(size=8)  # distinct with probability 1
     ref = cem.cem_update(state, individuals, fitnesses)
@@ -127,7 +126,7 @@ def test_cem_update_permutation_invariant():
 
 
 def test_cem_update_tie_prefers_lower_index():
-    state = cem.CemState(np.zeros(1), np.ones(1), 0.0, 3, 1)
+    state = cem.CemState(np.zeros(1), np.ones(1), 0.0, cem_hp(3, 1))
     individuals = [cem.Individual(np.array([1.0])),
                    cem.Individual(np.array([2.0])),
                    cem.Individual(np.array([3.0]))]
@@ -145,8 +144,8 @@ def test_cem_update_rejects_bad_fitness():
 
 
 def test_decay_noise():
-    state = cem.CemState(np.zeros(1), np.ones(1), 1e-3, 4, 2,
-                         noise_floor_final=1e-5, noise_decay=0.95)
+    state = cem.CemState(np.zeros(1), np.ones(1), 1e-3,
+                         cem_hp(4, 2, noise_floor_final=1e-5, noise_decay=0.95))
     once = cem.decay_noise(state)
     assert once.noise_floor == pytest.approx(9.5e-4, abs=1e-12)
     for _ in range(500):
@@ -164,8 +163,8 @@ def test_decay_noise_monotone():
 
 
 def test_solve_toy_quadratic():
-    state = cem.CemState(np.full(2, 5.0), np.full(2, 4.0), 1e-6, 16, 8,
-                         noise_floor_final=1e-12, noise_decay=0.9)
+    state = cem.CemState(np.full(2, 5.0), np.full(2, 4.0), 1e-6,
+                         cem_hp(16, 8, noise_floor_final=1e-12, noise_decay=0.9))
     best, final = cem.cem_solve_toy(lambda p: -float(p @ p), 2, state,
                                     generations=40, seed=0)
     assert np.linalg.norm(final.mean) < 1e-2
@@ -182,7 +181,7 @@ def test_solve_toy_returns_best_ever():
         calls["n"] += 1
         return -abs(float(p[0]) - 1.0)
 
-    state = cem.CemState(np.zeros(1), np.ones(1), 1e-6, 8, 4)
+    state = cem.CemState(np.zeros(1), np.ones(1), 1e-6, cem_hp(8, 4))
     best, _ = cem.cem_solve_toy(objective, 1, state, generations=30, seed=1)
     assert abs(best[0] - 1.0) < 0.05
     assert calls["n"] == 30 * 8
@@ -200,7 +199,7 @@ def make_generation_fixture(batch_size=8):
     learner = init_learner(OBS_SIZE, 8, hp, seed=0, twin=True, hidden=(8, 8))
     dim = learner.actor.spec.param_count
     state = cem.CemState(learner.actor.values.copy(), np.full(dim, 1e-4),
-                         1e-5, 4, 2)
+                         1e-5, cem_hp(4, 2))
     buffer = ReplayBuffer(capacity=10000, obs_size=OBS_SIZE, action_size=8)
     return state, learner, buffer, QuadrupedEnv(terrain, t_max=5)
 
@@ -260,7 +259,7 @@ def test_generation_odd_population_coaches_floor_half():
     learner = init_learner(OBS_SIZE, 8, hp, seed=0, twin=True, hidden=(8, 8))
     dim = learner.actor.spec.param_count
     state = cem.CemState(learner.actor.values.copy(), np.full(dim, 1e-4),
-                         1e-5, 5, 2)
+                         1e-5, cem_hp(5, 2))
     buffer = ReplayBuffer(capacity=10000, obs_size=OBS_SIZE, action_size=8)
     env = QuadrupedEnv(terrain, t_max=3)
     state, _ = cem.cem_rl_generation(

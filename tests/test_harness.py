@@ -1,4 +1,3 @@
-import importlib
 import json
 import math
 import os
@@ -12,11 +11,12 @@ from quadrl.checkpoint import (Checkpoint, CheckpointError, load_checkpoint,
 from quadrl.config import (CemHyperparams, ConfigError, RunConfig,
                            config_from_dict, config_to_dict, load_config,
                            parse_config)
-from quadrl.env import OBS_SIZE, QuadrupedEnv, RobotConfig
+from quadrl.env import OBS_SIZE, QuadrupedEnv, RobotConfig, SimulationDiverged
 from quadrl.evaluate import (EvalReport, evaluate, report_csv, summarize,
                              transfer_experiment, transfer_table, TABLE_COLUMNS)
+from quadrl.replay import Batch, ReplayBuffer
 from quadrl.rl import TrainingDiverged, actor_spec
-from quadrl.rollout import run_episode
+from quadrl.rollout import episode_steps, run_episode
 from quadrl.seeds import SeedStream
 from quadrl.svgplot import plot_metrics, read_metrics, render_curve
 from quadrl.terrain import make_terrain
@@ -138,9 +138,31 @@ def test_cem_hyperparams_validation():
     with pytest.raises(ConfigError):
         CemHyperparams(population_size=1)
     with pytest.raises(ConfigError):
+        CemHyperparams(population_size=1, elite_count=1)
+    with pytest.raises(ConfigError):
+        CemHyperparams(population_size=4, elite_count=5)
+    with pytest.raises(ConfigError):
         CemHyperparams(elite_count=0)
     with pytest.raises(ConfigError):
+        CemHyperparams(population_size=4, elite_count=2, noise_decay=0.0)
+    with pytest.raises(ConfigError):
         CemHyperparams(grad_steps_cap=-1)
+
+
+@pytest.mark.parametrize("line", ["cem.noise_decay = 0", "cem.noise_decay = 1.5",
+                                  "cem.noise_floor_final = -1"])
+def test_parse_rejects_bad_cem_noise_schedule(line):
+    # Caught at parse time, not when training builds the CEM state.
+    with pytest.raises(ConfigError):
+        parse_config(line)
+
+
+@pytest.mark.parametrize("line", ["terrain_amplitude = -0.03",
+                                  "terrain_cell_size = 0", "terrain_extent = -1"])
+def test_parse_rejects_bad_terrain(line):
+    # A checkpoint trained with these could never be evaluated on rough terrain.
+    with pytest.raises(ConfigError):
+        parse_config(line)
 
 
 # --- checkpoint ----------------------------------------------------------
@@ -224,35 +246,76 @@ def test_load_rejects_tampered_fields(tmp_path):
 
 # --- rollout -------------------------------------------------------------
 
+def stored_rows(buffer):
+    """Every stored transition, in insertion order (the buffer never wrapped)."""
+    n = len(buffer)
+    return Batch(buffer._obs[:n], buffer._act[:n], buffer._rew[:n],
+                 buffer._next_obs[:n], buffer._done[:n])
+
+
 def test_run_episode_to_timeout_and_return_sum():
     env = QuadrupedEnv(make_terrain("flat", 0), t_max=15)
     stance = RobotConfig().nominal_stance
-    result = run_episode(env, lambda obs: stance, reset_seed=0)
+    buffer = ReplayBuffer(100, OBS_SIZE, 8)
+    result = run_episode(env, lambda obs: stance, reset_seed=0, buffer=buffer)
     assert result.steps == 15
     assert result.done_reason == "timeout"
     assert not result.diverged
-    assert len(result.transitions) == 15
-    assert result.episode_return == pytest.approx(
-        sum(t.reward for t in result.transitions), abs=1e-12)
-    assert result.transitions[-1].done
-    assert all(not t.done for t in result.transitions[:-1])
+    assert len(buffer) == 15
+    batch = stored_rows(buffer)
+    assert result.episode_return == pytest.approx(batch.rewards.sum(), abs=1e-12)
+    assert batch.dones[-1]
+    assert not batch.dones[:-1].any()
 
 
-def test_run_episode_collect_flag():
+def test_run_episode_without_buffer():
     env = QuadrupedEnv(make_terrain("flat", 0), t_max=5)
     stance = RobotConfig().nominal_stance
-    result = run_episode(env, lambda obs: stance, reset_seed=0, collect=False)
-    assert result.transitions == []
+    result = run_episode(env, lambda obs: stance, reset_seed=0)
     assert result.steps == 5
 
 
 def test_run_episode_transitions_chain():
     env = QuadrupedEnv(make_terrain("flat", 0), t_max=8)
     stance = RobotConfig().nominal_stance
-    result = run_episode(env, lambda obs: stance, reset_seed=0)
-    for prev, cur in zip(result.transitions, result.transitions[1:]):
-        assert np.array_equal(prev.next_observation, cur.observation)
+    buffer = ReplayBuffer(100, OBS_SIZE, 8)
+    run_episode(env, lambda obs: stance, reset_seed=0, buffer=buffer)
+    batch = stored_rows(buffer)
+    assert len(batch) == 8
+    assert np.array_equal(batch.next_observations[:-1], batch.observations[1:])
 
+
+
+class DivergesOnThirdStep:
+    """A flat-terrain env whose third step raises SimulationDiverged."""
+
+    def __init__(self):
+        self.env = QuadrupedEnv(make_terrain("flat", 0), t_max=15)
+        self.steps = 0
+
+    def reset(self, seed):
+        self.steps = 0
+        return self.env.reset(seed)
+
+    def step(self, action):
+        self.steps += 1
+        if self.steps == 3:
+            raise SimulationDiverged("forced")
+        return self.env.step(action)
+
+
+def test_episode_steps_raises_divergence_and_run_episode_absorbs_it():
+    stance = RobotConfig().nominal_stance
+    seen = []
+    with pytest.raises(SimulationDiverged):
+        for step in episode_steps(DivergesOnThirdStep(), lambda obs: stance, 0):
+            seen.append(step)
+    assert len(seen) == 2
+    buffer = ReplayBuffer(100, OBS_SIZE, 8)
+    result = run_episode(DivergesOnThirdStep(), lambda obs: stance, 0, buffer)
+    assert (result.steps, result.done_reason, result.diverged) == (2, "diverged", True)
+    assert len(buffer) == 2
+    assert result.episode_return == sum(r.reward for _, _, r in seen)
 
 # --- train ---------------------------------------------------------------
 
@@ -330,11 +393,8 @@ def test_train_records_learner_divergence(tmp_path, monkeypatch, algo):
     def diverge(learner, buffer, seed):
         raise TrainingDiverged("forced")
 
-    # The package re-exports the function `train` under the module's name.
-    monkeypatch.setattr(importlib.import_module("quadrl.train"), "train_step",
-                        diverge)
-    monkeypatch.setattr(importlib.import_module("quadrl.cem"), "train_step",
-                        diverge)
+    monkeypatch.setattr("quadrl.train.train_step", diverge)
+    monkeypatch.setattr("quadrl.cem.train_step", diverge)
     # A batch of 8 lets the second CEM generation coach, so train_step runs.
     tiny = (TINY_GRADIENT if algo in ("ddpg", "td3")
             else TINY_CEM + "rl.batch_size = 8\n")

@@ -5,27 +5,23 @@ from quadrl import replay
 
 
 def make_transition(i, obs_size=3, action_size=2):
-    return replay.Transition(
-        observation=np.full(obs_size, float(i)),
-        action=np.full(action_size, float(i) / 10.0),
-        reward=float(i),
-        next_observation=np.full(obs_size, float(i) + 0.5),
-        done=bool(i % 2),
-    )
+    """(observation, action, reward, next_observation, done) number i."""
+    return (np.full(obs_size, float(i)), np.full(action_size, float(i) / 10.0),
+            float(i), np.full(obs_size, float(i) + 0.5), bool(i % 2))
 
 
 def test_push_and_len():
     buf = replay.ReplayBuffer(capacity=10, obs_size=3, action_size=2)
     assert len(buf) == 0
     for i in range(4):
-        buf.push_transition(make_transition(i))
+        buf.push(*make_transition(i))
     assert len(buf) == 4
 
 
 def test_fifo_overwrite_at_capacity():
     buf = replay.ReplayBuffer(capacity=5, obs_size=3, action_size=2)
     for i in range(8):
-        buf.push_transition(make_transition(i))
+        buf.push(*make_transition(i))
     assert len(buf) == 5
     batch = buf.sample_batch(200, seed=0)
     # Entries 0..2 were overwritten by 5..7; only 3..7 remain.
@@ -37,7 +33,7 @@ def test_fifo_overwrite_at_capacity():
 def test_sample_batch_shapes_and_reproducibility():
     buf = replay.ReplayBuffer(capacity=100, obs_size=3, action_size=2)
     for i in range(30):
-        buf.push_transition(make_transition(i))
+        buf.push(*make_transition(i))
     a = buf.sample_batch(16, seed=42)
     b = buf.sample_batch(16, seed=42)
     assert a.observations.shape == (16, 3)
@@ -53,7 +49,7 @@ def test_sample_batch_shapes_and_reproducibility():
 
 def test_sample_with_replacement_allows_small_buffers():
     buf = replay.ReplayBuffer(capacity=10, obs_size=3, action_size=2)
-    buf.push_transition(make_transition(4))
+    buf.push(*make_transition(4))
     batch = buf.sample_batch(8, seed=0)
     assert len(batch) == 8
     assert np.all(batch.rewards == 4.0)
@@ -64,16 +60,15 @@ def test_sample_rows_are_stored_transitions():
     originals = {}
     for i in range(20):
         t = make_transition(i)
-        originals[t.reward] = t
-        buf.push_transition(t)
+        originals[t[2]] = t
+        buf.push(*t)
     batch = buf.sample_batch(32, seed=1)
     for k in range(len(batch)):
-        t = batch[k]
-        src = originals[t.reward]
-        assert np.array_equal(t.observation, src.observation)
-        assert np.array_equal(t.action, src.action)
-        assert np.array_equal(t.next_observation, src.next_observation)
-        assert t.done == src.done
+        obs, action, reward, next_obs, done = originals[batch.rewards[k]]
+        assert np.array_equal(batch.observations[k], obs)
+        assert np.array_equal(batch.actions[k], action)
+        assert np.array_equal(batch.next_observations[k], next_obs)
+        assert batch.dones[k] == done
 
 
 def test_sample_uniformity_rough():
@@ -91,7 +86,7 @@ def test_sample_uniformity_rough():
 
 def test_sampled_arrays_are_copies():
     buf = replay.ReplayBuffer(capacity=10, obs_size=3, action_size=2)
-    buf.push_transition(make_transition(1))
+    buf.push(*make_transition(1))
     batch = buf.sample_batch(4, seed=0)
     batch.observations[0, 0] = 999.0
     again = buf.sample_batch(4, seed=0)
@@ -122,7 +117,7 @@ def test_sample_empty_buffer_raises():
 
 def test_sample_zero_batch_raises():
     buf = replay.ReplayBuffer(capacity=10, obs_size=3, action_size=2)
-    buf.push_transition(make_transition(0))
+    buf.push(*make_transition(0))
     with pytest.raises(ValueError):
         buf.sample_batch(0, seed=0)
 
@@ -142,7 +137,7 @@ def test_growth_preserves_order_across_wrap():
 
 def test_lazy_allocation_under_large_capacity():
     buf = replay.ReplayBuffer(capacity=1_000_000, obs_size=48, action_size=8)
-    buf.push_transition(make_transition(0, obs_size=48, action_size=8))
+    buf.push(*make_transition(0, obs_size=48, action_size=8))
     # A million-slot buffer must not preallocate its full footprint.
     assert buf._obs.shape[0] < 100_000
     assert len(buf) == 1

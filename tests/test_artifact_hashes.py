@@ -1,5 +1,5 @@
 """Pinned sha256 of the criterion-5 training artifacts, per algorithm,
-and of one transfer report.
+of one transfer report, and of the simulator's own trajectories.
 
 Byte-identical artifacts are the behaviour spec: a refactor that claims
 to keep behaviour must reproduce these digests bit for bit. A change
@@ -15,9 +15,11 @@ import pytest
 
 from quadrl.checkpoint import Checkpoint
 from quadrl.config import parse_config
-from quadrl.env import OBS_SIZE
+from quadrl.env import (JOINT_RANGE, OBS_SIZE, QuadrupedEnv, RobotConfig,
+                        integrate, reset)
 from quadrl.evaluate import report_csv, transfer_experiment
 from quadrl.rl import actor_spec
+from quadrl.terrain import make_terrain
 from quadrl.train import train
 from test_acceptance import _ARTIFACTS, _TINY_BUDGET
 
@@ -80,3 +82,64 @@ def test_transfer_report_matches_pinned_sha256():
     flat, rough, _ = transfer_experiment(ck, eval_seed=0, trials=3)
     digest = hashlib.sha256(report_csv([flat, rough]).encode("ascii")).hexdigest()
     assert digest == TRANSFER_REPORT_SHA256
+
+
+SIMULATOR_SHA256 = (
+    "6ab09c8d4c7ec85da4b23390e26594e230975db640e5441420e7181006fad3fd")
+
+
+def _state_bytes(state) -> bytes:
+    arrays = (state.torso_position, state.torso_orientation,
+              state.linear_velocity, state.angular_velocity,
+              state.joint_angles, state.joint_velocities,
+              state.previous_joint_angles, state.foot_forces)
+    return b"".join(a.tobytes() for a in arrays) + repr(state.timestep).encode()
+
+
+def test_simulator_matches_pinned_sha256():
+    """Every byte the simulator produces, on paths training and transfer use.
+
+    Seeded random-action episodes on flat and rough ground (actions
+    beyond the action bound, so the clamps act), a zero-action episode
+    that ends on timeout, and a direct integrate sequence whose saturated
+    torques drive every joint into its stops, which random actions
+    through step never reach.
+    """
+    digest = hashlib.sha256()
+    config = RobotConfig()
+    rough = make_terrain("rough", seed=4, amplitude=0.03)
+    rng = np.random.default_rng(55)
+    reasons = []
+    for terrain in (make_terrain("flat", seed=0), rough):
+        for reset_seed in range(3):
+            env = QuadrupedEnv(terrain, t_max=200)
+            digest.update(env.reset(seed=reset_seed).tobytes())
+            result = None
+            while result is None or not result.done:
+                result = env.step(rng.uniform(-1.0, 1.0, size=8))
+                digest.update(result.observation.tobytes())
+                digest.update(repr(result.reward).encode())
+                digest.update(result.done_reason.encode())
+            reasons.append(result.done_reason)
+
+    env = QuadrupedEnv(rough, t_max=25)
+    env.reset()
+    result = None
+    while result is None or not result.done:
+        result = env.step(np.zeros(8))
+        digest.update(result.observation.tobytes())
+        digest.update(repr(result.reward).encode())
+    reasons.append(result.done_reason)
+
+    state, _ = reset(rough, config)
+    stops = 0
+    for k in range(60):
+        torques = np.full(8, config.torque_limit * (1.0 if k // 15 % 2 else -1.0))
+        torques[1::2] *= -1.0
+        state = integrate(state, torques, rough, config)
+        digest.update(_state_bytes(state))
+        stops += int(np.sum(np.abs(state.joint_angles) == JOINT_RANGE))
+
+    assert reasons[-1] == "timeout"
+    assert stops > 0
+    assert digest.hexdigest() == SIMULATOR_SHA256

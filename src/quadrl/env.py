@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .terrain import Terrain, height_at
+from .terrain import Terrain, height_at, point_height
 
 N_LEGS = 4
 N_JOINTS = 8
@@ -124,6 +124,17 @@ class Normalizers:
     joint_velocity: float = 10.0
     force: float = 100.0
 
+    @functools.cached_property
+    def scales(self) -> np.ndarray:
+        """Each observation entry's divisor, in the observation layout."""
+        scales = np.repeat(
+            [self.position, self.orientation, self.linear_velocity,
+             self.angular_velocity, self.joint_angle, self.joint_velocity,
+             self.force, self.joint_angle],
+            [3, 3, 3, 3, N_JOINTS, N_JOINTS, 3 * N_LEGS, N_JOINTS])
+        scales.setflags(write=False)
+        return scales
+
 
 DEFAULT_NORMALIZERS = Normalizers()
 
@@ -170,65 +181,74 @@ def rotation_matrix(orientation: np.ndarray) -> np.ndarray:
     ])
 
 
-def _feet_body_frame(joint_angles: np.ndarray, config: RobotConfig):
-    """Foot positions and joint-rate velocity terms in the torso frame.
+def _leg_geometry(q: list, config: RobotConfig):
+    """Torso-frame foot positions and joint-rate terms from 8 joint angles.
 
-    Returns (positions (4,3), d_pos/d_hip (4,3), d_pos/d_knee (4,3)).
-    Each leg is a planar two-link chain in the torso's x-z plane.
+    Each leg is a planar two-link chain in the torso's x-z plane. Returns
+    (body, rates): body is the 12 foot coordinates, leg-major x/y/z, and
+    rates holds per leg the x and z of d_pos/d_hip and of d_pos/d_knee
+    (their y is 0). One np.sin and one np.cos call cover all 8 hip and
+    total angles.
     """
     l1, l2 = config.upper_leg_length, config.lower_leg_length
-    hip = joint_angles[0::2]
-    total = hip + joint_angles[1::2]
-    sin_h, cos_h = np.sin(hip), np.cos(hip)
-    sin_t, cos_t = np.sin(total), np.cos(total)
-    pos = config.hip_offsets.copy()
-    pos[:, 0] += l1 * sin_h + l2 * sin_t
-    pos[:, 2] -= l1 * cos_h + l2 * cos_t
-    d_knee = np.zeros((N_LEGS, 3))
-    d_knee[:, 0] = l2 * cos_t
-    d_knee[:, 2] = l2 * sin_t
-    d_hip = d_knee.copy()
-    d_hip[:, 0] += l1 * cos_h
-    d_hip[:, 2] += l1 * sin_h
-    return pos, d_hip, d_knee
+    hip = q[0::2]
+    angles = np.array(hip + [a + b for a, b in zip(hip, q[1::2])])
+    sin, cos = np.sin(angles).tolist(), np.cos(angles).tolist()
+    body, rates = [], []
+    for (hx, hy, hz), sin_h, sin_t, cos_h, cos_t in zip(
+            config.hip_offsets.tolist(), sin[:N_LEGS], sin[N_LEGS:],
+            cos[:N_LEGS], cos[N_LEGS:]):
+        body += (hx + (l1 * sin_h + l2 * sin_t), hy, hz - (l1 * cos_h + l2 * cos_t))
+        knee_x, knee_z = l2 * cos_t, l2 * sin_t
+        rates.append((knee_x + l1 * cos_h, knee_z + l1 * sin_h, knee_x, knee_z))
+    return body, rates
 
 
 def forward_kinematics(state: RobotState, config: RobotConfig) -> np.ndarray:
     """World positions of the four feet, one row per leg."""
     rot = rotation_matrix(state.torso_orientation)
-    body, _, _ = _feet_body_frame(state.joint_angles, config)
-    return state.torso_position + body @ rot.T
+    body, _ = _leg_geometry(state.joint_angles.tolist(), config)
+    return state.torso_position + np.array(body).reshape(N_LEGS, 3) @ rot.T
 
 
-def _cross_rows(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Row-wise w x rows for a single 3-vector w and an (n, 3) array."""
-    out = np.empty_like(rows)
-    out[:, 0] = w[1] * rows[:, 2] - w[2] * rows[:, 1]
-    out[:, 1] = w[2] * rows[:, 0] - w[0] * rows[:, 2]
-    out[:, 2] = w[0] * rows[:, 1] - w[1] * rows[:, 0]
-    return out
-
-
-def _foot_kinematics(position, orientation, linear_velocity, angular_velocity,
-                     joint_angles, joint_velocities, config):
-    """World foot positions and velocities for the current pose."""
-    rot = rotation_matrix(orientation)
-    body, d_hip, d_knee = _feet_body_frame(joint_angles, config)
-    offsets = body @ rot.T
-    world = position + offsets
-    joint_vel_body = (d_hip * joint_velocities[0::2, None]
-                      + d_knee * joint_velocities[1::2, None])
-    vel = (linear_velocity + _cross_rows(angular_velocity, offsets)
-           + joint_vel_body @ rot.T)
-    return world, vel
+def _clamp(x: float, bound: float) -> float:
+    """np.clip(x, -bound, bound) for one float, NaN passing through."""
+    return bound if x > bound else (-bound if x < -bound else x)
 
 
 def pd_torque(targets, angles, velocities, config: RobotConfig) -> np.ndarray:
     """Saturated PD torque toward the (clamped) joint targets."""
-    b = config.action_bound
-    t = np.clip(np.asarray(targets, dtype=np.float64), -b, b)
-    raw = config.pd_kp * (t - angles) - config.pd_kd * velocities
-    return np.clip(raw, -config.torque_limit, config.torque_limit)
+    b, limit = config.action_bound, config.torque_limit
+    kp, kd = config.pd_kp, config.pd_kd
+    t = np.asarray(targets, dtype=np.float64)
+    if t.shape != np.shape(angles):
+        t = np.broadcast_to(t, np.shape(angles))
+    torques = [_clamp(kp * (_clamp(target, b) - q) - kd * qd, limit)
+               for target, q, qd in zip(t.tolist(), np.asarray(angles).tolist(),
+                                        np.asarray(velocities).tolist())]
+    return np.array(torques, dtype=np.float64)
+
+
+def _foot_force(depth, vx, vy, vz, config: RobotConfig):
+    """The contact law for one foot: world (fx, fy, fz) as Python floats.
+
+    depth is the ground height minus the foot height. The normal force is
+    a spring-damper that only pushes; friction ramps linearly with
+    horizontal speed up to the Coulomb bound mu * normal. Each branch
+    gives what np.where, np.maximum and np.minimum give on the same
+    floats, signed zeros and NaN included.
+    """
+    if depth > 0.0:
+        down = -vz
+        normal = (config.contact_stiffness * depth
+                  + config.contact_damping * (0.0 if down < 0.0 else down))
+    else:
+        normal = 0.0
+    speed = math.sqrt(vx * vx + vy * vy)
+    ratio = speed / config.slip_velocity
+    magnitude = config.friction_mu * normal * (1.0 if ratio > 1.0 else ratio)
+    safe_speed = speed if speed > 0.0 else 1.0
+    return -magnitude * (vx / safe_speed), -magnitude * (vy / safe_speed), normal
 
 
 def contact_forces(foot_positions, foot_velocities, terrain: Terrain,
@@ -242,25 +262,9 @@ def contact_forces(foot_positions, foot_velocities, terrain: Terrain,
     """
     pos = np.asarray(foot_positions, dtype=np.float64)
     vel = np.asarray(foot_velocities, dtype=np.float64)
-    ground = height_at(terrain, pos[:, 0], pos[:, 1])
-    depth = ground - pos[:, 2]
-    in_contact = depth > 0.0
-    normal = np.where(
-        in_contact,
-        config.contact_stiffness * depth
-        + config.contact_damping * np.maximum(0.0, -vel[:, 2]),
-        0.0,
-    )
-    horizontal = vel[:, :2]
-    speed = np.sqrt(horizontal[:, 0] ** 2 + horizontal[:, 1] ** 2)
-    magnitude = (config.friction_mu * normal
-                 * np.minimum(1.0, speed / config.slip_velocity))
-    safe_speed = np.where(speed > 0.0, speed, 1.0)
-    direction = horizontal / safe_speed[:, None]
-    forces = np.zeros_like(pos)
-    forces[:, :2] = -magnitude[:, None] * direction
-    forces[:, 2] = normal
-    return forces
+    forces = [_foot_force(point_height(terrain, x, y) - z, vx, vy, vz, config)
+              for (x, y, z), (vx, vy, vz) in zip(pos.tolist(), vel.tolist())]
+    return np.array(forces, dtype=np.float64).reshape(pos.shape)
 
 
 def integrate(state: RobotState, torques, terrain: Terrain,
@@ -271,58 +275,91 @@ def integrate(state: RobotState, torques, terrain: Terrain,
     before positions each substep; contact forces are evaluated at the
     substep's starting pose. Joint angles are clamped to the mechanical
     range with their velocity zeroed at the stop.
+
+    The substep is a scalar kernel: every per-foot and per-joint quantity
+    is a Python float, and only the two rotation products and the leg
+    sin/cos run in numpy. Each operation runs in the order the array form
+    of these equations would run it (sums left to right from 0.0, numpy's
+    `@` for the products), so trajectories are bit-identical to it.
     """
-    tau = np.asarray(torques, dtype=np.float64)
     h = config.dt / config.substeps
-    pos = state.torso_position.copy()
-    euler = state.torso_orientation.copy()
-    lin_vel = state.linear_velocity.copy()
-    ang_vel = state.angular_velocity.copy()
-    q = state.joint_angles.copy()
-    qd = state.joint_velocities.copy()
-    inertia = config.inertia
-    gravity = np.array([0.0, 0.0, -config.gravity])
-    forces = state.foot_forces
+    qd_step = [(t / config.leg_inertia) * h
+               for t in np.asarray(torques, dtype=np.float64).tolist()]
+    px, py, pz = state.torso_position.tolist()
+    roll, pitch, yaw = state.torso_orientation.tolist()
+    vx, vy, vz = state.linear_velocity.tolist()
+    wx, wy, wz = state.angular_velocity.tolist()
+    q = state.joint_angles.tolist()
+    qd = state.joint_velocities.tolist()
+    ix, iy, iz = config.inertia.tolist()
+    mass, gravity = config.mass, config.gravity
+    forces = state.foot_forces.ravel().tolist()
 
     for _ in range(config.substeps):
-        feet, feet_vel = _foot_kinematics(pos, euler, lin_vel, ang_vel, q, qd, config)
-        forces = contact_forces(feet, feet_vel, terrain, config)
-        lin_acc = gravity + forces.sum(axis=0) / config.mass
-        lever = feet - pos
-        torque_world = np.array([
-            (lever[:, 1] * forces[:, 2] - lever[:, 2] * forces[:, 1]).sum(),
-            (lever[:, 2] * forces[:, 0] - lever[:, 0] * forces[:, 2]).sum(),
-            (lever[:, 0] * forces[:, 1] - lever[:, 1] * forces[:, 0]).sum(),
-        ])
-        ang_acc = torque_world / inertia
-        lin_vel = lin_vel + lin_acc * h
-        ang_vel = ang_vel + ang_acc * h
-        qd = qd + (tau / config.leg_inertia) * h
-        pos = pos + lin_vel * h
-        euler = euler + ang_vel * h
-        q = q + qd * h
-        hit_stop = np.abs(q) > JOINT_RANGE
-        if np.any(hit_stop):
-            q = np.clip(q, -JOINT_RANGE, JOINT_RANGE)
-            qd = np.where(hit_stop, 0.0, qd)
+        rot_t = rotation_matrix((roll, pitch, yaw)).T
+        body, rates = _leg_geometry(q, config)
+        joint_vel = []
+        for (hip_x, hip_z, knee_x, knee_z), rate_h, rate_k in zip(
+                rates, qd[0::2], qd[1::2]):
+            joint_vel += (hip_x * rate_h + knee_x * rate_k,
+                          0.0 * rate_h + 0.0 * rate_k,
+                          hip_z * rate_h + knee_z * rate_k)
+        offsets = (np.array(body).reshape(N_LEGS, 3) @ rot_t).tolist()
+        joint_vel = (np.array(joint_vel).reshape(N_LEGS, 3) @ rot_t).tolist()
+
+        forces = []
+        fx_sum = fy_sum = fz_sum = tx_sum = ty_sum = tz_sum = 0.0
+        for (ox, oy, oz), (jx, jy, jz) in zip(offsets, joint_vel):
+            foot_x, foot_y, foot_z = px + ox, py + oy, pz + oz
+            fx, fy, fz = _foot_force(
+                point_height(terrain, foot_x, foot_y) - foot_z,
+                (vx + (wy * oz - wz * oy)) + jx,
+                (vy + (wz * ox - wx * oz)) + jy,
+                (vz + (wx * oy - wy * ox)) + jz,
+                config)
+            forces += (fx, fy, fz)
+            lx, ly, lz = foot_x - px, foot_y - py, foot_z - pz
+            fx_sum += fx
+            fy_sum += fy
+            fz_sum += fz
+            tx_sum += ly * fz - lz * fy
+            ty_sum += lz * fx - lx * fz
+            tz_sum += lx * fy - ly * fx
+
+        vx = vx + (fx_sum / mass) * h
+        vy = vy + (fy_sum / mass) * h
+        vz = vz + (fz_sum / mass - gravity) * h
+        wx = wx + (tx_sum / ix) * h
+        wy = wy + (ty_sum / iy) * h
+        wz = wz + (tz_sum / iz) * h
+        qd = [rate + step for rate, step in zip(qd, qd_step)]
+        px, py, pz = px + vx * h, py + vy * h, pz + vz * h
+        roll, pitch, yaw = roll + wx * h, pitch + wy * h, yaw + wz * h
+        q = [angle + rate * h for angle, rate in zip(q, qd)]
+        for j, angle in enumerate(q):
+            if angle > JOINT_RANGE:
+                q[j], qd[j] = JOINT_RANGE, 0.0
+            elif angle < -JOINT_RANGE:
+                q[j], qd[j] = -JOINT_RANGE, 0.0
 
     new_state = RobotState(
-        torso_position=pos,
-        torso_orientation=euler,
-        linear_velocity=lin_vel,
-        angular_velocity=ang_vel,
-        joint_angles=q,
-        joint_velocities=qd,
+        torso_position=np.array([px, py, pz]),
+        torso_orientation=np.array([roll, pitch, yaw]),
+        linear_velocity=np.array([vx, vy, vz]),
+        angular_velocity=np.array([wx, wy, wz]),
+        joint_angles=np.array(q),
+        joint_velocities=np.array(qd),
         previous_joint_angles=state.joint_angles.copy(),
-        foot_forces=forces,
+        foot_forces=np.array(forces).reshape(N_LEGS, 3),
         timestep=state.timestep + 1,
         initial_position=state.initial_position,
     )
-    for arr in (pos, euler, lin_vel, ang_vel, q, qd, forces):
-        if not np.all(np.isfinite(arr)):
-            raise SimulationDiverged(
-                f"non-finite state at control step {new_state.timestep}"
-            )
+    values = [px, py, pz, roll, pitch, yaw, vx, vy, vz, wx, wy, wz,
+              *q, *qd, *forces]
+    if not all(map(math.isfinite, values)):
+        raise SimulationDiverged(
+            f"non-finite state at control step {new_state.timestep}"
+        )
     return new_state
 
 
@@ -333,38 +370,44 @@ def reward_terms(state: RobotState, config: RobotConfig, t_max: int) -> np.ndarr
     deviation, roll, pitch, joint motion. Deviations are measured from
     the torso position recorded at reset.
     """
-    dz = state.torso_position[2] - state.initial_position[2]
-    dy = state.torso_position[1] - state.initial_position[1]
-    joint_motion = np.sum(np.abs(np.abs(state.joint_angles)
-                                 - np.abs(state.previous_joint_angles)))
+    _, y, z = state.torso_position.tolist()
+    _, y0, z0 = state.initial_position.tolist()
+    roll, pitch, _ = state.torso_orientation.tolist()
+    m = [abs(abs(a) - abs(b)) for a, b in zip(state.joint_angles.tolist(),
+                                                state.previous_joint_angles.tolist())]
+    # np.sum's pairwise order for 8 values.
+    joint_motion = ((m[0] + m[1]) + (m[2] + m[3])) + ((m[4] + m[5]) + (m[6] + m[7]))
     return np.array([
-        75.0 * state.linear_velocity[0],
+        75.0 * state.linear_velocity.item(0),
         25.0 * state.timestep / t_max,
-        -10.0 * abs(dz),
-        -5.0 * abs(dy),
-        -5.0 * abs(state.torso_orientation[0]),
-        -5.0 * abs(state.torso_orientation[1]),
+        -10.0 * abs(z - z0),
+        -5.0 * abs(y - y0),
+        -5.0 * abs(roll),
+        -5.0 * abs(pitch),
         -0.05 * joint_motion,
     ])
 
 
 def compute_reward(state: RobotState, config: RobotConfig, t_max: int) -> float:
-    return float(reward_terms(state, config, t_max).sum())
+    total = 0.0
+    for term in reward_terms(state, config, t_max).tolist():
+        total += term  # left to right from 0.0, as ndarray.sum adds 7 values
+    return total
 
 
 def observe(state: RobotState,
             normalizers: Normalizers = DEFAULT_NORMALIZERS) -> np.ndarray:
     obs = np.concatenate([
-        state.torso_position / normalizers.position,
-        state.torso_orientation / normalizers.orientation,
-        state.linear_velocity / normalizers.linear_velocity,
-        state.angular_velocity / normalizers.angular_velocity,
-        state.joint_angles / normalizers.joint_angle,
-        state.joint_velocities / normalizers.joint_velocity,
-        state.foot_forces.ravel() / normalizers.force,
-        state.previous_joint_angles / normalizers.joint_angle,
-    ])
-    if not np.all(np.isfinite(obs)):
+        state.torso_position,
+        state.torso_orientation,
+        state.linear_velocity,
+        state.angular_velocity,
+        state.joint_angles,
+        state.joint_velocities,
+        state.foot_forces.ravel(),
+        state.previous_joint_angles,
+    ]) / normalizers.scales
+    if not np.isfinite(obs).all():
         raise SimulationDiverged("non-finite observation")
     return obs
 
@@ -416,8 +459,7 @@ def step(state: RobotState, action, terrain: Terrain, config: RobotConfig,
     """Apply one control step: clamp action, PD torques, integrate, score."""
     if state.timestep >= t_max:
         raise ProtocolError("step called on a finished episode")
-    action = np.clip(np.asarray(action, dtype=np.float64),
-                     -config.action_bound, config.action_bound)
+    # pd_torque clamps the action to the action bound.
     torques = pd_torque(action, state.joint_angles, state.joint_velocities, config)
     new_state = integrate(state, torques, terrain, config)
     reward = compute_reward(new_state, config, t_max)

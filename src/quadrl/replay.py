@@ -52,12 +52,13 @@ class ReplayBuffer:
         return self.size
 
     def _grow(self, needed: int) -> None:
+        """Reallocate every column and copy only the stored rows."""
         new_alloc = min(self.capacity, max(1024, 2 * self._allocated, needed))
-        self._obs = np.resize(self._obs, (new_alloc, self.obs_size))
-        self._act = np.resize(self._act, (new_alloc, self.action_size))
-        self._rew = np.resize(self._rew, new_alloc)
-        self._next_obs = np.resize(self._next_obs, (new_alloc, self.obs_size))
-        self._done = np.resize(self._done, new_alloc)
+        for name in ("_obs", "_act", "_rew", "_next_obs", "_done"):
+            old = getattr(self, name)
+            new = np.empty((new_alloc,) + old.shape[1:], dtype=old.dtype)
+            new[:self.size] = old[:self.size]
+            setattr(self, name, new)
         self._allocated = new_alloc
 
     def push(self, observation, action, reward, next_observation, done) -> None:

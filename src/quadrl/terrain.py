@@ -10,6 +10,7 @@ everywhere. The grid is centered on the origin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,27 +79,64 @@ def make_terrain(kind: str, seed: int, amplitude: float = 0.03,
     return Terrain("rough", seed, amplitude, cell_size, grid)
 
 
-def height_at(terrain: Terrain, x, y):
-    """Ground height at world (x, y); accepts scalars or same-shape arrays."""
+def _cell(g: float, n: int) -> int:
+    """np.clip(np.floor(g).astype(np.int64), 0, max(n - 2, 0)) for one float.
+
+    NaN, infinities and values beyond the int64 range go through numpy's
+    own cast, so they land on the cell the array rule would pick.
+    """
+    if -1e18 < g < 1e18:
+        i = math.floor(g)
+    else:
+        i = np.floor(np.array([g])).astype(np.int64).item()
+    hi = max(n - 2, 0)
+    return 0 if i < 0 else (hi if i > hi else i)
+
+
+def _unit(f: float) -> float:
+    """np.clip(f, 0.0, 1.0) for one float, NaN passing through."""
+    if f > 1.0:
+        return 1.0
+    return f if f > 0.0 or f != f else 0.0
+
+
+def point_height(terrain: Terrain, x: float, y: float) -> float:
+    """Ground height at one world point, as a Python float.
+
+    This is the one bilinear rule: `height_at` loops over it and the
+    simulator calls it once per foot and substep. Heights are read with
+    ``grid.item`` so no per-terrain copy of the grid is made.
+    """
     grid = terrain.height_grid
     rows, cols = grid.shape
     if rows == 1 and cols == 1:
         # Degenerate grid (flat terrain): constant height everywhere.
-        value = float(grid[0, 0])
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return value
-        return np.full(np.shape(x), value)
-    gx = np.asarray(x, dtype=np.float64) / terrain.cell_size + (cols - 1) / 2.0
-    gy = np.asarray(y, dtype=np.float64) / terrain.cell_size + (rows - 1) / 2.0
-    j0 = np.clip(np.floor(gx).astype(np.int64), 0, max(cols - 2, 0))
-    i0 = np.clip(np.floor(gy).astype(np.int64), 0, max(rows - 2, 0))
-    fx = np.clip(gx - j0, 0.0, 1.0)
-    fy = np.clip(gy - i0, 0.0, 1.0)
-    j1 = np.minimum(j0 + 1, cols - 1)
-    i1 = np.minimum(i0 + 1, rows - 1)
-    h = ((1 - fy) * (1 - fx) * grid[i0, j0] + (1 - fy) * fx * grid[i0, j1]
-         + fy * (1 - fx) * grid[i1, j0] + fy * fx * grid[i1, j1])
-    return float(h) if np.isscalar(x) or np.ndim(x) == 0 else h
+        return grid.item(0, 0)
+    gx = x / terrain.cell_size + (cols - 1) / 2.0
+    gy = y / terrain.cell_size + (rows - 1) / 2.0
+    if 0.0 <= gx < cols - 1 and 0.0 <= gy < rows - 1:
+        # Inside the grid every clamp below is a no-op.
+        j0, i0 = int(gx), int(gy)
+        fx, fy = gx - j0, gy - i0
+        j1, i1 = j0 + 1, i0 + 1
+    else:
+        j0, i0 = _cell(gx, cols), _cell(gy, rows)
+        fx, fy = _unit(gx - j0), _unit(gy - i0)
+        j1, i1 = min(j0 + 1, cols - 1), min(i0 + 1, rows - 1)
+    return ((1 - fy) * (1 - fx) * grid.item(i0, j0)
+            + (1 - fy) * fx * grid.item(i0, j1)
+            + fy * (1 - fx) * grid.item(i1, j0) + fy * fx * grid.item(i1, j1))
+
+
+def height_at(terrain: Terrain, x, y):
+    """Ground height at world (x, y); accepts scalars or same-shape arrays."""
+    if isinstance(x, float) or np.ndim(x) == 0:
+        return point_height(terrain, float(x), float(y))
+    xs, ys = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
+                                 np.asarray(y, dtype=np.float64))
+    heights = [point_height(terrain, a, b)
+               for a, b in zip(xs.ravel().tolist(), ys.ravel().tolist())]
+    return np.array(heights, dtype=np.float64).reshape(xs.shape)
 
 
 def save_terrain(terrain: Terrain, path: str) -> None:

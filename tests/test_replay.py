@@ -141,3 +141,24 @@ def test_lazy_allocation_under_large_capacity():
     # A million-slot buffer must not preallocate its full footprint.
     assert buf._obs.shape[0] < 100_000
     assert len(buf) == 1
+
+
+def test_rows_and_samples_survive_growth():
+    # 2500 pushes cross the 1024 and 2048 reallocations.
+    buf = replay.ReplayBuffer(capacity=4000, obs_size=3, action_size=2)
+    rows = [make_transition(i) for i in range(2500)]
+    for n, row in enumerate(rows, start=1):
+        buf.push(*row)
+        if n in (1024, 1025, 2048, 2049, 2500):
+            idx = np.random.default_rng(n).integers(0, n, size=64)
+            batch = buf.sample_batch(64, seed=n)
+            assert np.array_equal(batch.observations, np.array([rows[i][0] for i in idx]))
+            assert np.array_equal(batch.actions, np.array([rows[i][1] for i in idx]))
+            assert np.array_equal(batch.rewards, np.array([rows[i][2] for i in idx]))
+            assert np.array_equal(batch.next_observations,
+                                  np.array([rows[i][3] for i in idx]))
+            assert np.array_equal(batch.dones, np.array([rows[i][4] for i in idx]))
+    assert buf._obs.shape[0] == 4000
+    assert np.array_equal(buf._rew[:2500], np.arange(2500.0))
+    assert np.array_equal(buf._obs[:2500], np.array([r[0] for r in rows]))
+    assert np.array_equal(buf._done[:2500], np.array([r[4] for r in rows]))

@@ -293,12 +293,11 @@ def integrate(state: RobotState, torques, terrain: Terrain,
     qd = state.joint_velocities.tolist()
     ix, iy, iz = config.inertia.tolist()
     mass, gravity = config.mass, config.gravity
-    forces = state.foot_forces.ravel().tolist()
 
     for _ in range(config.substeps):
         rot_t = rotation_matrix((roll, pitch, yaw)).T
         body, rates = _leg_geometry(q, config)
-        joint_vel = []
+        joint_vel = []  # the y rows are 0.0 times the rates, as in the array form
         for (hip_x, hip_z, knee_x, knee_z), rate_h, rate_k in zip(
                 rates, qd[0::2], qd[1::2]):
             joint_vel += (hip_x * rate_h + knee_x * rate_k,

@@ -130,7 +130,7 @@ def point_height(terrain: Terrain, x: float, y: float) -> float:
 
 def height_at(terrain: Terrain, x, y):
     """Ground height at world (x, y); accepts scalars or same-shape arrays."""
-    if isinstance(x, float) or np.ndim(x) == 0:
+    if np.ndim(x) == 0:
         return point_height(terrain, float(x), float(y))
     xs, ys = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
                                  np.asarray(y, dtype=np.float64))

@@ -2,8 +2,8 @@
 
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .config import CemHyperparams, ConfigError, RunConfig, load_config, parse_config
-from .env import (Normalizers, ProtocolError, QuadrupedEnv, RobotConfig,
-                  RobotState, SimulationDiverged, StepResult)
+from .env import (ProtocolError, QuadrupedEnv, RobotConfig, RobotState,
+                  SimulationDiverged, StepResult)
 from .evaluate import EvalReport, summarize, transfer_experiment
 from .rl import Learner, RlHyperparams
 from .terrain import Terrain, load_terrain, make_terrain, save_terrain
@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Checkpoint", "CheckpointError", "load_checkpoint", "save_checkpoint",
     "CemHyperparams", "ConfigError", "RunConfig", "load_config", "parse_config",
-    "Normalizers", "ProtocolError", "QuadrupedEnv", "RobotConfig", "RobotState",
+    "ProtocolError", "QuadrupedEnv", "RobotConfig", "RobotState",
     "SimulationDiverged", "StepResult",
     "EvalReport", "summarize", "transfer_experiment",
     "Learner", "RlHyperparams",

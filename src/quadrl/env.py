@@ -16,7 +16,7 @@ knee_rl, hip_rr, knee_rr]. At zero joint angles a leg points straight
 down; positive hip pitch swings the foot forward.
 
 Observation layout (48 entries, fixed order, each block divided by its
-normalizer constant):
+constant in `OBS_SCALES`):
 
     [0:3]   torso position (m)
     [3:6]   torso roll, pitch, yaw (rad)
@@ -114,29 +114,13 @@ class RobotConfig:
                                             l * l + w * w])
 
 
-@dataclass(frozen=True)
-class Normalizers:
-    position: float = 1.0
-    orientation: float = np.pi / 2.0
-    linear_velocity: float = 2.0
-    angular_velocity: float = 10.0
-    joint_angle: float = np.pi / 2.0
-    joint_velocity: float = 10.0
-    force: float = 100.0
-
-    @functools.cached_property
-    def scales(self) -> np.ndarray:
-        """Each observation entry's divisor, in the observation layout."""
-        scales = np.repeat(
-            [self.position, self.orientation, self.linear_velocity,
-             self.angular_velocity, self.joint_angle, self.joint_velocity,
-             self.force, self.joint_angle],
-            [3, 3, 3, 3, N_JOINTS, N_JOINTS, 3 * N_LEGS, N_JOINTS])
-        scales.setflags(write=False)
-        return scales
-
-
-DEFAULT_NORMALIZERS = Normalizers()
+# Each observation entry's divisor, in the observation layout: position,
+# orientation, linear and angular velocity, joint angles, joint velocities,
+# foot forces, previous joint angles.
+OBS_SCALES = np.repeat(
+    [1.0, np.pi / 2.0, 2.0, 10.0, np.pi / 2.0, 10.0, 100.0, np.pi / 2.0],
+    [3, 3, 3, 3, N_JOINTS, N_JOINTS, 3 * N_LEGS, N_JOINTS])
+OBS_SCALES.setflags(write=False)
 
 
 @dataclass
@@ -394,8 +378,7 @@ def compute_reward(state: RobotState, config: RobotConfig, t_max: int) -> float:
     return total
 
 
-def observe(state: RobotState,
-            normalizers: Normalizers = DEFAULT_NORMALIZERS) -> np.ndarray:
+def observe(state: RobotState) -> np.ndarray:
     obs = np.concatenate([
         state.torso_position,
         state.torso_orientation,
@@ -405,7 +388,7 @@ def observe(state: RobotState,
         state.joint_velocities,
         state.foot_forces.ravel(),
         state.previous_joint_angles,
-    ]) / normalizers.scales
+    ]) / OBS_SCALES
     if not np.isfinite(obs).all():
         raise SimulationDiverged("non-finite observation")
     return obs
@@ -452,9 +435,7 @@ def _done_reason(state: RobotState, terrain: Terrain, config: RobotConfig,
 
 
 def step(state: RobotState, action, terrain: Terrain, config: RobotConfig,
-         t_max: int,
-         normalizers: Normalizers = DEFAULT_NORMALIZERS
-         ) -> tuple[RobotState, StepResult]:
+         t_max: int) -> tuple[RobotState, StepResult]:
     """Apply one control step: clamp action, PD torques, integrate, score."""
     if state.timestep >= t_max:
         raise ProtocolError("step called on a finished episode")
@@ -463,7 +444,7 @@ def step(state: RobotState, action, terrain: Terrain, config: RobotConfig,
     new_state = integrate(state, torques, terrain, config)
     reward = compute_reward(new_state, config, t_max)
     reason = _done_reason(new_state, terrain, config, t_max)
-    result = StepResult(observe(new_state, normalizers), reward,
+    result = StepResult(observe(new_state), reward,
                         reason != "none", reason)
     return new_state, result
 
@@ -475,7 +456,6 @@ class QuadrupedEnv:
     terrain: Terrain
     config: RobotConfig = field(default_factory=RobotConfig)
     t_max: int = 1000
-    normalizers: Normalizers = DEFAULT_NORMALIZERS
 
     def __post_init__(self) -> None:
         self.state: RobotState | None = None
@@ -492,6 +472,6 @@ class QuadrupedEnv:
         if self.done:
             raise ProtocolError("step called on a finished episode")
         self.state, result = step(self.state, action, self.terrain, self.config,
-                                  self.t_max, self.normalizers)
+                                  self.t_max)
         self.done = result.done
         return result

@@ -12,7 +12,7 @@ order, each layer contributing its weight matrix in row-major order
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -158,45 +158,48 @@ def _activation_grad(y: np.ndarray, layer: LayerSpec) -> np.ndarray:
     return np.ones_like(y)
 
 
-def _as_batch(x, size: int, what: str) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != size:
-        raise ValueError(f"{what} has shape {np.shape(x)}, expected (..., {size})")
-    return arr, single
+def layer_outputs(params: ParamVector, inputs) -> list[np.ndarray]:
+    """The input batch, then each layer's output: one recorded forward pass.
+
+    A single input vector counts as a batch of one. The last entry is the
+    network's output, and `backward` takes the whole list.
+    """
+    spec = params.spec
+    x = np.asarray(inputs, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[None, :]
+    if x.ndim != 2 or x.shape[1] != spec.input_size:
+        raise ValueError(f"input has shape {np.shape(inputs)}, "
+                         f"expected (..., {spec.input_size})")
+    outputs = [x]
+    for (w, b), layer in zip(_layer_views(params.values, spec), spec.layers):
+        x = _activate(x @ w.T + b, layer)
+        outputs.append(x)
+    return outputs
 
 
 def forward(params: ParamVector, inputs) -> np.ndarray:
     """Evaluate the network. Accepts a single input vector or a batch."""
-    x, single = _as_batch(inputs, params.spec.input_size, "input")
-    for (w, b), layer in zip(_layer_views(params.values, params.spec), params.spec.layers):
-        x = _activate(x @ w.T + b, layer)
-    return x[0] if single else x
+    y = layer_outputs(params, inputs)[-1]
+    return y[0] if np.ndim(inputs) == 1 else y
 
 
-def backward(params: ParamVector, inputs, output_grad) -> tuple[np.ndarray, np.ndarray]:
-    """Exact reverse-mode gradients of the forward map.
+def backward(params: ParamVector, outputs: Sequence[np.ndarray],
+             output_grad) -> tuple[np.ndarray, np.ndarray]:
+    """Exact reverse-mode gradients of a recorded forward pass.
 
+    ``outputs`` is what `layer_outputs` returned for ``params``; nothing
+    is evaluated again. ``output_grad`` has one row per input row.
     Returns ``(param_grad, input_grad)`` where ``param_grad`` is a flat
     array in the documented layout (summed over the batch) and
-    ``input_grad`` matches the shape of ``inputs``. The input gradient is
+    ``input_grad`` has the shape of the input batch. The input gradient is
     what lets an actor update chain through a critic's action input.
     """
     spec = params.spec
-    x, single = _as_batch(inputs, spec.input_size, "input")
-    layer_inputs = []
-    layer_outputs = []
-    h = x
-    for (w, b), layer in zip(_layer_views(params.values, spec), spec.layers):
-        layer_inputs.append(h)
-        h = _activate(h @ w.T + b, layer)
-        layer_outputs.append(h)
-
-    g, g_single = _as_batch(output_grad, spec.output_size, "output gradient")
-    if single != g_single or g.shape[0] != x.shape[0]:
-        raise ValueError("output gradient batch does not match input batch")
+    g = np.asarray(output_grad, dtype=np.float64)
+    if g.shape != outputs[-1].shape:
+        raise ValueError(f"output gradient has shape {g.shape}, "
+                         f"expected {outputs[-1].shape}")
 
     param_grad = np.empty(spec.param_count)
     offset = spec.param_count
@@ -204,13 +207,13 @@ def backward(params: ParamVector, inputs, output_grad) -> tuple[np.ndarray, np.n
     for idx in range(len(spec.layers) - 1, -1, -1):
         layer = spec.layers[idx]
         w, _ = views[idx]
-        dz = g * _activation_grad(layer_outputs[idx], layer)
+        dz = g * _activation_grad(outputs[idx + 1], layer)
         n_w = layer.input_size * layer.output_size
         offset -= layer.param_count
-        param_grad[offset : offset + n_w] = (dz.T @ layer_inputs[idx]).ravel()
+        param_grad[offset : offset + n_w] = (dz.T @ outputs[idx]).ravel()
         param_grad[offset + n_w : offset + n_w + layer.output_size] = dz.sum(axis=0)
         g = dz @ w
-    return param_grad, (g[0] if single else g)
+    return param_grad, g
 
 
 def flatten(params: ParamVector) -> np.ndarray:
@@ -222,6 +225,11 @@ def unflatten(spec: NetworkSpec, values) -> ParamVector:
     return ParamVector(np.asarray(values, dtype=np.float64), spec)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True, eq=False)
 class AdamState:
     """Adam moment estimates for one parameter vector."""
@@ -229,25 +237,16 @@ class AdamState:
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("beta coefficients must lie in (0, 1)")
-        if not self.eps > 0.0:
-            raise ValueError("eps must be positive")
         if self.step_count < 0:
             raise ValueError("step_count must be non-negative")
         if self.first_moment.shape != self.second_moment.shape:
             raise ValueError("moment arrays must have matching shapes")
 
 
-def init_adam(param_count: int, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
-    return AdamState(np.zeros(param_count), np.zeros(param_count),
-                     0, beta1, beta2, eps)
+def init_adam(param_count: int) -> AdamState:
+    return AdamState(np.zeros(param_count), np.zeros(param_count))
 
 
 def adam_step(params: ParamVector, grads, state: AdamState,
@@ -259,14 +258,12 @@ def adam_step(params: ParamVector, grads, state: AdamState,
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite gradient: update refused")
     t = state.step_count + 1
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * g
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_values = params.values - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return ParamVector(new_values, params.spec), replace(
-        state, first_moment=m, second_moment=v, step_count=t
-    )
+    m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    new_values = params.values - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return ParamVector(new_values, params.spec), AdamState(m, v, t)
 
 
 def polyak_blend(target: ParamVector, source: ParamVector, tau: float) -> ParamVector:

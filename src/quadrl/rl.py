@@ -141,24 +141,24 @@ def critic_target(batch: Batch, learner: Learner, seed: int) -> np.ndarray:
     return batch.rewards + hp.gamma * (1.0 - batch.dones.astype(np.float64)) * q
 
 
-def _critic_gradient(critic: net.ParamVector, batch: Batch,
+def _critic_gradient(critic: net.ParamVector, critic_input: np.ndarray,
                      targets: np.ndarray) -> np.ndarray:
     """Gradient of mean squared Bellman error for one critic."""
-    x = _critic_input(batch.observations, batch.actions)
-    q = net.forward(critic, x)[:, 0]
-    residual = q - targets
+    outputs = net.layer_outputs(critic, critic_input)
+    residual = outputs[-1][:, 0] - targets
     with np.errstate(over="ignore"):  # overflow is caught as divergence below
         loss = float(np.mean(residual * residual))
     if not np.isfinite(loss):
         raise TrainingDiverged("critic loss is non-finite")
-    upstream = (2.0 / len(batch)) * residual[:, None]
-    grad, _ = net.backward(critic, x, upstream)
+    upstream = (2.0 / len(critic_input)) * residual[:, None]
+    grad, _ = net.backward(critic, outputs, upstream)
     return grad
 
 
 def update_critic(learner: Learner, batch: Batch, targets: np.ndarray) -> Learner:
     """One Adam step on the squared-error loss of every critic."""
-    grads = [_critic_gradient(c, batch, targets) for c in learner.critics]
+    x = _critic_input(batch.observations, batch.actions)
+    grads = [_critic_gradient(c, x, targets) for c in learner.critics]
     steps = [net.adam_step(c, g, adam, learner.hp.critic_lr)
              for c, g, adam in zip(learner.critics, grads, learner.critic_adams)]
     learner.critics = tuple(critic for critic, _ in steps)
@@ -169,12 +169,12 @@ def update_critic(learner: Learner, batch: Batch, targets: np.ndarray) -> Learne
 def actor_gradient(actor: net.ParamVector, critic: net.ParamVector,
                    observations: np.ndarray) -> np.ndarray:
     """Gradient that descends -mean Q(s, pi(s)) (an ascent step on Q)."""
-    actions = net.forward(actor, observations)
-    x = _critic_input(observations, actions)
+    actor_outputs = net.layer_outputs(actor, observations)
+    x = _critic_input(observations, actor_outputs[-1])
     upstream = np.full((observations.shape[0], 1), -1.0 / observations.shape[0])
-    _, input_grad = net.backward(critic, x, upstream)
+    _, input_grad = net.backward(critic, net.layer_outputs(critic, x), upstream)
     action_grad = input_grad[:, observations.shape[1]:]
-    grad, _ = net.backward(actor, observations, action_grad)
+    grad, _ = net.backward(actor, actor_outputs, action_grad)
     return grad
 
 

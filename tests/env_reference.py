@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from quadrl.env import (DEFAULT_NORMALIZERS, JOINT_RANGE, N_LEGS, Normalizers,
-                        RobotConfig, RobotState, SimulationDiverged,
-                        rotation_matrix)
+from quadrl.env import (JOINT_RANGE, N_LEGS, RobotConfig, RobotState,
+                        SimulationDiverged, rotation_matrix)
 from quadrl.terrain import Terrain
 
 
@@ -203,17 +202,16 @@ def compute_reward(state: RobotState, config: RobotConfig, t_max: int) -> float:
     return float(reward_terms(state, config, t_max).sum())
 
 
-def observe(state: RobotState,
-            normalizers: Normalizers = DEFAULT_NORMALIZERS) -> np.ndarray:
+def observe(state: RobotState) -> np.ndarray:
     obs = np.concatenate([
-        state.torso_position / normalizers.position,
-        state.torso_orientation / normalizers.orientation,
-        state.linear_velocity / normalizers.linear_velocity,
-        state.angular_velocity / normalizers.angular_velocity,
-        state.joint_angles / normalizers.joint_angle,
-        state.joint_velocities / normalizers.joint_velocity,
-        state.foot_forces.ravel() / normalizers.force,
-        state.previous_joint_angles / normalizers.joint_angle,
+        state.torso_position / 1.0,
+        state.torso_orientation / (np.pi / 2.0),
+        state.linear_velocity / 2.0,
+        state.angular_velocity / 10.0,
+        state.joint_angles / (np.pi / 2.0),
+        state.joint_velocities / 10.0,
+        state.foot_forces.ravel() / 100.0,
+        state.previous_joint_angles / (np.pi / 2.0),
     ])
     if not np.all(np.isfinite(obs)):
         raise SimulationDiverged("non-finite observation")

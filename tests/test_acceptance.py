@@ -12,6 +12,8 @@ import inspect
 import math
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -78,7 +80,8 @@ def test_criterion_01_gradient_oracle():
         params = net.ParamVector(values, spec)
         inputs = rng.normal(size=(int(rng.integers(1, 5)), n_in))
         weights = rng.normal(size=(inputs.shape[0], spec.output_size))
-        analytic, _ = net.backward(params, inputs, weights)
+        analytic, _ = net.backward(params, net.layer_outputs(params, inputs),
+                                   weights)
         fd = _fd_param_grad(spec, values, inputs, weights)
         rel = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-3)
         worst = max(worst, float(rel.max()))
@@ -443,15 +446,27 @@ cem.elite_count = 4
 """
 
 
-def test_criterion_09_rough_terrain_ordering(tmp_path):
-    results = {}
-    for seed in (1, 2, 3):
-        for algo in ("td3", "cem_td3"):
-            out = tmp_path / f"{algo}_seed{seed}"
-            config = parse_config(_ORDERING_BUDGET, algorithm=algo,
-                                  master_seed=seed, out_dir=str(out))
-            ck, _ = train(config)
-            results[(algo, seed)] = evaluate(ck, "rough", 10, 1000).mean
+def _ordering_mean(algo: str, seed: int, out_dir: str) -> float:
+    """Train one criterion-9 run; its 10-trial rough-terrain mean return."""
+    config = parse_config(_ORDERING_BUDGET, algorithm=algo,
+                          master_seed=seed, out_dir=out_dir)
+    ck, _ = train(config)
+    return evaluate(ck, "rough", 10, 1000).mean
+
+
+def test_criterion_09_rough_terrain_ordering(tmp_path, monkeypatch):
+    # The six runs are independent and single-threaded, so they run in
+    # fresh worker processes. BLAS is pinned to one thread in the
+    # environment the workers inherit, before they import numpy.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    runs = [(algo, seed) for seed in (1, 2, 3) for algo in ("td3", "cem_td3")]
+    workers = min(len(runs), len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+        futures = {(algo, seed): pool.submit(_ordering_mean, algo, seed,
+                                             str(tmp_path / f"{algo}_seed{seed}"))
+                   for algo, seed in runs}
+        results = {run: future.result() for run, future in futures.items()}
     wins = sum(results[("cem_td3", seed)] > results[("td3", seed)]
                for seed in (1, 2, 3))
     per_seed = "; ".join(

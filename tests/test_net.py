@@ -118,16 +118,18 @@ def test_forward_rejects_bad_shape():
 def test_backward_linear_1x1():
     spec = net.NetworkSpec((net.LayerSpec(1, 1, activation="linear"),))
     params = net.unflatten(spec, [2.5, 0.1])
-    grad, input_grad = net.backward(params, [3.0], [1.0])
+    grad, input_grad = net.backward(params, net.layer_outputs(params, [[3.0]]),
+                                    [[1.0]])
     assert grad[0] == pytest.approx(3.0, abs=0)  # d/dw (wx+b) = x
     assert grad[1] == pytest.approx(1.0, abs=0)  # d/db = 1
-    assert input_grad[0] == pytest.approx(2.5, abs=0)  # d/dx = w
+    assert input_grad[0, 0] == pytest.approx(2.5, abs=0)  # d/dx = w
 
 
 def test_backward_zero_upstream_gives_zero():
     spec = net.mlp_spec([3, 5, 2])
     params = net.init_network(spec, 4)
-    grad, input_grad = net.backward(params, np.ones(3), np.zeros(2))
+    grad, input_grad = net.backward(params, net.layer_outputs(params, np.ones((1, 3))),
+                                    np.zeros((1, 2)))
     assert np.all(grad == 0.0)
     assert np.all(input_grad == 0.0)
 
@@ -138,7 +140,8 @@ def test_backward_matches_finite_differences():
     params = net.init_network(spec, 5)
     x = rng.normal(size=6)
     g_out = rng.normal(size=4)
-    analytic, _ = net.backward(params, x, g_out)
+    analytic, _ = net.backward(params, net.layer_outputs(params, x[None, :]),
+                               g_out[None, :])
     fd = finite_difference_grad(params, x, g_out)
     rel = np.abs(analytic - fd) / np.maximum(1e-3, np.abs(fd))
     assert rel.max() < 1e-4
@@ -151,12 +154,39 @@ def test_backward_batch_is_sum_of_singles():
     params = net.init_network(spec, 6)
     xs = rng.normal(size=(6, 4))
     gs = rng.normal(size=(6, 2))
-    batch_grad, batch_in = net.backward(params, xs, gs)
-    single_grad = sum(net.backward(params, xs[i], gs[i])[0] for i in range(6))
+    batch_grad, batch_in = net.backward(params, net.layer_outputs(params, xs), gs)
+    singles = [net.backward(params, net.layer_outputs(params, xs[i:i + 1]),
+                            gs[i:i + 1]) for i in range(6)]
+    single_grad = sum(grad for grad, _ in singles)
     assert np.allclose(batch_grad, single_grad, atol=1e-12)
     for i in range(6):
-        assert np.allclose(batch_in[i], net.backward(params, xs[i], gs[i])[1],
-                           atol=1e-12)
+        assert np.allclose(batch_in[i], singles[i][1][0], atol=1e-12)
+
+
+def test_layer_outputs_record_the_forward_pass():
+    rng = np.random.default_rng(9)
+    spec = net.mlp_spec([4, 5, 3, 2], output_activation="scaled_tanh",
+                        output_bound=0.7)
+    params = net.init_network(spec, 3)
+    xs = rng.normal(size=(5, 4))
+    outputs = net.layer_outputs(params, xs)
+    assert [o.shape for o in outputs] == [(5, 4), (5, 5), (5, 3), (5, 2)]
+    assert np.array_equal(outputs[0], xs)
+    assert outputs[-1].tobytes() == net.forward(params, xs).tobytes()
+    # A single vector is recorded as a batch of one.
+    single = net.layer_outputs(params, xs[0])
+    assert single[-1].tobytes() == net.forward(params, xs[0]).tobytes()
+    assert single[-1].shape == (1, 2)
+
+
+def test_backward_rejects_gradient_not_shaped_like_output():
+    spec = net.mlp_spec([3, 4, 2])
+    params = net.init_network(spec, 1)
+    outputs = net.layer_outputs(params, np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        net.backward(params, outputs, np.zeros(2))  # single vector, not a batch
+    with pytest.raises(ValueError):
+        net.backward(params, outputs, np.zeros((3, 2)))  # wrong batch size
 
 
 def test_adam_first_step_closed_form():
@@ -166,7 +196,7 @@ def test_adam_first_step_closed_form():
     g = np.array([0.5, -1.0, 2.0, 0.0, -0.25, 4.0])
     lr = 0.0123
     new, new_state = net.adam_step(params, g, state, lr)
-    expected = params.values - lr * g / (np.abs(g) + state.eps)
+    expected = params.values - lr * g / (np.abs(g) + net.ADAM_EPS)
     assert np.allclose(new.values, expected, atol=1e-15)
     assert new_state.step_count == 1
 
@@ -190,7 +220,7 @@ def test_adam_two_steps_match_manual_recurrence():
     p1, s1 = net.adam_step(params, g1, state, lr)
     p2, _ = net.adam_step(p1, g2, s1, lr)
 
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = net.ADAM_BETA1, net.ADAM_BETA2, net.ADAM_EPS
     m = np.zeros(spec.param_count)
     v = np.zeros(spec.param_count)
     x = params.values.copy()

@@ -156,8 +156,8 @@ def test_critic_gradient_matches_finite_differences():
     buf = filled_buffer(seed=4)
     batch = buf.sample_batch(8, seed=0)
     targets = rl.critic_target(batch, learner, seed=0)
-    grad = rl._critic_gradient(learner.critics[0], batch, targets)
     x = np.concatenate([batch.observations, batch.actions], axis=1)
+    grad = rl._critic_gradient(learner.critics[0], x, targets)
 
     def loss(values):
         q = net.forward(net.unflatten(learner.critics[0].spec, values), x)[:, 0]
@@ -293,6 +293,34 @@ def test_train_step_deterministic():
 
     for kind in ("ddpg", "td3"):
         assert np.array_equal(run(kind), run(kind))
+
+
+@pytest.mark.parametrize("kind, passes", [("td3", [5, 7, 5, 7]),
+                                          ("ddpg", [5, 5])])
+def test_train_step_network_evaluations(monkeypatch, kind, passes):
+    """Network passes per update, counted as activations over 3 layers.
+
+    Targets take the target actor and every target critic, and each
+    critic's gradient takes one recorded pass: 5 for both learners. An
+    actor step adds the actor and the first critic, every call for a
+    single critic and every second call for a twin pair.
+    """
+    learner = small_learner(kind)
+    buf = filled_buffer()
+    activate = net._activate
+    calls = []
+
+    def counting(z, layer):
+        calls.append(layer)
+        return activate(z, layer)
+
+    monkeypatch.setattr(net, "_activate", counting)
+    per_step = []
+    for step in range(len(passes)):
+        calls.clear()
+        rl.train_step(learner, buf, seed=step)
+        per_step.append(len(calls))
+    assert per_step == [3 * n for n in passes]
 
 
 def test_diverging_loss_raises():

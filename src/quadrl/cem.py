@@ -16,7 +16,6 @@ are transient population members.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -55,19 +54,12 @@ class CemState:
             raise ValueError("noise floor must be non-negative")
 
 
-@dataclass
-class Individual:
-    params: np.ndarray
-    fitness: float = float("nan")
-    rl_updated: bool = False
-
-
-def sample_population(state: CemState, seed: int) -> list[Individual]:
-    """Draw hp.population_size individuals from the current Gaussian."""
+def sample_population(state: CemState, seed: int) -> np.ndarray:
+    """Draw hp.population_size members from the current Gaussian, one per row."""
     rng = np.random.default_rng(seed)
     std = np.sqrt(state.variance + state.noise_floor)
     draws = rng.standard_normal((state.hp.population_size, state.mean.size))
-    return [Individual(state.mean + std * g) for g in draws]
+    return state.mean + std * draws
 
 
 def elite_weights(elite_count: int) -> np.ndarray:
@@ -79,21 +71,21 @@ def elite_weights(elite_count: int) -> np.ndarray:
     return raw / raw.sum()
 
 
-def cem_update(state: CemState, individuals: list[Individual],
+def cem_update(state: CemState, population: np.ndarray,
                fitnesses) -> CemState:
     """Refit mean and variance to the elites of one evaluated population.
 
-    Individuals are ranked by fitness descending with ties broken toward
-    the lower index. The variance is refit about the pre-update mean and
-    the current noise floor is added componentwise.
+    Rows of population are ranked by fitness descending with ties broken
+    toward the lower index. The variance is refit about the pre-update
+    mean and the current noise floor is added componentwise.
     """
     fit = np.asarray(fitnesses, dtype=np.float64)
-    if fit.shape != (state.hp.population_size,) or len(individuals) != fit.size:
+    if fit.shape != (state.hp.population_size,) or len(population) != fit.size:
         raise ValueError("need one fitness per population member")
     if not np.all(np.isfinite(fit)):
         raise ValueError("non-finite fitness")
     order = np.argsort(-fit, kind="stable")[:state.hp.elite_count]
-    elites = np.stack([individuals[i].params for i in order])
+    elites = population[order]
     weights = elite_weights(state.hp.elite_count)
     new_mean = weights @ elites
     centered = elites - state.mean
@@ -125,7 +117,7 @@ class GenerationLog:
 
 def _load_actor(learner: Learner, params: np.ndarray) -> None:
     """Install population parameters as the learner's (transient) actor."""
-    actor = net.unflatten(learner.actor.spec, params)
+    actor = net.ParamVector(params, learner.actor.spec)
     learner.actor = actor
     learner.target_actor = actor
     learner.actor_adam = net.init_adam(actor.spec.param_count)
@@ -136,45 +128,44 @@ def cem_rl_generation(state: CemState, learner: Learner, env, buffer: ReplayBuff
                       grad_steps: int, seed: int) -> tuple[CemState, GenerationLog]:
     """One generation: sample, gradient-coach half, evaluate, refit, decay.
 
-    The learner and the buffer are updated in place. Every individual is
+    The learner and the buffer are updated in place. Every member is
     rolled out in env, whose reset rebuilds all episode state, and each
     step of its episode is pushed into the buffer as it happens.
 
     Seed draw order (fixed): one population seed; then grad_steps seeds
-    per coached individual, first-half individuals in index order (only
-    when gradient steps actually run); then one evaluation seed per
-    individual in index order. Coaching runs only once the buffer can
-    fill a batch, and an individual's rl_updated flag records whether
-    gradient steps were actually applied to it.
+    per coached member, first-half members in index order (only when
+    gradient steps actually run); then one evaluation seed per member in
+    index order. Coaching runs only once the buffer can fill a batch;
+    coaching pushes nothing, so that holds for the whole first half or
+    for none of it.
     """
     stream = SeedStream(seed)
-    individuals = sample_population(state, stream.next())
+    population = sample_population(state, stream.next())
     half = state.hp.population_size // 2
-    for individual in individuals[:half]:
-        if grad_steps > 0 and len(buffer) >= learner.hp.batch_size:
-            _load_actor(learner, individual.params)
+    coached = grad_steps > 0 and len(buffer) >= learner.hp.batch_size
+    if coached:
+        for row in population[:half]:
+            _load_actor(learner, row)
             for _ in range(grad_steps):
                 train_step(learner, buffer, stream.next())
-            individual.params = net.flatten(learner.actor)
-            individual.rl_updated = True
+            row[:] = learner.actor.values
 
-    eval_seeds = [stream.next() for _ in individuals]
+    eval_seeds = [stream.next() for _ in population]
     actor_spec = learner.actor.spec
+    fitnesses = np.empty(len(population))
     diverged = 0
     collected = 0
-    for individual, eval_seed in zip(individuals, eval_seeds):
-        actor = net.unflatten(actor_spec, individual.params)
+    for i, eval_seed in enumerate(eval_seeds):
+        actor = net.ParamVector(population[i], actor_spec)
         result = run_episode(env, lambda obs: net.forward(actor, obs), eval_seed,
                              buffer)
-        individual.fitness = result.episode_return
+        fitnesses[i] = result.episode_return
         diverged += int(result.diverged)
         collected += result.steps
 
-    fitnesses = np.array([ind.fitness for ind in individuals])
-    new_state = decay_noise(cem_update(state, individuals, fitnesses))
+    new_state = decay_noise(cem_update(state, population, fitnesses))
     best = int(np.argmax(fitnesses))
-    rl_fit = [ind.fitness for ind in individuals if ind.rl_updated]
-    evo_fit = [ind.fitness for ind in individuals if not ind.rl_updated]
+    evo_fit = fitnesses[half:] if coached else fitnesses
     log = GenerationLog(
         generation=new_state.generation,
         best_fitness=float(fitnesses[best]),
@@ -182,34 +173,11 @@ def cem_rl_generation(state: CemState, learner: Learner, env, buffer: ReplayBuff
         median_fitness=float(np.median(fitnesses)),
         noise_floor=new_state.noise_floor,
         buffer_size=len(buffer),
-        rl_mean_fitness=float(np.mean(rl_fit)) if rl_fit else float("nan"),
-        evo_mean_fitness=float(np.mean(evo_fit)) if evo_fit else float("nan"),
+        rl_mean_fitness=float(fitnesses[:half].mean()) if coached else float("nan"),
+        evo_mean_fitness=float(evo_fit.mean()),
         transitions_collected=collected,
-        best_params=individuals[best].params.copy(),
+        best_params=population[best].copy(),
         diverged_count=diverged,
         fitnesses=[float(f) for f in fitnesses],
     )
     return new_state, log
-
-
-def cem_solve_toy(objective: Callable[[np.ndarray], float], dim: int,
-                  state: CemState, generations: int,
-                  seed: int = 0) -> tuple[np.ndarray, CemState]:
-    """Plain sample/evaluate/refit loop for a deterministic objective.
-
-    Returns the best parameters ever evaluated and the final state.
-    """
-    if state.mean.size != dim:
-        raise ValueError("state dimension does not match dim")
-    stream = SeedStream(seed)
-    best_params = state.mean.copy()
-    best_fitness = -np.inf
-    for _ in range(generations):
-        individuals = sample_population(state, stream.next())
-        fitnesses = np.array([float(objective(ind.params)) for ind in individuals])
-        top = int(np.argmax(fitnesses))
-        if fitnesses[top] > best_fitness:
-            best_fitness = float(fitnesses[top])
-            best_params = individuals[top].params.copy()
-        state = decay_noise(cem_update(state, individuals, fitnesses))
-    return best_params, state

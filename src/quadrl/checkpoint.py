@@ -3,7 +3,9 @@
 Parameter arrays are stored as base64 of their little-endian float64
 bytes, so save/load reproduces every bit. Network specs are stored as
 [input_size, output_size, activation, bound] rows per layer. The config
-snapshot uses the flat dotted-key dictionary from the config module.
+snapshot uses the flat dotted-key dictionary from the config module; the
+document's "algorithm" repeats the config's, and a load rejects a
+document where the two differ.
 """
 
 from __future__ import annotations
@@ -26,26 +28,15 @@ class CheckpointError(ValueError):
 
 @dataclass
 class Checkpoint:
-    algorithm: str
-    specs: dict[str, NetworkSpec]
-    params: dict[str, np.ndarray]
+    """An actor (plus a training run's critics), its config and progress."""
+
+    networks: dict[str, ParamVector]
     config: RunConfig
     progress: dict = field(default_factory=dict)
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self) -> None:
-        if "actor" not in self.specs or "actor" not in self.params:
+        if "actor" not in self.networks:
             raise CheckpointError("checkpoint requires an actor network")
-        for name, spec in self.specs.items():
-            if name not in self.params:
-                raise CheckpointError(f"missing parameters for network {name!r}")
-            if self.params[name].size != spec.param_count:
-                raise CheckpointError(
-                    f"parameter length mismatch for network {name!r}: "
-                    f"{self.params[name].size} != {spec.param_count}")
-
-    def actor(self) -> ParamVector:
-        return ParamVector(self.params["actor"], self.specs["actor"])
 
 
 def _encode_spec(spec: NetworkSpec) -> list:
@@ -73,16 +64,16 @@ def _decode_params(text: str, name: str) -> np.ndarray:
         raise CheckpointError(f"invalid base64 parameters for {name!r}: {exc}") from None
     if len(raw) % 8:
         raise CheckpointError(f"parameter byte length for {name!r} is not float64")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    return np.frombuffer(raw, dtype="<f8")
 
 
 def save_checkpoint(ck: Checkpoint, path: str) -> None:
     doc = {
-        "format_version": ck.format_version,
-        "algorithm": ck.algorithm,
-        "specs": {name: _encode_spec(spec) for name, spec in ck.specs.items()},
-        "params": {name: _encode_params(values)
-                   for name, values in ck.params.items()},
+        "format_version": FORMAT_VERSION,
+        "algorithm": ck.config.algorithm,
+        "specs": {name: _encode_spec(p.spec) for name, p in ck.networks.items()},
+        "params": {name: _encode_params(p.values)
+                   for name, p in ck.networks.items()},
         "config": config_to_dict(ck.config),
         "progress": ck.progress,
     }
@@ -106,11 +97,21 @@ def load_checkpoint(path: str) -> Checkpoint:
     if doc["format_version"] != FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported format_version {doc['format_version']!r}")
-    specs = {name: _decode_spec(rows, name) for name, rows in doc["specs"].items()}
-    params = {name: _decode_params(text, name)
-              for name, text in doc["params"].items()}
     try:
         config = config_from_dict(doc["config"])
     except ValueError as exc:
         raise CheckpointError(f"invalid config snapshot: {exc}") from None
-    return Checkpoint(doc["algorithm"], specs, params, config, doc["progress"])
+    if doc["algorithm"] != config.algorithm:
+        raise CheckpointError(f"algorithm {doc['algorithm']!r} does not match "
+                              f"the config's {config.algorithm!r}")
+    if set(doc["specs"]) != set(doc["params"]):
+        raise CheckpointError("specs and params name different networks")
+    networks = {}
+    for name, rows in doc["specs"].items():
+        spec = _decode_spec(rows, name)
+        values = _decode_params(doc["params"][name], name)
+        try:
+            networks[name] = ParamVector(values, spec)
+        except ValueError as exc:
+            raise CheckpointError(f"network {name!r}: {exc}") from None
+    return Checkpoint(networks, config, doc["progress"])

@@ -84,11 +84,6 @@ class RunConfig:
         if self.terrain_cell_size <= 0.0 or self.terrain_extent <= 0.0:
             raise ConfigError("terrain_cell_size and terrain_extent must be positive")
 
-    @property
-    def budget(self) -> int:
-        """Episodes for the gradient learners, generations for the rest."""
-        return self.episodes if self.algorithm in ("ddpg", "td3") else self.generations
-
 
 _SECTIONS = {"robot": RobotConfig, "rl": RlHyperparams, "cem": CemHyperparams}
 

@@ -70,7 +70,7 @@ def evaluate(ck: Checkpoint, terrain_kind: str, trials: int = 10,
         raise ValueError(f"unknown terrain kind {terrain_kind!r}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    actor = ck.actor()
+    actor = ck.networks["actor"]
     cfg = ck.config
     returns = []
     for t in range(trials):

@@ -216,15 +216,6 @@ def backward(params: ParamVector, outputs: Sequence[np.ndarray],
     return param_grad, g
 
 
-def flatten(params: ParamVector) -> np.ndarray:
-    """Writable copy of the flat parameter array."""
-    return params.values.copy()
-
-
-def unflatten(spec: NetworkSpec, values) -> ParamVector:
-    return ParamVector(np.asarray(values, dtype=np.float64), spec)
-
-
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8

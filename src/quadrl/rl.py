@@ -45,6 +45,9 @@ class RlHyperparams:
             raise ValueError("policy_delay must be at least 1")
         if self.target_noise_clip < 0.0 or self.target_noise_sigma < 0.0:
             raise ValueError("target noise parameters must be non-negative")
+        if min(self.actor_lr, self.critic_lr, self.exploration_sigma) < 0.0:
+            raise ValueError("learning rates and exploration_sigma must be "
+                             "non-negative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.action_bound <= 0.0:

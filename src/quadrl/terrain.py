@@ -79,27 +79,6 @@ def make_terrain(kind: str, seed: int, amplitude: float = 0.03,
     return Terrain("rough", seed, amplitude, cell_size, grid)
 
 
-def _cell(g: float, n: int) -> int:
-    """np.clip(np.floor(g).astype(np.int64), 0, max(n - 2, 0)) for one float.
-
-    NaN, infinities and values beyond the int64 range go through numpy's
-    own cast, so they land on the cell the array rule would pick.
-    """
-    if -1e18 < g < 1e18:
-        i = math.floor(g)
-    else:
-        i = np.floor(np.array([g])).astype(np.int64).item()
-    hi = max(n - 2, 0)
-    return 0 if i < 0 else (hi if i > hi else i)
-
-
-def _unit(f: float) -> float:
-    """np.clip(f, 0.0, 1.0) for one float, NaN passing through."""
-    if f > 1.0:
-        return 1.0
-    return f if f > 0.0 or f != f else 0.0
-
-
 def point_height(terrain: Terrain, x: float, y: float) -> float:
     """Ground height at one world point, as a Python float.
 
@@ -120,8 +99,13 @@ def point_height(terrain: Terrain, x: float, y: float) -> float:
         fx, fy = gx - j0, gy - i0
         j1, i1 = j0 + 1, i0 + 1
     else:
-        j0, i0 = _cell(gx, cols), _cell(gy, rows)
-        fx, fy = _unit(gx - j0), _unit(gy - i0)
+        # Clamp to the grid, so far and infinite points read the edge; a
+        # NaN coordinate picks cell 0 and makes the height NaN.
+        hx, hy = max(cols - 2, 0), max(rows - 2, 0)
+        gx, gy = min(max(gx, 0.0), hx + 1.0), min(max(gy, 0.0), hy + 1.0)
+        j0 = min(math.floor(gx), hx) if gx == gx else 0
+        i0 = min(math.floor(gy), hy) if gy == gy else 0
+        fx, fy = gx - j0, gy - i0
         j1, i1 = min(j0 + 1, cols - 1), min(i0 + 1, rows - 1)
     return ((1 - fy) * (1 - fx) * grid.item(i0, j0)
             + (1 - fy) * fx * grid.item(i0, j1)

@@ -23,11 +23,11 @@ import time
 
 import numpy as np
 
-from . import net
 from .cem import CemState, cem_rl_generation
 from .checkpoint import Checkpoint, save_checkpoint
 from .config import RunConfig
 from .env import OBS_SIZE, N_JOINTS, QuadrupedEnv, SimulationDiverged
+from .net import ParamVector, init_network
 from .replay import ReplayBuffer
 from .rl import (Learner, TrainingDiverged, actor_spec, exploration_action,
                  init_learner, train_step)
@@ -54,28 +54,20 @@ def _write_rows(path: str, header: str, rows: list[list]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _learner_networks(learner: Learner) -> tuple[dict, dict]:
-    names = ("critic_1", "critic_2") if learner.twin else ("critic",)
-    networks = {"actor": learner.actor, **dict(zip(names, learner.critics))}
-    return ({name: p.spec for name, p in networks.items()},
-            {name: net.flatten(p) for name, p in networks.items()})
-
-
 def _write_artifacts(config: RunConfig, header: str, rows: list[list],
-                     progress: dict, learner: Learner, final_actor: np.ndarray,
-                     best_actor: np.ndarray) -> Checkpoint:
+                     progress: dict, learner: Learner, final_actor: ParamVector,
+                     best_actor: ParamVector) -> Checkpoint:
     """Write metrics.csv, checkpoint.json and checkpoint_best.json.
 
     Both checkpoints hold the learner's critics and the same progress;
     they differ only in their actor.
     """
     _write_rows(os.path.join(config.out_dir, "metrics.csv"), header, rows)
-    specs, params = _learner_networks(learner)
-    final = Checkpoint(config.algorithm, specs, dict(params, actor=final_actor),
-                       config, progress)
+    names = ("critic_1", "critic_2") if learner.twin else ("critic",)
+    critics = dict(zip(names, learner.critics))
+    final = Checkpoint(dict(critics, actor=final_actor), config, progress)
     save_checkpoint(final, os.path.join(config.out_dir, "checkpoint.json"))
-    best = Checkpoint(config.algorithm, specs, dict(params, actor=best_actor),
-                      config, progress)
+    best = Checkpoint(dict(critics, actor=best_actor), config, progress)
     save_checkpoint(best, os.path.join(config.out_dir, "checkpoint_best.json"))
     return final
 
@@ -127,7 +119,7 @@ def _train_gradient(config: RunConfig) -> Checkpoint:
     rows: list[list] = []
     clock = _Clock(config.record_wall_time)
     best_return = -np.inf
-    best_params = net.flatten(learner.actor)
+    best_actor = learner.actor
     total_steps = 0
     episodes_run = 0
     diverged = False
@@ -156,7 +148,7 @@ def _train_gradient(config: RunConfig) -> Checkpoint:
             episodes_run = episode
             if ep_return > best_return:
                 best_return = ep_return
-                best_params = net.flatten(learner.actor)
+                best_actor = learner.actor
             rows.append([episode, ep_return, best_return, clock.lap()])
     except (SimulationDiverged, TrainingDiverged):
         diverged = True
@@ -165,7 +157,7 @@ def _train_gradient(config: RunConfig) -> Checkpoint:
         progress = {"episodes": episodes_run, "env_steps": total_steps,
                     "best_return": float(best_return), "diverged": diverged}
         final = _write_artifacts(config, GRADIENT_HEADER, rows, progress, learner,
-                                 net.flatten(learner.actor), best_params)
+                                 learner.actor, best_actor)
     return final
 
 
@@ -173,10 +165,11 @@ def _train_cem(config: RunConfig) -> Checkpoint:
     stream = SeedStream(config.master_seed)
     hp, ch = config.rl, config.cem
     a_spec = actor_spec(OBS_SIZE, N_JOINTS, hp.action_bound)
-    mean = net.flatten(net.init_network(a_spec, stream.next()))
+    mean = init_network(a_spec, stream.next())
     learner = init_learner(OBS_SIZE, N_JOINTS, hp, stream.next(),
                            twin=config.algorithm == "cem_td3")
-    state = CemState(mean, np.full(mean.size, ch.init_variance), ch.noise_floor, ch)
+    state = CemState(mean.values, np.full(a_spec.param_count, ch.init_variance),
+                     ch.noise_floor, ch)
     buffer = ReplayBuffer(REPLAY_CAPACITY, OBS_SIZE, N_JOINTS)
     env = _flat_env(config)
     half = ch.population_size // 2
@@ -184,7 +177,7 @@ def _train_cem(config: RunConfig) -> Checkpoint:
     rows: list[list] = []
     clock = _Clock(config.record_wall_time)
     best_return = -np.inf
-    best_params = mean.copy()
+    best_actor = mean
     total_steps = 0
     prev_collected = 0
     generations_run = 0
@@ -202,7 +195,7 @@ def _train_cem(config: RunConfig) -> Checkpoint:
             diverged |= log.diverged_count > 0
             if log.best_fitness > best_return:
                 best_return = log.best_fitness
-                best_params = log.best_params.copy()
+                best_actor = ParamVector(log.best_params, a_spec)
             rows.append([generation, log.best_fitness, best_return, clock.lap(),
                          log.mean_fitness, log.median_fitness, log.noise_floor,
                          log.buffer_size, log.rl_mean_fitness,
@@ -215,5 +208,5 @@ def _train_cem(config: RunConfig) -> Checkpoint:
                     "best_return": float(best_return),
                     "diverged": diverged}
         final = _write_artifacts(config, CEM_HEADER, rows, progress, learner,
-                                 state.mean.copy(), best_params)
+                                 ParamVector(state.mean, a_spec), best_actor)
     return final

@@ -27,6 +27,9 @@ def height_at(terrain: Terrain, x, y):
         return np.full(np.shape(x), value)
     gx = np.asarray(x, dtype=np.float64) / terrain.cell_size + (cols - 1) / 2.0
     gy = np.asarray(y, dtype=np.float64) / terrain.cell_size + (rows - 1) / 2.0
+    # Clamp before the cast, so far and infinite points read the edge.
+    gx = np.clip(gx, 0.0, max(cols - 2, 0) + 1.0)
+    gy = np.clip(gy, 0.0, max(rows - 2, 0) + 1.0)
     j0 = np.clip(np.floor(gx).astype(np.int64), 0, max(cols - 2, 0))
     i0 = np.clip(np.floor(gy).astype(np.int64), 0, max(rows - 2, 0))
     fx = np.clip(gx - j0, 0.0, 1.0)

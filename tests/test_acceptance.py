@@ -18,8 +18,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from quadrl import net
-from quadrl.cem import CemState, Individual, cem_solve_toy, cem_update, \
-    elite_weights
+from quadrl.cem import CemState, cem_update, elite_weights
 from quadrl.checkpoint import Checkpoint, load_checkpoint
 from quadrl.cli import main
 from quadrl.config import CemHyperparams, parse_config
@@ -34,7 +33,7 @@ from quadrl.rollout import run_episode
 from quadrl.seeds import SeedStream
 from quadrl.terrain import make_terrain
 from quadrl.train import train
-from toytask import ToyEnv, optimal_return
+from toytask import ToyEnv, cem_solve_toy, optimal_return
 
 
 def _verdict(number: int, label: str, passed: bool, detail: str) -> None:
@@ -75,7 +74,7 @@ def test_criterion_01_gradient_oracle():
             # critic-shaped: scalar linear head
             spec = net.mlp_spec([n_in, *hidden, 1])
         assert spec.param_count <= 64
-        values = net.flatten(net.init_network(spec, int(rng.integers(2**31))))
+        values = net.init_network(spec, int(rng.integers(2**31))).values.copy()
         values += 0.5 * rng.normal(size=values.size)
         params = net.ParamVector(values, spec)
         inputs = rng.normal(size=(int(rng.integers(1, 5)), n_in))
@@ -223,7 +222,7 @@ def test_criterion_04_cem_oracle():
     # var' = 0.7304*4 + 0.2696*16 + floor = 7.235 + floor.
     state = CemState(np.zeros(1), np.ones(1), 1e-3,
                      CemHyperparams(population_size=5, elite_count=2))
-    members = [Individual(np.array([p])) for p in (-1.0, 0.0, 2.0, 1.0, 4.0)]
+    members = np.array([[-1.0], [0.0], [2.0], [1.0], [4.0]])
     fitnesses = np.array([-5.0, -2.0, 10.0, 0.0, 7.0])
     updated = cem_update(state, members, fitnesses)
     hand_ok = (abs(updated.mean[0] - 2.539) <= 1e-3
@@ -233,8 +232,7 @@ def test_criterion_04_cem_oracle():
     permutation_ok = True
     for _ in range(100):
         order = rng.permutation(5)
-        shuffled = cem_update(state, [members[i] for i in order],
-                              fitnesses[order])
+        shuffled = cem_update(state, members[order], fitnesses[order])
         permutation_ok = permutation_ok and bool(
             np.array_equal(shuffled.mean, updated.mean)
             and np.array_equal(shuffled.variance, updated.variance))
@@ -375,16 +373,16 @@ def test_criterion_07_toy_learning():
 
     start = time.time()
     spec = actor_spec(1, 1, hidden=(8,))
-    mean = net.flatten(net.init_network(spec, 0))
+    mean = net.init_network(spec, 0).values
     state = CemState(mean, np.full(mean.size, 0.05), 1e-3,
                      CemHyperparams(population_size=16, elite_count=8))
     best, _ = cem_solve_toy(
         lambda p: run_episode(ToyEnv(),
-                              lambda obs: net.forward(net.unflatten(spec, p), obs),
+                              lambda obs: net.forward(net.ParamVector(p, spec), obs),
                               0).episode_return,
         mean.size, state, generations=100, seed=3)
     cem_score = run_episode(ToyEnv(),
-                            lambda obs: net.forward(net.unflatten(spec, best), obs),
+                            lambda obs: net.forward(net.ParamVector(best, spec), obs),
                             0).episode_return
     cem_elapsed = time.time() - start
     _verdict(7, "toy task learning",
@@ -401,9 +399,9 @@ def test_criterion_07_toy_learning():
 def test_criterion_08_protocol_fidelity():
     default_trials = inspect.signature(evaluate).parameters["trials"].default
     spec = actor_spec(OBS_SIZE, 8, hidden=(8, 8))
-    ck = Checkpoint("td3", {"actor": spec},
-                    {"actor": np.random.default_rng(0).normal(size=spec.param_count)},
-                    parse_config("t_max = 30"))
+    values = np.random.default_rng(0).normal(size=spec.param_count)
+    ck = Checkpoint({"actor": net.ParamVector(values, spec)},
+                    parse_config("algorithm = td3\nt_max = 30"))
     flat = evaluate(ck, "flat")
     rough = evaluate(ck, "rough")
     # noise-free deterministic policy on deterministic flat terrain:

@@ -18,6 +18,7 @@ from quadrl.config import parse_config
 from quadrl.env import (JOINT_RANGE, OBS_SIZE, QuadrupedEnv, RobotConfig,
                         integrate, reset)
 from quadrl.evaluate import report_csv, transfer_experiment
+from quadrl.net import ParamVector
 from quadrl.rl import actor_spec
 from quadrl.terrain import make_terrain
 from quadrl.train import train
@@ -76,9 +77,9 @@ TRANSFER_REPORT_SHA256 = (
 def test_transfer_report_matches_pinned_sha256():
     # The criterion-8 checkpoint: a random small actor, 30-step episodes.
     spec = actor_spec(OBS_SIZE, 8, hidden=(8, 8))
-    ck = Checkpoint("td3", {"actor": spec},
-                    {"actor": np.random.default_rng(0).normal(size=spec.param_count)},
-                    parse_config("t_max = 30"))
+    values = np.random.default_rng(0).normal(size=spec.param_count)
+    ck = Checkpoint({"actor": ParamVector(values, spec)},
+                    parse_config("algorithm = td3\nt_max = 30"))
     flat, rough, _ = transfer_experiment(ck, eval_seed=0, trials=3)
     digest = hashlib.sha256(report_csv([flat, rough]).encode("ascii")).hexdigest()
     assert digest == TRANSFER_REPORT_SHA256

@@ -7,6 +7,7 @@ from quadrl.env import OBS_SIZE, QuadrupedEnv
 from quadrl.replay import ReplayBuffer
 from quadrl.rl import RlHyperparams, init_learner
 from quadrl.terrain import make_terrain
+from toytask import cem_solve_toy
 
 
 def cem_hp(pop, elites, **kwargs):
@@ -51,26 +52,22 @@ def test_sample_population_shape_and_seeding():
     a = cem.sample_population(state, seed=5)
     b = cem.sample_population(state, seed=5)
     c = cem.sample_population(state, seed=6)
-    assert len(a) == 6
-    assert all(ind.params.shape == (3,) for ind in a)
-    assert all(np.isnan(ind.fitness) for ind in a)
-    assert all(not ind.rl_updated for ind in a)
-    for x, y in zip(a, b):
-        assert np.array_equal(x.params, y.params)
-    assert not np.array_equal(a[0].params, c[0].params)
+    assert a.shape == (6, 3)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a[0], c[0])
 
 
 def test_sample_population_statistics():
     state = cem.CemState(np.array([3.0, -1.0]), np.array([0.25, 4.0]),
                          0.0, cem_hp(4000, 10))
-    draws = np.stack([ind.params for ind in cem.sample_population(state, 0)])
+    draws = cem.sample_population(state, 0)
     assert np.allclose(draws.mean(axis=0), [3.0, -1.0], atol=0.1)
     assert np.allclose(draws.std(axis=0), [0.5, 2.0], rtol=0.1)
 
 
 def test_sample_population_noise_floor_keeps_spread():
     state = cem.CemState(np.zeros(1), np.zeros(1), 0.01, cem_hp(1000, 10))
-    draws = np.stack([ind.params for ind in cem.sample_population(state, 1)])
+    draws = cem.sample_population(state, 1)
     assert draws.std() == pytest.approx(0.1, rel=0.1)
 
 
@@ -80,13 +77,8 @@ def test_cem_update_hand_example():
     # variance is 0.7304*4 + 0.2696*16 plus the noise floor.
     floor = 1e-3
     state = cem.CemState(np.zeros(1), np.ones(1), floor, cem_hp(4, 2))
-    individuals = [
-        cem.Individual(np.array([2.0])),
-        cem.Individual(np.array([4.0])),
-        cem.Individual(np.array([-5.0])),
-        cem.Individual(np.array([0.5])),
-    ]
-    new = cem.cem_update(state, individuals, [10.0, 5.0, -1.0, 0.0])
+    population = np.array([[2.0], [4.0], [-5.0], [0.5]])
+    new = cem.cem_update(state, population, [10.0, 5.0, -1.0, 0.0])
     assert new.mean[0] == pytest.approx(2.539, abs=1e-3)
     assert new.variance[0] == pytest.approx(7.235 + floor, abs=1e-3)
     assert new.generation == 1
@@ -95,8 +87,7 @@ def test_cem_update_hand_example():
 def test_cem_update_identical_elites_collapse_to_floor():
     state = simple_state(dim=2, mean=1.5, variance=3.0, pop=4, elites=2,
                          noise_floor=1e-3)
-    individuals = [cem.Individual(np.full(2, 1.5)) for _ in range(4)]
-    new = cem.cem_update(state, individuals, [3.0, 2.0, 1.0, 0.0])
+    new = cem.cem_update(state, np.full((4, 2), 1.5), [3.0, 2.0, 1.0, 0.0])
     assert np.allclose(new.mean, 1.5, atol=0)
     assert np.allclose(new.variance, 1e-3, atol=1e-15)
 
@@ -105,8 +96,7 @@ def test_cem_update_variance_refit_about_old_mean():
     # Single elite at z with old mean m: sigma^2 = (z - m)^2 + floor,
     # not zero, because the refit centers on the pre-update mean.
     state = cem.CemState(np.array([1.0]), np.array([1.0]), 0.0, cem_hp(2, 1))
-    individuals = [cem.Individual(np.array([4.0])), cem.Individual(np.array([0.0]))]
-    new = cem.cem_update(state, individuals, [1.0, 0.0])
+    new = cem.cem_update(state, np.array([[4.0], [0.0]]), [1.0, 0.0])
     assert new.mean[0] == pytest.approx(4.0, abs=0)
     assert new.variance[0] == pytest.approx(9.0, abs=1e-12)
 
@@ -114,33 +104,30 @@ def test_cem_update_variance_refit_about_old_mean():
 def test_cem_update_permutation_invariant():
     rng = np.random.default_rng(2)
     state = cem.CemState(rng.normal(size=4), np.ones(4), 1e-3, cem_hp(8, 3))
-    individuals = [cem.Individual(rng.normal(size=4)) for _ in range(8)]
+    population = rng.normal(size=(8, 4))
     fitnesses = rng.normal(size=8)  # distinct with probability 1
-    ref = cem.cem_update(state, individuals, fitnesses)
+    ref = cem.cem_update(state, population, fitnesses)
     for _ in range(50):
         perm = rng.permutation(8)
-        shuffled = [individuals[i] for i in perm]
-        new = cem.cem_update(state, shuffled, fitnesses[perm])
+        new = cem.cem_update(state, population[perm], fitnesses[perm])
         assert np.allclose(new.mean, ref.mean, atol=1e-12)
         assert np.allclose(new.variance, ref.variance, atol=1e-12)
 
 
 def test_cem_update_tie_prefers_lower_index():
     state = cem.CemState(np.zeros(1), np.ones(1), 0.0, cem_hp(3, 1))
-    individuals = [cem.Individual(np.array([1.0])),
-                   cem.Individual(np.array([2.0])),
-                   cem.Individual(np.array([3.0]))]
-    new = cem.cem_update(state, individuals, [5.0, 5.0, 0.0])
+    population = np.array([[1.0], [2.0], [3.0]])
+    new = cem.cem_update(state, population, [5.0, 5.0, 0.0])
     assert new.mean[0] == pytest.approx(1.0, abs=0)
 
 
 def test_cem_update_rejects_bad_fitness():
     state = simple_state(pop=3, elites=2)
-    individuals = [cem.Individual(np.zeros(1)) for _ in range(3)]
+    population = np.zeros((3, 1))
     with pytest.raises(ValueError):
-        cem.cem_update(state, individuals, [1.0, 2.0])
+        cem.cem_update(state, population, [1.0, 2.0])
     with pytest.raises(ValueError):
-        cem.cem_update(state, individuals, [1.0, np.nan, 2.0])
+        cem.cem_update(state, population, [1.0, np.nan, 2.0])
 
 
 def test_decay_noise():
@@ -165,8 +152,8 @@ def test_decay_noise_monotone():
 def test_solve_toy_quadratic():
     state = cem.CemState(np.full(2, 5.0), np.full(2, 4.0), 1e-6,
                          cem_hp(16, 8, noise_floor_final=1e-12, noise_decay=0.9))
-    best, final = cem.cem_solve_toy(lambda p: -float(p @ p), 2, state,
-                                    generations=40, seed=0)
+    best, final = cem_solve_toy(lambda p: -float(p @ p), 2, state,
+                                generations=40, seed=0)
     assert np.linalg.norm(final.mean) < 1e-2
     assert -float(best @ best) >= -1e-3
     assert final.generation == 40
@@ -182,7 +169,7 @@ def test_solve_toy_returns_best_ever():
         return -abs(float(p[0]) - 1.0)
 
     state = cem.CemState(np.zeros(1), np.ones(1), 1e-6, cem_hp(8, 4))
-    best, _ = cem.cem_solve_toy(objective, 1, state, generations=30, seed=1)
+    best, _ = cem_solve_toy(objective, 1, state, generations=30, seed=1)
     assert abs(best[0] - 1.0) < 0.05
     assert calls["n"] == 30 * 8
 
@@ -190,7 +177,7 @@ def test_solve_toy_returns_best_ever():
 def test_solve_toy_dimension_check():
     state = simple_state(dim=2)
     with pytest.raises(ValueError):
-        cem.cem_solve_toy(lambda p: 0.0, 3, state, 1)
+        cem_solve_toy(lambda p: 0.0, 3, state, 1)
 
 
 def make_generation_fixture(batch_size=8):

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import os
@@ -106,11 +107,6 @@ def test_parse_overrides_win_and_none_is_skipped():
     assert cfg.out_dir == "run_output"
 
 
-def test_budget_property():
-    assert parse_config("algorithm = ddpg\nepisodes = 7").budget == 7
-    assert parse_config("algorithm = cem_td3\ngenerations = 9").budget == 9
-
-
 def test_load_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("algorithm = td3\nmaster_seed = 3\n")
@@ -165,6 +161,14 @@ def test_parse_rejects_bad_terrain(line):
         parse_config(line)
 
 
+@pytest.mark.parametrize("line", ["rl.exploration_sigma = -0.1",
+                                  "rl.actor_lr = -1", "rl.critic_lr = -1e-3"])
+def test_parse_rejects_negative_learner_steps(line):
+    # Caught at parse time, not when the first update or noisy action runs.
+    with pytest.raises(ConfigError):
+        parse_config(line)
+
+
 # --- checkpoint ----------------------------------------------------------
 
 def sample_checkpoint(seed=0):
@@ -173,8 +177,8 @@ def sample_checkpoint(seed=0):
     values = rng.normal(size=spec.param_count)
     values[0] = 1e-300  # denormal-adjacent values must survive the trip
     values[1] = -1e300
-    return Checkpoint("td3", {"actor": spec}, {"actor": values},
-                      parse_config("t_max = 30"), {"episodes": 3})
+    return Checkpoint({"actor": net.ParamVector(values, spec)},
+                      parse_config("algorithm = td3\nt_max = 30"), {"episodes": 3})
 
 
 def test_checkpoint_round_trip_is_exact(tmp_path):
@@ -182,14 +186,15 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     path = str(tmp_path / "ck.json")
     save_checkpoint(ck, path)
     loaded = load_checkpoint(path)
-    assert loaded.algorithm == "td3"
-    assert loaded.specs["actor"] == ck.specs["actor"]
-    assert np.array_equal(loaded.params["actor"], ck.params["actor"])
+    assert loaded.config.algorithm == "td3"
+    assert loaded.networks["actor"].spec == ck.networks["actor"].spec
+    assert np.array_equal(loaded.networks["actor"].values,
+                          ck.networks["actor"].values)
     assert loaded.progress == {"episodes": 3}
     assert loaded.config.t_max == 30
     obs = np.zeros(OBS_SIZE)
-    assert np.array_equal(net.forward(loaded.actor(), obs),
-                          net.forward(ck.actor(), obs))
+    assert np.array_equal(net.forward(loaded.networks["actor"], obs),
+                          net.forward(ck.networks["actor"], obs))
 
 
 def test_checkpoint_save_is_byte_stable(tmp_path):
@@ -202,15 +207,21 @@ def test_checkpoint_save_is_byte_stable(tmp_path):
 
 def test_checkpoint_requires_actor():
     spec = actor_spec(4, 2, hidden=(4,))
+    critic = net.ParamVector(np.zeros(spec.param_count), spec)
     with pytest.raises(CheckpointError):
-        Checkpoint("ddpg", {"critic": spec}, {"critic": np.zeros(spec.param_count)},
-                   RunConfig())
+        Checkpoint({"critic": critic}, RunConfig())
 
 
-def test_checkpoint_rejects_length_mismatch():
-    spec = actor_spec(4, 2, hidden=(4,))
+def test_checkpoint_rejects_length_mismatch(tmp_path):
+    path = tmp_path / "ck.json"
+    save_checkpoint(sample_checkpoint(), str(path))
+    doc = json.loads(path.read_text())
+    # One float short of what the actor's spec needs.
+    raw = base64.b64decode(doc["params"]["actor"])
+    doc["params"]["actor"] = base64.b64encode(raw[:-8]).decode("ascii")
+    path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError):
-        Checkpoint("ddpg", {"actor": spec}, {"actor": np.zeros(3)}, RunConfig())
+        load_checkpoint(str(path))
 
 
 def test_load_rejects_malformed_documents(tmp_path):
@@ -237,6 +248,9 @@ def test_load_rejects_tampered_fields(tmp_path):
         dict(doc, params=dict(doc["params"], actor="!!!not-base64!!!")),
         dict(doc, params=dict(doc["params"], actor="AAAA")),  # 3 bytes
         dict(doc, config=dict(doc["config"], mystery=1)),
+        dict(doc, algorithm="ddpg"),  # the config says td3
+        dict(doc, specs=dict(doc["specs"], critic=doc["specs"]["actor"])),
+        dict(doc, params=dict(doc["params"], critic=doc["params"]["actor"])),
     ]
     for bad in cases:
         tampered.write_text(json.dumps(bad))
@@ -349,7 +363,7 @@ def test_train_gradient_artifacts(tmp_path, algo):
     first = lines[1].split(",")
     assert first[0] == "1"
     assert first[3] == "0"  # wall_ms suppressed by default
-    assert ck.algorithm == algo
+    assert ck.config.algorithm == algo
     assert ck.progress["episodes"] == 3
     # Episodes may end early (falls during random warmup), never late.
     assert 3 <= ck.progress["env_steps"] <= 60
@@ -361,12 +375,13 @@ def test_train_gradient_artifacts(tmp_path, algo):
         assert b == max(returns[: i + 1])
     final = load_checkpoint(os.path.join(str(tmp_path), "checkpoint.json"))
     best = load_checkpoint(os.path.join(str(tmp_path), "checkpoint_best.json"))
-    assert np.array_equal(final.params["actor"], ck.params["actor"])
-    assert best.specs["actor"] == final.specs["actor"]
+    assert np.array_equal(final.networks["actor"].values,
+                          ck.networks["actor"].values)
+    assert best.networks["actor"].spec == final.networks["actor"].spec
     if algo == "td3":
-        assert "critic_1" in final.specs and "critic_2" in final.specs
+        assert "critic_1" in final.networks and "critic_2" in final.networks
     else:
-        assert "critic" in final.specs
+        assert "critic" in final.networks
 
 
 def test_train_cem_artifacts(tmp_path):
@@ -385,7 +400,8 @@ def test_train_cem_artifacts(tmp_path):
     assert ck.progress["best_return"] == max(
         float(l.split(",")[1]) for l in lines[1:])
     # Final actor is the distribution mean, best is one individual.
-    assert not np.array_equal(best.params["actor"], ck.params["actor"])
+    assert not np.array_equal(best.networks["actor"].values,
+                              ck.networks["actor"].values)
 
 
 @pytest.mark.parametrize("algo", ["ddpg", "td3", "cem_ddpg", "cem_td3"])

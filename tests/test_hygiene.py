@@ -1,11 +1,14 @@
 """Source hygiene checks on the quadrl package."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import quadrl
 
 PACKAGE = Path(quadrl.__file__).resolve().parent
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -38,3 +41,26 @@ def test_unused_import_check_sees_unused_names():
     tree = ast.parse("import os\nimport numpy as np\nfrom math import pi, tau\n"
                      "print(np.zeros(1), tau)\n")
     assert _unused_imports(tree) == ["line 1: os", "line 3: pi"]
+
+
+def test_every_traced_name_resolves():
+    # The benchmark's tracer rebinds these names; a refactor that drops one
+    # would otherwise break only a traced benchmark run.
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            importlib.import_module(f"quadrl.{path.stem}")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for name, module, attr in spans.TRACED:
+            owner, key = spans._resolve(module, attr)
+            assert hasattr(getattr(owner, key), "__wrapped__"), name
+    finally:
+        tracer.uninstall()
+    for name, module, attr in spans.TRACED:
+        owner, key = spans._resolve(module, attr)
+        assert callable(getattr(owner, key)), name
+        assert not hasattr(getattr(owner, key), "__wrapped__"), name

@@ -19,14 +19,14 @@ def random_spec(rng) -> net.NetworkSpec:
 
 
 def finite_difference_grad(params, x, g_out, h=1e-5):
-    v = net.flatten(params)
+    v = params.values
     fd = np.empty_like(v)
     for i in range(v.size):
         vp, vm = v.copy(), v.copy()
         vp[i] += h
         vm[i] -= h
-        fp = net.forward(net.unflatten(params.spec, vp), x)
-        fm = net.forward(net.unflatten(params.spec, vm), x)
+        fp = net.forward(net.ParamVector(vp, params.spec), x)
+        fm = net.forward(net.ParamVector(vm, params.spec), x)
         fd[i] = ((fp - fm) @ g_out) / (2.0 * h)
     return fd
 
@@ -72,13 +72,13 @@ def test_init_deterministic():
 
 def test_forward_affine_identity():
     spec = net.NetworkSpec((net.LayerSpec(1, 1, activation="linear"),))
-    params = net.unflatten(spec, [2.0, 1.0])
+    params = net.ParamVector([2.0, 1.0], spec)
     assert net.forward(params, [3.0]) == pytest.approx(7.0, abs=0)
 
 
 def test_forward_zero_params_tanh():
     spec = net.mlp_spec([3, 4, 2], output_activation="tanh")
-    params = net.unflatten(spec, np.zeros(spec.param_count))
+    params = net.ParamVector(np.zeros(spec.param_count), spec)
     out = net.forward(params, [0.3, -0.2, 1.0])
     assert np.array_equal(out, np.zeros(2))
 
@@ -117,7 +117,7 @@ def test_forward_rejects_bad_shape():
 
 def test_backward_linear_1x1():
     spec = net.NetworkSpec((net.LayerSpec(1, 1, activation="linear"),))
-    params = net.unflatten(spec, [2.5, 0.1])
+    params = net.ParamVector([2.5, 0.1], spec)
     grad, input_grad = net.backward(params, net.layer_outputs(params, [[3.0]]),
                                     [[1.0]])
     assert grad[0] == pytest.approx(3.0, abs=0)  # d/dw (wx+b) = x
@@ -191,7 +191,7 @@ def test_backward_rejects_gradient_not_shaped_like_output():
 
 def test_adam_first_step_closed_form():
     spec = net.mlp_spec([2, 2])
-    params = net.unflatten(spec, np.array([1.0, 2.0, 3.0, 4.0, 0.1, 0.2]))
+    params = net.ParamVector(np.array([1.0, 2.0, 3.0, 4.0, 0.1, 0.2]), spec)
     state = net.init_adam(6)
     g = np.array([0.5, -1.0, 2.0, 0.0, -0.25, 4.0])
     lr = 0.0123
@@ -243,8 +243,8 @@ def test_adam_rejects_nan_gradient():
 
 def test_polyak_endpoints_and_rate():
     spec = net.NetworkSpec((net.LayerSpec(1, 1, activation="linear"),))
-    target = net.unflatten(spec, [1.0, 1.0])
-    source = net.unflatten(spec, [0.0, 0.0])
+    target = net.ParamVector([1.0, 1.0], spec)
+    source = net.ParamVector([0.0, 0.0], spec)
     assert np.array_equal(net.polyak_blend(target, source, 0.0).values,
                           target.values)
     assert np.array_equal(net.polyak_blend(target, source, 1.0).values,
@@ -280,22 +280,22 @@ def test_flatten_unflatten_round_trip():
     for _ in range(20):
         spec = random_spec(rng)
         values = rng.normal(size=spec.param_count)
-        params = net.unflatten(spec, values)
-        assert np.array_equal(net.flatten(params), values)
+        params = net.ParamVector(values, spec)
+        assert np.array_equal(params.values, values)
 
 
 def test_flatten_documented_order():
     # 1 -> 1 linear net with w = 2, b = 3: weights come before biases.
     spec = net.NetworkSpec((net.LayerSpec(1, 1, activation="linear"),))
-    params = net.unflatten(spec, [2.0, 3.0])
+    params = net.ParamVector([2.0, 3.0], spec)
     assert net.forward(params, [1.0])[0] == pytest.approx(5.0, abs=0)
-    assert list(net.flatten(params)) == [2.0, 3.0]
+    assert list(params.values) == [2.0, 3.0]
 
 
 def test_unflatten_rejects_wrong_length():
     spec = net.mlp_spec([2, 2])
     with pytest.raises(ValueError):
-        net.unflatten(spec, np.zeros(spec.param_count + 1))
+        net.ParamVector(np.zeros(spec.param_count + 1), spec)
 
 
 def test_scaled_tanh_output_stays_in_bound():

@@ -160,7 +160,7 @@ def test_critic_gradient_matches_finite_differences():
     grad = rl._critic_gradient(learner.critics[0], x, targets)
 
     def loss(values):
-        q = net.forward(net.unflatten(learner.critics[0].spec, values), x)[:, 0]
+        q = net.forward(net.ParamVector(values, learner.critics[0].spec), x)[:, 0]
         return float(np.mean((q - targets) ** 2))
 
     v = learner.critics[0].values
@@ -181,7 +181,7 @@ def test_actor_gradient_matches_finite_differences():
     grad = rl.actor_gradient(learner.actor, learner.critics[0], batch.observations)
 
     def mean_q(values):
-        actor = net.unflatten(learner.actor.spec, values)
+        actor = net.ParamVector(values, learner.actor.spec)
         a = net.forward(actor, batch.observations)
         x = np.concatenate([batch.observations, a], axis=1)
         return float(np.mean(net.forward(learner.critics[0], x)[:, 0]))

@@ -73,6 +73,21 @@ def test_height_clamps_beyond_grid_edge():
     assert far == pytest.approx(rough.height_grid[0, cols - 1], abs=1e-12)
 
 
+@pytest.mark.parametrize("far", [1e19, 1e300, np.inf])
+def test_height_reads_the_edge_beyond_int64_and_at_infinity(far):
+    rough = terrain.make_terrain("rough", seed=1)
+    grid = rough.height_grid
+    rows, cols = grid.shape
+    r, c = rows // 2, cols // 2  # (0, 0) is the node at the grid's center
+    assert terrain.height_at(rough, far, 0.0) == grid[r, cols - 1]
+    assert terrain.height_at(rough, -far, 0.0) == grid[r, 0]
+    assert terrain.height_at(rough, 0.0, far) == grid[rows - 1, c]
+    assert terrain.height_at(rough, 0.0, -far) == grid[0, c]
+    assert terrain.height_at(rough, far, -far) == grid[0, cols - 1]
+    assert np.array_equal(terrain.height_at(rough, np.array([far, -far]), np.zeros(2)),
+                          [grid[r, cols - 1], grid[r, 0]])
+
+
 def test_height_continuity_across_cells():
     rough = terrain.make_terrain("rough", seed=7)
     xs = np.linspace(-1.0, 1.0, 2001)

@@ -6,6 +6,8 @@ import os
 import numpy as np
 import pytest
 
+import quadrl.env
+import quadrl.train
 from quadrl import net
 from quadrl.checkpoint import (Checkpoint, CheckpointError, load_checkpoint,
                                save_checkpoint)
@@ -419,6 +421,48 @@ def test_train_records_learner_divergence(tmp_path, monkeypatch, algo):
         train(cfg)
     for name in ("checkpoint.json", "checkpoint_best.json"):
         assert load_checkpoint(str(tmp_path / name)).progress["diverged"] is True
+
+
+def raise_on_call(fn, n, error):
+    """fn, except that its n-th call raises error instead."""
+    calls = [0]
+
+    def wrapped(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == n:
+            raise error("forced")
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def test_train_divergence_mid_episode_counts_its_steps(tmp_path, monkeypatch):
+    # Updates start after step 10, so call 25 comes on step 35, in the
+    # second 20-step episode: its steps count, its return and row do not.
+    monkeypatch.setattr("quadrl.train.train_step",
+                        raise_on_call(quadrl.train.train_step, 25,
+                                      TrainingDiverged))
+    cfg = parse_config(TINY_GRADIENT, algorithm="td3", out_dir=str(tmp_path))
+    with pytest.raises(TrainingDiverged):
+        train(cfg)
+    for name in ("checkpoint.json", "checkpoint_best.json"):
+        progress = load_checkpoint(str(tmp_path / name)).progress
+        assert (progress["episodes"], progress["env_steps"],
+                progress["diverged"]) == (1, 35, True)
+    lines = read_lines(tmp_path / "metrics.csv")
+    assert len(lines) == 1 + 1
+    assert float(lines[1].split(",")[1]) == progress["best_return"]
+
+
+def test_train_cem_records_absorbed_simulation_divergence(tmp_path, monkeypatch):
+    monkeypatch.setattr("quadrl.env.step",
+                        raise_on_call(quadrl.env.step, 30, SimulationDiverged))
+    cfg = parse_config(TINY_CEM, algorithm="cem_td3", out_dir=str(tmp_path))
+    ck, metrics_path = train(cfg)
+    assert ck.progress["generations"] == 2
+    assert ck.progress["diverged"] is True
+    assert len(read_lines(metrics_path)) == 1 + 2
+    best = load_checkpoint(str(tmp_path / "checkpoint_best.json"))
+    assert best.progress == ck.progress
 
 
 def test_train_deterministic_bytes(tmp_path):

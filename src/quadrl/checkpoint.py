@@ -94,6 +94,11 @@ def load_checkpoint(path: str) -> Checkpoint:
                            "config", "progress") if k not in doc]
     if missing:
         raise CheckpointError(f"checkpoint missing keys: {', '.join(missing)}")
+    not_objects = [k for k in ("specs", "params", "config", "progress")
+                   if not isinstance(doc[k], dict)]
+    if not_objects:
+        raise CheckpointError(f"checkpoint fields are not JSON objects: "
+                              f"{', '.join(not_objects)}")
     if doc["format_version"] != FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported format_version {doc['format_version']!r}")

@@ -260,6 +260,19 @@ def test_load_rejects_tampered_fields(tmp_path):
             load_checkpoint(str(tampered))
 
 
+@pytest.mark.parametrize("field", ["specs", "params", "config", "progress"])
+def test_load_rejects_fields_that_are_not_objects(tmp_path, field):
+    # Not a TypeError or AttributeError, which the CLI would print as a
+    # traceback, and not a silent load of a list as progress.
+    path = tmp_path / "ck.json"
+    save_checkpoint(sample_checkpoint(), str(path))
+    doc = json.loads(path.read_text())
+    for value in (5, [], "text", None):
+        path.write_text(json.dumps(dict(doc, **{field: value})))
+        with pytest.raises(CheckpointError, match=field):
+            load_checkpoint(str(path))
+
+
 # --- rollout -------------------------------------------------------------
 
 def stored_rows(buffer):

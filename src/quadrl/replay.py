@@ -92,6 +92,6 @@ class ReplayBuffer:
             raise ValueError("batch_size must be at least 1")
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, self.size, size=batch_size)
-        return Batch(self._obs[idx].copy(), self._act[idx].copy(),
-                     self._rew[idx].copy(), self._next_obs[idx].copy(),
-                     self._done[idx].copy())
+        # Integer-array indexing copies, so a batch never aliases the store.
+        return Batch(self._obs[idx], self._act[idx], self._rew[idx],
+                     self._next_obs[idx], self._done[idx])

@@ -452,12 +452,10 @@ def _ordering_mean(algo: str, seed: int, out_dir: str) -> float:
     return evaluate(ck, "rough", 10, 1000).mean
 
 
-def test_criterion_09_rough_terrain_ordering(tmp_path, monkeypatch):
+def test_criterion_09_rough_terrain_ordering(tmp_path):
     # The six runs are independent and single-threaded, so they run in
-    # fresh worker processes. BLAS is pinned to one thread in the
-    # environment the workers inherit, before they import numpy.
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
+    # fresh worker processes. They inherit the one-thread BLAS pin that
+    # tests/conftest.py sets before numpy is imported.
     runs = [(algo, seed) for seed in (1, 2, 3) for algo in ("td3", "cem_td3")]
     workers = min(len(runs), len(os.sched_getaffinity(0)))
     with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:

@@ -1,4 +1,9 @@
-"""Training loops for the four algorithms, with CSV metrics and checkpoints.
+"""One training loop for the four algorithms, with CSV metrics and checkpoints.
+
+A run is a sequence of units, episodes (ddpg, td3) or generations
+(cem_ddpg, cem_td3), drawn from a generator per family. train owns the
+budget check before each unit, the best actor, the metrics rows and the
+artifact write.
 
 Seed discipline: one SeedStream per run, seeded by master_seed, drawn in
 a fixed documented order so any run segment can be replayed externally.
@@ -29,7 +34,7 @@ from .config import RunConfig
 from .env import OBS_SIZE, N_JOINTS, QuadrupedEnv, SimulationDiverged
 from .net import ParamVector, init_network
 from .replay import ReplayBuffer
-from .rl import (Learner, TrainingDiverged, actor_spec, exploration_action,
+from .rl import (TrainingDiverged, actor_spec, exploration_action,
                  init_learner, train_step)
 from .rollout import episode_steps
 from .seeds import SeedStream
@@ -54,115 +59,46 @@ def _write_rows(path: str, header: str, rows: list[list]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_artifacts(config: RunConfig, header: str, rows: list[list],
-                     progress: dict, learner: Learner, final_actor: ParamVector,
-                     best_actor: ParamVector) -> Checkpoint:
-    """Write metrics.csv, checkpoint.json and checkpoint_best.json.
+def _episodes(config: RunConfig, stream: SeedStream, env, buffer, progress):
+    """Gradient family: (learner, episode units, final actor getter).
 
-    Both checkpoints hold the learner's critics and the same progress;
-    they differ only in their actor.
+    env_steps counts live, so a divergence mid-episode keeps its steps.
     """
-    _write_rows(os.path.join(config.out_dir, "metrics.csv"), header, rows)
-    names = ("critic_1", "critic_2") if learner.twin else ("critic",)
-    critics = dict(zip(names, learner.critics))
-    final = Checkpoint(dict(critics, actor=final_actor), config, progress)
-    save_checkpoint(final, os.path.join(config.out_dir, "checkpoint.json"))
-    best = Checkpoint(dict(critics, actor=best_actor), config, progress)
-    save_checkpoint(best, os.path.join(config.out_dir, "checkpoint_best.json"))
-    return final
-
-
-def _flat_env(config: RunConfig) -> QuadrupedEnv:
-    terrain = make_terrain("flat", 0, 0.0, config.terrain_cell_size,
-                           config.terrain_extent)
-    return QuadrupedEnv(terrain, config.robot, config.t_max)
-
-
-class _Clock:
-    """Per-row wall time in ms, or a constant 0 when timing is off."""
-
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-        self._last = time.perf_counter() if enabled else 0.0
-
-    def lap(self):
-        if not self.enabled:
-            return 0
-        now = time.perf_counter()
-        ms = (now - self._last) * 1000.0
-        self._last = now
-        return ms
-
-
-def train(config: RunConfig) -> tuple[Checkpoint, str]:
-    """Run one training job; returns the final checkpoint and metrics path.
-
-    Writes metrics.csv, checkpoint.json (final) and checkpoint_best.json
-    (best return seen) into config.out_dir. If the simulation or the
-    learner diverges, partial artifacts are written with a diverged
-    progress flag and the divergence is re-raised.
-    """
-    os.makedirs(config.out_dir, exist_ok=True)
-    loop = _train_gradient if config.algorithm in ("ddpg", "td3") else _train_cem
-    return loop(config), os.path.join(config.out_dir, "metrics.csv")
-
-
-def _train_gradient(config: RunConfig) -> Checkpoint:
-    stream = SeedStream(config.master_seed)
     hp = config.rl
+    bound = hp.action_bound
     learner = init_learner(OBS_SIZE, N_JOINTS, hp, stream.next(),
                            twin=config.algorithm == "td3")
-    env = _flat_env(config)
-    buffer = ReplayBuffer(REPLAY_CAPACITY, OBS_SIZE, N_JOINTS)
-    bound = hp.action_bound
-
-    rows: list[list] = []
-    clock = _Clock(config.record_wall_time)
-    best_return = -np.inf
-    best_actor = learner.actor
-    total_steps = 0
-    episodes_run = 0
-    diverged = False
 
     def policy(obs):
         # Uniform warmup actions, then the actor plus exploration noise.
         action_seed = stream.next()
-        if total_steps < config.warmup_steps:
+        if progress["env_steps"] < config.warmup_steps:
             return np.random.default_rng(action_seed).uniform(-bound, bound,
                                                               N_JOINTS)
         return exploration_action(learner.actor, obs, hp.exploration_sigma,
                                   action_seed, bound)
 
-    try:
-        for episode in range(1, config.episodes + 1):
-            if config.max_env_steps and total_steps >= config.max_env_steps:
-                break
+    def units():
+        while True:
             ep_return = 0.0
             for obs, action, result in episode_steps(env, policy, stream.next()):
                 buffer.push(obs, action, result.reward, result.observation,
                             result.done)
                 ep_return += result.reward
-                total_steps += 1
-                if total_steps > config.warmup_steps and len(buffer) >= hp.batch_size:
+                progress["env_steps"] += 1
+                if (progress["env_steps"] > config.warmup_steps
+                        and len(buffer) >= hp.batch_size):
                     train_step(learner, buffer, stream.next())
-            episodes_run = episode
-            if ep_return > best_return:
-                best_return = ep_return
-                best_actor = learner.actor
-            rows.append([episode, ep_return, best_return, clock.lap()])
-    except (SimulationDiverged, TrainingDiverged):
-        diverged = True
-        raise
-    finally:
-        progress = {"episodes": episodes_run, "env_steps": total_steps,
-                    "best_return": float(best_return), "diverged": diverged}
-        final = _write_artifacts(config, GRADIENT_HEADER, rows, progress, learner,
-                                 learner.actor, best_actor)
-    return final
+            yield ep_return, learner.actor, []
+
+    return learner, units(), lambda: learner.actor
 
 
-def _train_cem(config: RunConfig) -> Checkpoint:
-    stream = SeedStream(config.master_seed)
+def _generations(config: RunConfig, stream: SeedStream, env, buffer, progress):
+    """CEM family: (learner, generation units, distribution-mean getter).
+
+    A diverged rollout scores as a poor fitness and sets the diverged flag.
+    """
     hp, ch = config.rl, config.cem
     a_spec = actor_spec(OBS_SIZE, N_JOINTS, hp.action_bound)
     mean = init_network(a_spec, stream.next())
@@ -170,43 +106,76 @@ def _train_cem(config: RunConfig) -> Checkpoint:
                            twin=config.algorithm == "cem_td3")
     state = CemState(mean.values, np.full(a_spec.param_count, ch.init_variance),
                      ch.noise_floor, ch)
-    buffer = ReplayBuffer(REPLAY_CAPACITY, OBS_SIZE, N_JOINTS)
-    env = _flat_env(config)
-    half = ch.population_size // 2
 
-    rows: list[list] = []
-    clock = _Clock(config.record_wall_time)
-    best_return = -np.inf
-    best_actor = mean
-    total_steps = 0
-    prev_collected = 0
-    generations_run = 0
-    diverged = False
-    try:
-        for generation in range(1, config.generations + 1):
-            if config.max_env_steps and total_steps >= config.max_env_steps:
-                break
-            grad_steps = min(ch.grad_steps_cap, prev_collected // half)
+    def units():
+        nonlocal state
+        collected = 0
+        while True:
+            grad_steps = min(ch.grad_steps_cap,
+                             collected // (ch.population_size // 2))
             state, log = cem_rl_generation(state, learner, env, buffer,
                                            grad_steps, stream.next())
-            prev_collected = log.transitions_collected
-            total_steps += log.transitions_collected
-            generations_run = generation
-            diverged |= log.diverged_count > 0
-            if log.best_fitness > best_return:
-                best_return = log.best_fitness
-                best_actor = ParamVector(log.best_params, a_spec)
-            rows.append([generation, log.best_fitness, best_return, clock.lap(),
-                         log.mean_fitness, log.median_fitness, log.noise_floor,
-                         log.buffer_size, log.rl_mean_fitness,
-                         log.evo_mean_fitness])
+            collected = log.transitions_collected
+            progress["env_steps"] += collected
+            progress["diverged"] |= log.diverged_count > 0
+            yield log.best_fitness, ParamVector(log.best_params, a_spec), [
+                log.mean_fitness, log.median_fitness, log.noise_floor,
+                log.buffer_size, log.rl_mean_fitness, log.evo_mean_fitness]
+
+    return learner, units(), lambda: ParamVector(state.mean, a_spec)
+
+
+def train(config: RunConfig) -> tuple[Checkpoint, str]:
+    """Run one training job; returns the final checkpoint and metrics path.
+
+    Writes metrics.csv, checkpoint.json (final actor) and
+    checkpoint_best.json (the actor of the best return seen) into
+    config.out_dir; both checkpoints hold the learner's critics and the
+    same progress. If the simulation or the learner diverges, partial
+    artifacts are written with a diverged progress flag and the
+    divergence is re-raised.
+    """
+    os.makedirs(config.out_dir, exist_ok=True)
+    gradient = config.algorithm in ("ddpg", "td3")
+    unit_name, header, family = (("episodes", GRADIENT_HEADER, _episodes)
+                                 if gradient else
+                                 ("generations", CEM_HEADER, _generations))
+    progress = {unit_name: 0, "env_steps": 0, "best_return": float("-inf"),
+                "diverged": False}
+    stream = SeedStream(config.master_seed)
+    terrain = make_terrain("flat", 0, 0.0, config.terrain_cell_size,
+                           config.terrain_extent)
+    env = QuadrupedEnv(terrain, config.robot, config.t_max)
+    buffer = ReplayBuffer(REPLAY_CAPACITY, OBS_SIZE, N_JOINTS)
+    learner, units, final_actor = family(config, stream, env, buffer, progress)
+
+    rows: list[list] = []
+    best_actor = final_actor()
+    last = time.perf_counter()
+    try:
+        for unit in range(1, getattr(config, unit_name) + 1):
+            if config.max_env_steps and progress["env_steps"] >= config.max_env_steps:
+                break
+            unit_return, candidate, extra = next(units)
+            progress[unit_name] = unit
+            if unit_return > progress["best_return"]:
+                progress["best_return"] = float(unit_return)
+                best_actor = candidate
+            now = time.perf_counter()
+            wall_ms = (now - last) * 1000.0 if config.record_wall_time else 0
+            last = now
+            rows.append([unit, unit_return, progress["best_return"], wall_ms,
+                         *extra])
     except (SimulationDiverged, TrainingDiverged):
-        diverged = True
+        progress["diverged"] = True
         raise
     finally:
-        progress = {"generations": generations_run, "env_steps": total_steps,
-                    "best_return": float(best_return),
-                    "diverged": diverged}
-        final = _write_artifacts(config, CEM_HEADER, rows, progress, learner,
-                                 ParamVector(state.mean, a_spec), best_actor)
-    return final
+        metrics_path = os.path.join(config.out_dir, "metrics.csv")
+        _write_rows(metrics_path, header, rows)
+        names = ("critic_1", "critic_2") if learner.twin else ("critic",)
+        critics = dict(zip(names, learner.critics))
+        final = Checkpoint(dict(critics, actor=final_actor()), config, progress)
+        save_checkpoint(final, os.path.join(config.out_dir, "checkpoint.json"))
+        best = Checkpoint(dict(critics, actor=best_actor), config, progress)
+        save_checkpoint(best, os.path.join(config.out_dir, "checkpoint_best.json"))
+    return final, metrics_path

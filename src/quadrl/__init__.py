@@ -1,5 +1,13 @@
 """Gradient and evolutionary reinforcement learning on a built-in quadruped walker."""
 
+import os
+
+# One BLAS thread unless the caller chose otherwise. The matrices here are
+# small, and extra threads only add synchronisation. This must run before
+# the first numpy import, so it only takes effect if numpy is not loaded yet.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .config import CemHyperparams, ConfigError, RunConfig, load_config, parse_config
 from .env import (ProtocolError, QuadrupedEnv, RobotConfig, RobotState,

@@ -13,6 +13,7 @@ order, each layer contributing its weight matrix in row-major order
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -72,7 +73,7 @@ class NetworkSpec:
     def output_size(self) -> int:
         return self.layers[-1].output_size
 
-    @property
+    @cached_property
     def param_count(self) -> int:
         return sum(layer.param_count for layer in self.layers)
 
@@ -117,9 +118,14 @@ class ParamVector:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
+    @cached_property
+    def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(weights, bias) views into the values, layer by layer."""
+        return tuple(_layer_views(self.values, self.spec))
+
 
 def _layer_views(values: np.ndarray, spec: NetworkSpec):
-    """Yield (weights, bias) views into the flat array, layer by layer."""
+    """Yield (weights, bias) views into a flat array, layer by layer."""
     offset = 0
     for layer in spec.layers:
         n_w = layer.input_size * layer.output_size
@@ -142,20 +148,30 @@ def init_network(spec: NetworkSpec, seed: int) -> ParamVector:
 
 
 def _activate(z: np.ndarray, layer: LayerSpec) -> np.ndarray:
-    if layer.activation == "tanh":
-        return np.tanh(z)
-    if layer.activation == "scaled_tanh":
-        return layer.bound * np.tanh(z)
+    """Apply the layer's activation to z in place and return z."""
+    if layer.activation != "linear":
+        np.tanh(z, out=z)
+        if layer.activation == "scaled_tanh":
+            z *= layer.bound
     return z
 
 
-def _activation_grad(y: np.ndarray, layer: LayerSpec) -> np.ndarray:
-    # Expressed through the layer output y, which is cheaper than keeping z.
+def _activation_grad(g: np.ndarray, y: np.ndarray, layer: LayerSpec) -> np.ndarray:
+    """g times the activation's derivative, in a new array unless linear.
+
+    The derivative is expressed through the layer output y, which is
+    cheaper than keeping z.
+    """
+    if layer.activation == "linear":
+        return g
+    dz = y * y
     if layer.activation == "tanh":
-        return 1.0 - y * y
-    if layer.activation == "scaled_tanh":
-        return layer.bound - y * y / layer.bound
-    return np.ones_like(y)
+        np.subtract(1.0, dz, out=dz)
+    else:
+        dz /= layer.bound
+        np.subtract(layer.bound, dz, out=dz)
+    dz *= g
+    return dz
 
 
 def layer_outputs(params: ParamVector, inputs) -> list[np.ndarray]:
@@ -172,8 +188,10 @@ def layer_outputs(params: ParamVector, inputs) -> list[np.ndarray]:
         raise ValueError(f"input has shape {np.shape(inputs)}, "
                          f"expected (..., {spec.input_size})")
     outputs = [x]
-    for (w, b), layer in zip(_layer_views(params.values, spec), spec.layers):
-        x = _activate(x @ w.T + b, layer)
+    for (w, b), layer in zip(params.layers, spec.layers):
+        z = x @ w.T
+        z += b
+        x = _activate(z, layer)
         outputs.append(x)
     return outputs
 
@@ -184,36 +202,51 @@ def forward(params: ParamVector, inputs) -> np.ndarray:
     return y[0] if np.ndim(inputs) == 1 else y
 
 
-def backward(params: ParamVector, outputs: Sequence[np.ndarray],
-             output_grad) -> tuple[np.ndarray, np.ndarray]:
+GRADIENTS = ("both", "params", "inputs")
+
+
+def backward(params: ParamVector, outputs: Sequence[np.ndarray], output_grad,
+             wrt: str = "both") -> tuple[np.ndarray | None, np.ndarray | None]:
     """Exact reverse-mode gradients of a recorded forward pass.
 
     ``outputs`` is what `layer_outputs` returned for ``params``; nothing
-    is evaluated again. ``output_grad`` has one row per input row.
-    Returns ``(param_grad, input_grad)`` where ``param_grad`` is a flat
-    array in the documented layout (summed over the batch) and
-    ``input_grad`` has the shape of the input batch. The input gradient is
-    what lets an actor update chain through a critic's action input.
+    is evaluated again, and neither it nor ``output_grad`` is modified.
+    ``output_grad`` has one row per input row. Returns
+    ``(param_grad, input_grad)``: ``param_grad`` is a flat array in the
+    documented layout (summed over the batch) and ``input_grad`` has the
+    shape of the input batch. The input gradient is what lets an actor
+    update chain through a critic's action input.
+
+    ``wrt`` picks what is computed: ``"both"`` returns both gradients,
+    ``"params"`` returns ``(param_grad, None)`` and ``"inputs"`` returns
+    ``(None, input_grad)``. A slot that was not asked for is None, and its
+    arithmetic is skipped; the gradients that are computed have the same
+    bytes in every mode.
     """
+    if wrt not in GRADIENTS:
+        raise ValueError(f"wrt must be one of {GRADIENTS}, got {wrt!r}")
     spec = params.spec
-    g = np.asarray(output_grad, dtype=np.float64)
+    # A linear output layer hands g straight to the products below; making
+    # it contiguous keeps their operand layout, and so their bytes, the same
+    # however the caller sliced it.
+    g = np.ascontiguousarray(output_grad, dtype=np.float64)
     if g.shape != outputs[-1].shape:
         raise ValueError(f"output gradient has shape {g.shape}, "
                          f"expected {outputs[-1].shape}")
 
-    param_grad = np.empty(spec.param_count)
-    offset = spec.param_count
-    views = list(_layer_views(params.values, spec))
+    param_grad = None
+    if wrt != "inputs":
+        param_grad = np.empty(spec.param_count)
+        grad_views = tuple(_layer_views(param_grad, spec))
     for idx in range(len(spec.layers) - 1, -1, -1):
-        layer = spec.layers[idx]
-        w, _ = views[idx]
-        dz = g * _activation_grad(outputs[idx + 1], layer)
-        n_w = layer.input_size * layer.output_size
-        offset -= layer.param_count
-        param_grad[offset : offset + n_w] = (dz.T @ outputs[idx]).ravel()
-        param_grad[offset + n_w : offset + n_w + layer.output_size] = dz.sum(axis=0)
-        g = dz @ w
-    return param_grad, g
+        dz = _activation_grad(g, outputs[idx + 1], spec.layers[idx])
+        if param_grad is not None:
+            gw, gb = grad_views[idx]
+            np.matmul(dz.T, outputs[idx], out=gw)
+            np.add.reduce(dz, axis=0, out=gb)
+        if idx > 0 or wrt != "params":
+            g = dz @ params.layers[idx][0]
+    return param_grad, (None if wrt == "params" else g)
 
 
 ADAM_BETA1 = 0.9
@@ -249,12 +282,24 @@ def adam_step(params: ParamVector, grads, state: AdamState,
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite gradient: update refused")
     t = state.step_count + 1
-    m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * g * g
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    new_values = params.values - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return ParamVector(new_values, params.spec), AdamState(m, v, t)
+    # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g, then
+    # values - lr * m_hat / (sqrt(v_hat) + eps), each operation in this
+    # order, with one scratch array for the terms.
+    term = (1.0 - ADAM_BETA1) * g
+    m = ADAM_BETA1 * state.first_moment
+    m += term
+    np.multiply(1.0 - ADAM_BETA2, g, out=term)
+    term *= g
+    v = ADAM_BETA2 * state.second_moment
+    v += term
+    denom = np.divide(v, 1.0 - ADAM_BETA2**t, out=term)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step = m / (1.0 - ADAM_BETA1**t)
+    step *= lr
+    step /= denom
+    np.subtract(params.values, step, out=step)
+    return ParamVector(step, params.spec), AdamState(m, v, t)
 
 
 def polyak_blend(target: ParamVector, source: ParamVector, tau: float) -> ParamVector:

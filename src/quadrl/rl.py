@@ -154,7 +154,7 @@ def _critic_gradient(critic: net.ParamVector, critic_input: np.ndarray,
     if not np.isfinite(loss):
         raise TrainingDiverged("critic loss is non-finite")
     upstream = (2.0 / len(critic_input)) * residual[:, None]
-    grad, _ = net.backward(critic, outputs, upstream)
+    grad, _ = net.backward(critic, outputs, upstream, wrt="params")
     return grad
 
 
@@ -175,9 +175,10 @@ def actor_gradient(actor: net.ParamVector, critic: net.ParamVector,
     actor_outputs = net.layer_outputs(actor, observations)
     x = _critic_input(observations, actor_outputs[-1])
     upstream = np.full((observations.shape[0], 1), -1.0 / observations.shape[0])
-    _, input_grad = net.backward(critic, net.layer_outputs(critic, x), upstream)
+    _, input_grad = net.backward(critic, net.layer_outputs(critic, x), upstream,
+                                 wrt="inputs")
     action_grad = input_grad[:, observations.shape[1]:]
-    grad, _ = net.backward(actor, actor_outputs, action_grad)
+    grad, _ = net.backward(actor, actor_outputs, action_grad, wrt="params")
     return grad
 
 

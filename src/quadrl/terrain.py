@@ -66,15 +66,26 @@ def make_terrain(kind: str, seed: int, amplitude: float = 0.03,
     rng = np.random.default_rng(seed)
     coarse = rng.uniform(-amplitude, amplitude, size=(n_coarse, n_coarse))
 
-    # Bilinear upsample of the coarse lattice onto the fine grid.
+    # Bilinear upsample of the coarse lattice onto the fine grid: with
+    # rows y and columns x at fractions fy, fx of their lattice cells,
+    #   (1-fy)(1-fx) c[r0, c0] + (1-fy) fx c[r0, c1]
+    #     + fy (1-fx) c[r1, c0] + fy fx c[r1, c1],
+    # summed left to right. Each corner is gathered by whole rows, then
+    # columns, and each weight is an outer product of the two axes.
     pos = np.arange(n) / LATTICE_STEP
     i0 = np.minimum(pos.astype(np.int64), n_coarse - 2)
     f = pos - i0
-    fy, fx = f[:, None], f[None, :]
-    r0, r1 = i0[:, None], i0[:, None] + 1
-    c0, c1 = i0[None, :], i0[None, :] + 1
-    grid = ((1 - fy) * (1 - fx) * coarse[r0, c0] + (1 - fy) * fx * coarse[r0, c1]
-            + fy * (1 - fx) * coarse[r1, c0] + fy * fx * coarse[r1, c1])
+    g = 1 - f
+    grid = None
+    for rows, fy in ((i0, g), (i0 + 1, f)):
+        lattice_rows = coarse.take(rows, axis=0)
+        for cols, fx in ((i0, g), (i0 + 1, f)):
+            term = np.multiply.outer(fy, fx)
+            term *= lattice_rows.take(cols, axis=1)
+            if grid is None:
+                grid = term
+            else:
+                grid += term
     np.clip(grid, -amplitude, amplitude, out=grid)
     return Terrain("rough", seed, amplitude, cell_size, grid)
 

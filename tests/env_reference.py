@@ -4,7 +4,9 @@ This is the array implementation `quadrl.env.integrate` used before it
 became a scalar loop: vectorized bilinear height queries, the array
 contact law, the foot kinematics on (4, 3) rows and the substep loop.
 `tests/test_env_kernel.py` requires the kernel to reproduce it byte for
-byte. It is test code only; nothing under ``src/`` imports it.
+byte. It also keeps the broadcast-gather upsample that rough terrain
+generation used, which `tests/test_terrain.py` holds `make_terrain` to.
+It is test code only; nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from quadrl.env import (JOINT_RANGE, N_LEGS, RobotConfig, RobotState,
                         SimulationDiverged, rotation_matrix)
-from quadrl.terrain import Terrain
+from quadrl.terrain import LATTICE_STEP, Terrain
 
 
 def height_at(terrain: Terrain, x, y):
@@ -39,6 +41,25 @@ def height_at(terrain: Terrain, x, y):
     h = ((1 - fy) * (1 - fx) * grid[i0, j0] + (1 - fy) * fx * grid[i0, j1]
          + fy * (1 - fx) * grid[i1, j0] + fy * fx * grid[i1, j1])
     return float(h) if np.isscalar(x) or np.ndim(x) == 0 else h
+
+
+def rough_height_grid(seed: int, amplitude: float, cell_size: float,
+                      extent: float) -> np.ndarray:
+    """The rough fine grid from four broadcast fancy-index gathers."""
+    n = 2 * int(round(extent / cell_size)) + 1
+    n_coarse = (n - 1 + LATTICE_STEP - 1) // LATTICE_STEP + 1
+    rng = np.random.default_rng(seed)
+    coarse = rng.uniform(-amplitude, amplitude, size=(n_coarse, n_coarse))
+    pos = np.arange(n) / LATTICE_STEP
+    i0 = np.minimum(pos.astype(np.int64), n_coarse - 2)
+    f = pos - i0
+    fy, fx = f[:, None], f[None, :]
+    r0, r1 = i0[:, None], i0[:, None] + 1
+    c0, c1 = i0[None, :], i0[None, :] + 1
+    grid = ((1 - fy) * (1 - fx) * coarse[r0, c0] + (1 - fy) * fx * coarse[r0, c1]
+            + fy * (1 - fx) * coarse[r1, c0] + fy * fx * coarse[r1, c1])
+    np.clip(grid, -amplitude, amplitude, out=grid)
+    return grid
 
 
 def feet_body_frame(joint_angles: np.ndarray, config: RobotConfig):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quadrl
 from quadrl.cli import main
 from quadrl.terrain import make_terrain, save_terrain
 
@@ -158,3 +163,26 @@ def test_plot_bad_metrics_exit_2(tmp_path, capsys):
     assert run_cli(["plot", "--metrics", str(bad),
                     "--out", str(tmp_path / "c.svg")]) == 2
     capsys.readouterr()
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_vars_after_import(preset: dict) -> list[str]:
+    """The three BLAS thread variables as a fresh `import quadrl` leaves them."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset)
+    env["PYTHONPATH"] = str(Path(quadrl.__file__).resolve().parent.parent)
+    code = ("import os, quadrl; "
+            f"print(' '.join(os.environ[v] for v in {BLAS_VARS!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.split()
+
+
+def test_import_pins_blas_to_one_thread():
+    assert blas_vars_after_import({}) == ["1", "1", "1"]
+
+
+def test_import_keeps_a_blas_thread_count_already_set():
+    assert blas_vars_after_import({"OPENBLAS_NUM_THREADS": "2"}) == ["2", "1", "1"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quadrl import net
+from quadrl import net, rl
 
 
 def random_spec(rng) -> net.NetworkSpec:
@@ -177,6 +177,82 @@ def test_layer_outputs_record_the_forward_pass():
     single = net.layer_outputs(params, xs[0])
     assert single[-1].tobytes() == net.forward(params, xs[0]).tobytes()
     assert single[-1].shape == (1, 2)
+
+
+LEARNER_SPECS = {"actor": rl.actor_spec(48, 8), "critic": rl.critic_spec(48, 8)}
+
+
+@pytest.mark.parametrize("batch", [1, 128])
+@pytest.mark.parametrize("name", sorted(LEARNER_SPECS))
+def test_partial_backward_matches_full_pass_bytes(name, batch):
+    spec = LEARNER_SPECS[name]
+    params = net.init_network(spec, 13)
+    rng = np.random.default_rng(batch)
+    xs = rng.normal(size=(batch, spec.input_size))
+    gs = rng.normal(size=(batch, spec.output_size))
+    outputs = net.layer_outputs(params, xs)
+    full_params, full_inputs = net.backward(params, outputs, gs)
+    only_params, none_inputs = net.backward(params, outputs, gs, wrt="params")
+    none_params, only_inputs = net.backward(params, outputs, gs, wrt="inputs")
+    assert none_inputs is None and none_params is None
+    assert only_params.tobytes() == full_params.tobytes()
+    assert only_inputs.tobytes() == full_inputs.tobytes()
+    assert only_inputs.shape == xs.shape
+
+
+def test_backward_and_layer_outputs_leave_their_arguments_unchanged():
+    # The passes work in place on their own temporaries; the input batch,
+    # the recorded outputs and the upstream gradient must keep their bytes.
+    rng = np.random.default_rng(14)
+    for name, spec in sorted(LEARNER_SPECS.items()):
+        params = net.init_network(spec, 15)
+        values = params.values.tobytes()
+        xs = rng.normal(size=(128, spec.input_size))
+        xs_bytes = xs.tobytes()
+        outputs = net.layer_outputs(params, xs)
+        assert xs.tobytes() == xs_bytes, name
+        recorded = [o.tobytes() for o in outputs]
+        gs = rng.normal(size=(128, spec.output_size))
+        gs_bytes = gs.tobytes()
+        for wrt in net.GRADIENTS:
+            net.backward(params, outputs, gs, wrt=wrt)
+            assert [o.tobytes() for o in outputs] == recorded, (name, wrt)
+            assert gs.tobytes() == gs_bytes, (name, wrt)
+        assert params.values.tobytes() == values, name
+
+
+def test_backward_linear_output_reads_a_strided_gradient_like_a_copy():
+    # A column slice (as the actor gets from the critic's input gradient)
+    # gives the same bytes as a contiguous copy of it.
+    spec = net.mlp_spec([5, 6, 3])
+    params = net.init_network(spec, 16)
+    rng = np.random.default_rng(16)
+    outputs = net.layer_outputs(params, rng.normal(size=(9, 5)))
+    wide = rng.normal(size=(9, 7))
+    sliced = net.backward(params, outputs, wide[:, 4:])
+    copied = net.backward(params, outputs, wide[:, 4:].copy())
+    for a, b in zip(sliced, copied):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_backward_rejects_unknown_gradient_selection():
+    spec = net.mlp_spec([3, 2])
+    params = net.init_network(spec, 1)
+    outputs = net.layer_outputs(params, np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        net.backward(params, outputs, np.zeros((2, 2)), wrt="weights")
+
+
+def test_layer_views_are_read_only_views_of_the_values():
+    spec = net.mlp_spec([3, 4, 2])
+    params = net.init_network(spec, 2)
+    assert params.layers is params.layers  # computed once
+    for (w, b), layer in zip(params.layers, spec.layers):
+        assert w.shape == (layer.output_size, layer.input_size)
+        assert b.shape == (layer.output_size,)
+        assert np.shares_memory(w, params.values)
+        assert np.shares_memory(b, params.values)
+        assert not w.flags.writeable and not b.flags.writeable
 
 
 def test_backward_rejects_gradient_not_shaped_like_output():

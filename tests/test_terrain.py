@@ -3,6 +3,8 @@ import pytest
 
 from quadrl import terrain
 
+from env_reference import rough_height_grid
+
 
 def test_flat_terrain_is_zero_everywhere():
     flat = terrain.make_terrain("flat", seed=0)
@@ -39,6 +41,18 @@ def test_rough_terrain_seeded_reproducible():
 def test_rough_terrain_is_not_flat():
     rough = terrain.make_terrain("rough", seed=0)
     assert np.ptp(rough.height_grid) > 0.01
+
+
+@pytest.mark.parametrize("amplitude, cell_size, extent",
+                         [(0.03, 0.05, 8.0), (0.0, 0.05, 8.0), (0.5, 0.05, 1.0),
+                          (0.01, 0.07, 3.3), (0.03, 0.25, 1.0), (0.03, 0.05, 0.05),
+                          (0.2, 0.1, 0.2)])
+def test_rough_grid_matches_broadcast_gather_reference(amplitude, cell_size, extent):
+    for seed in range(6):
+        rough = terrain.make_terrain("rough", seed, amplitude, cell_size, extent)
+        expected = rough_height_grid(seed, amplitude, cell_size, extent)
+        assert rough.height_grid.shape == expected.shape
+        assert rough.height_grid.tobytes() == expected.tobytes()
 
 
 def test_height_query_deterministic():

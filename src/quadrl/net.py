@@ -119,7 +119,7 @@ class ParamVector:
         object.__setattr__(self, "values", values)
 
     @cached_property
-    def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    def views(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """(weights, bias) views into the values, layer by layer."""
         return tuple(_layer_views(self.values, self.spec))
 
@@ -188,7 +188,7 @@ def layer_outputs(params: ParamVector, inputs) -> list[np.ndarray]:
         raise ValueError(f"input has shape {np.shape(inputs)}, "
                          f"expected (..., {spec.input_size})")
     outputs = [x]
-    for (w, b), layer in zip(params.layers, spec.layers):
+    for (w, b), layer in zip(params.views, spec.layers):
         z = x @ w.T
         z += b
         x = _activate(z, layer)
@@ -245,7 +245,7 @@ def backward(params: ParamVector, outputs: Sequence[np.ndarray], output_grad,
             np.matmul(dz.T, outputs[idx], out=gw)
             np.add.reduce(dz, axis=0, out=gb)
         if idx > 0 or wrt != "params":
-            g = dz @ params.layers[idx][0]
+            g = dz @ params.views[idx][0]
     return param_grad, (None if wrt == "params" else g)
 
 

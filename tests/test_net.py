@@ -246,8 +246,8 @@ def test_backward_rejects_unknown_gradient_selection():
 def test_layer_views_are_read_only_views_of_the_values():
     spec = net.mlp_spec([3, 4, 2])
     params = net.init_network(spec, 2)
-    assert params.layers is params.layers  # computed once
-    for (w, b), layer in zip(params.layers, spec.layers):
+    assert params.views is params.views  # computed once
+    for (w, b), layer in zip(params.views, spec.layers):
         assert w.shape == (layer.output_size, layer.input_size)
         assert b.shape == (layer.output_size,)
         assert np.shares_memory(w, params.values)

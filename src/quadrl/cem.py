@@ -39,7 +39,6 @@ class CemState:
     variance: np.ndarray
     noise_floor: float
     hp: CemHyperparams
-    generation: int = 0
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=np.float64)
@@ -90,8 +89,7 @@ def cem_update(state: CemState, population: np.ndarray,
     new_mean = weights @ elites
     centered = elites - state.mean
     new_variance = weights @ (centered * centered) + state.noise_floor
-    return replace(state, mean=new_mean, variance=new_variance,
-                   generation=state.generation + 1)
+    return replace(state, mean=new_mean, variance=new_variance)
 
 
 def decay_noise(state: CemState) -> CemState:
@@ -101,12 +99,9 @@ def decay_noise(state: CemState) -> CemState:
 
 @dataclass
 class GenerationLog:
-    generation: int
     best_fitness: float
     mean_fitness: float
     median_fitness: float
-    noise_floor: float
-    buffer_size: int
     rl_mean_fitness: float
     evo_mean_fitness: float
     transitions_collected: int
@@ -167,12 +162,9 @@ def cem_rl_generation(state: CemState, learner: Learner, env, buffer: ReplayBuff
     best = int(np.argmax(fitnesses))
     evo_fit = fitnesses[half:] if coached else fitnesses
     log = GenerationLog(
-        generation=new_state.generation,
         best_fitness=float(fitnesses[best]),
         mean_fitness=float(fitnesses.mean()),
         median_fitness=float(np.median(fitnesses)),
-        noise_floor=new_state.noise_floor,
-        buffer_size=len(buffer),
         rl_mean_fitness=float(fitnesses[:half].mean()) if coached else float("nan"),
         evo_mean_fitness=float(evo_fit.mean()),
         transitions_collected=collected,

@@ -15,7 +15,7 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, load_config, parse_config
 from .env import ProtocolError, SimulationDiverged
 from .evaluate import evaluate, report_csv, transfer_experiment, transfer_table
-from .rl import TrainingDiverged
+from .net import TrainingDiverged
 from .svgplot import plot_metrics
 from .terrain import load_terrain
 from .train import train
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_train(args) -> int:
     overrides = {
-        "algorithm": args.algo.replace("-", "_") if args.algo else None,
+        "algorithm": args.algo,
         "master_seed": args.seed,
         "out_dir": args.out,
     }

@@ -107,8 +107,6 @@ def _coerce(key: str, raw: str, default):
             return float(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-    if key == "algorithm":
-        return raw.replace("-", "_")
     return raw
 
 
@@ -158,7 +156,10 @@ _DEFAULTS = dict(config_to_dict(RunConfig()), out_dir=RunConfig().out_dir)
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Build a RunConfig from dotted keys; missing keys take their defaults."""
+    """Build a RunConfig from dotted keys; missing keys take their defaults.
+
+    An algorithm may be spelled with dashes (cem-td3) or underscores.
+    """
     top: dict = {}
     sections: dict[str, dict] = {name: {} for name in _SECTIONS}
     for key, value in data.items():
@@ -169,6 +170,8 @@ def config_from_dict(data: dict) -> RunConfig:
             sections[section][name] = value
         else:
             top[key] = value
+    if isinstance(top.get("algorithm"), str):
+        top["algorithm"] = top["algorithm"].replace("-", "_")
     try:
         return RunConfig(**top, **{name: cls(**sections[name])
                                    for name, cls in _SECTIONS.items()})

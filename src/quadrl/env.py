@@ -141,12 +141,11 @@ class RobotState:
 class StepResult:
     observation: np.ndarray
     reward: float
-    done: bool
     done_reason: str  # one of: fell, tilted, timeout, none
 
-    def __post_init__(self) -> None:
-        if self.done != (self.done_reason != "none"):
-            raise ValueError("done flag must match done_reason")
+    @property
+    def done(self) -> bool:
+        return self.done_reason != "none"
 
 
 def rotation_matrix(orientation: np.ndarray) -> np.ndarray:
@@ -443,9 +442,8 @@ def step(state: RobotState, action, terrain: Terrain, config: RobotConfig,
     torques = pd_torque(action, state.joint_angles, state.joint_velocities, config)
     new_state = integrate(state, torques, terrain, config)
     reward = compute_reward(new_state, config, t_max)
-    reason = _done_reason(new_state, terrain, config, t_max)
     result = StepResult(observe(new_state), reward,
-                        reason != "none", reason)
+                        _done_reason(new_state, terrain, config, t_max))
     return new_state, result
 
 

@@ -11,7 +11,7 @@ reports the degradation (flat mean minus rough mean).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import net
 from .checkpoint import Checkpoint
@@ -39,18 +39,25 @@ def summarize(returns) -> tuple[float, float, float, float]:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """One terrain's trial returns; summarize derives the statistics.
+
+    A report is built from (terrain, trial_returns) alone, so its
+    statistics cannot disagree with its trials.
+    """
+
     terrain: str
     trial_returns: tuple[float, ...]
-    mean: float
-    std: float
-    median: float
-    best: float
+    mean: float = field(init=False)
+    std: float = field(init=False)
+    median: float = field(init=False)
+    best: float = field(init=False)
 
-    @classmethod
-    def from_returns(cls, terrain: str, returns) -> "EvalReport":
-        mean, std, median, best = summarize(returns)
-        return cls(terrain, tuple(float(v) for v in returns), mean, std,
-                   median, best)
+    def __post_init__(self) -> None:
+        returns = tuple(float(v) for v in self.trial_returns)
+        object.__setattr__(self, "trial_returns", returns)
+        for name, value in zip(("mean", "std", "median", "best"),
+                               summarize(returns)):
+            object.__setattr__(self, name, value)
 
 
 def _trial_terrain(ck: Checkpoint, kind: str, seed: int,
@@ -79,7 +86,7 @@ def evaluate(ck: Checkpoint, terrain_kind: str, trials: int = 10,
         env = QuadrupedEnv(terrain, cfg.robot, cfg.t_max)
         result = run_episode(env, lambda obs: net.forward(actor, obs), seed)
         returns.append(result.episode_return)
-    return EvalReport.from_returns(terrain_kind, returns)
+    return EvalReport(terrain_kind, returns)
 
 
 def transfer_experiment(ck: Checkpoint, eval_seed: int = 0, trials: int = 10,

@@ -21,6 +21,10 @@ import numpy as np
 ACTIVATIONS = ("tanh", "linear", "scaled_tanh")
 
 
+class TrainingDiverged(RuntimeError):
+    """A loss or gradient became non-finite during an update."""
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     """One affine layer plus activation.
@@ -202,26 +206,21 @@ def forward(params: ParamVector, inputs) -> np.ndarray:
     return y[0] if np.ndim(inputs) == 1 else y
 
 
-GRADIENTS = ("both", "params", "inputs")
+GRADIENTS = ("params", "inputs")
 
 
 def backward(params: ParamVector, outputs: Sequence[np.ndarray], output_grad,
-             wrt: str = "both") -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Exact reverse-mode gradients of a recorded forward pass.
+             wrt: str) -> np.ndarray:
+    """Exact reverse-mode gradient of a recorded forward pass.
 
     ``outputs`` is what `layer_outputs` returned for ``params``; nothing
     is evaluated again, and neither it nor ``output_grad`` is modified.
-    ``output_grad`` has one row per input row. Returns
-    ``(param_grad, input_grad)``: ``param_grad`` is a flat array in the
-    documented layout (summed over the batch) and ``input_grad`` has the
-    shape of the input batch. The input gradient is what lets an actor
-    update chain through a critic's action input.
-
-    ``wrt`` picks what is computed: ``"both"`` returns both gradients,
-    ``"params"`` returns ``(param_grad, None)`` and ``"inputs"`` returns
-    ``(None, input_grad)``. A slot that was not asked for is None, and its
-    arithmetic is skipped; the gradients that are computed have the same
-    bytes in every mode.
+    ``output_grad`` has one row per input row. ``wrt="params"`` returns
+    the parameter gradient, a flat array in the documented layout summed
+    over the batch; ``wrt="inputs"`` returns the input gradient, shaped
+    like the input batch, which lets an actor update chain through a
+    critic's action input. Only the arithmetic the asked-for gradient
+    needs is done.
     """
     if wrt not in GRADIENTS:
         raise ValueError(f"wrt must be one of {GRADIENTS}, got {wrt!r}")
@@ -234,19 +233,18 @@ def backward(params: ParamVector, outputs: Sequence[np.ndarray], output_grad,
         raise ValueError(f"output gradient has shape {g.shape}, "
                          f"expected {outputs[-1].shape}")
 
-    param_grad = None
-    if wrt != "inputs":
+    if wrt == "params":
         param_grad = np.empty(spec.param_count)
         grad_views = tuple(_layer_views(param_grad, spec))
     for idx in range(len(spec.layers) - 1, -1, -1):
         dz = _activation_grad(g, outputs[idx + 1], spec.layers[idx])
-        if param_grad is not None:
+        if wrt == "params":
             gw, gb = grad_views[idx]
             np.matmul(dz.T, outputs[idx], out=gw)
             np.add.reduce(dz, axis=0, out=gb)
-        if idx > 0 or wrt != "params":
+        if idx > 0 or wrt == "inputs":
             g = dz @ params.views[idx][0]
-    return param_grad, (None if wrt == "params" else g)
+    return param_grad if wrt == "params" else g
 
 
 ADAM_BETA1 = 0.9
@@ -280,7 +278,7 @@ def adam_step(params: ParamVector, grads, state: AdamState,
     if g.size != params.values.size or g.size != state.first_moment.size:
         raise ValueError("gradient length does not match parameters")
     if not np.all(np.isfinite(g)):
-        raise ValueError("non-finite gradient: update refused")
+        raise TrainingDiverged("non-finite gradient: update refused")
     t = state.step_count + 1
     # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g, then
     # values - lr * m_hat / (sqrt(v_hat) + eps), each operation in this

@@ -15,12 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net
+from .net import TrainingDiverged
 from .replay import Batch, ReplayBuffer
 from .seeds import SeedStream
-
-
-class TrainingDiverged(RuntimeError):
-    """A loss or gradient became non-finite during an update."""
 
 
 @dataclass(frozen=True)
@@ -154,8 +151,7 @@ def _critic_gradient(critic: net.ParamVector, critic_input: np.ndarray,
     if not np.isfinite(loss):
         raise TrainingDiverged("critic loss is non-finite")
     upstream = (2.0 / len(critic_input)) * residual[:, None]
-    grad, _ = net.backward(critic, outputs, upstream, wrt="params")
-    return grad
+    return net.backward(critic, outputs, upstream, wrt="params")
 
 
 def update_critic(learner: Learner, batch: Batch, targets: np.ndarray) -> Learner:
@@ -175,18 +171,15 @@ def actor_gradient(actor: net.ParamVector, critic: net.ParamVector,
     actor_outputs = net.layer_outputs(actor, observations)
     x = _critic_input(observations, actor_outputs[-1])
     upstream = np.full((observations.shape[0], 1), -1.0 / observations.shape[0])
-    _, input_grad = net.backward(critic, net.layer_outputs(critic, x), upstream,
-                                 wrt="inputs")
+    input_grad = net.backward(critic, net.layer_outputs(critic, x), upstream,
+                              wrt="inputs")
     action_grad = input_grad[:, observations.shape[1]:]
-    grad, _ = net.backward(actor, actor_outputs, action_grad, wrt="params")
-    return grad
+    return net.backward(actor, actor_outputs, action_grad, wrt="params")
 
 
 def update_actor(learner: Learner, batch: Batch) -> Learner:
     """One Adam ascent step on mean Q under the first critic."""
     grad = actor_gradient(learner.actor, learner.critics[0], batch.observations)
-    if not np.all(np.isfinite(grad)):
-        raise TrainingDiverged("actor gradient is non-finite")
     learner.actor, learner.actor_adam = net.adam_step(
         learner.actor, grad, learner.actor_adam, learner.hp.actor_lr)
     return learner

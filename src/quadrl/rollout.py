@@ -19,8 +19,11 @@ from .env import SimulationDiverged
 class EpisodeResult:
     episode_return: float
     steps: int
-    done_reason: str
-    diverged: bool
+    done_reason: str  # the last step's reason, or "diverged"
+
+    @property
+    def diverged(self) -> bool:
+        return self.done_reason == "diverged"
 
 
 def episode_steps(env, policy: Callable[[np.ndarray], np.ndarray],
@@ -48,7 +51,7 @@ def run_episode(env, policy: Callable[[np.ndarray], np.ndarray], reset_seed: int
 
     Each step is pushed into buffer when one is given. A simulation
     divergence ends the episode early with the return accumulated so far
-    and the diverged flag set, so a caller can treat the partial return
+    and done_reason "diverged", so a caller can treat the partial return
     as a (poor) fitness instead of crashing.
     """
     total = 0.0
@@ -61,5 +64,5 @@ def run_episode(env, policy: Callable[[np.ndarray], np.ndarray], reset_seed: int
                 buffer.push(obs, action, result.reward, result.observation,
                             result.done)
     except SimulationDiverged:
-        return EpisodeResult(total, steps, "diverged", True)
-    return EpisodeResult(total, steps, result.done_reason, False)
+        return EpisodeResult(total, steps, "diverged")
+    return EpisodeResult(total, steps, result.done_reason)

@@ -32,10 +32,9 @@ from .cem import CemState, cem_rl_generation
 from .checkpoint import Checkpoint, save_checkpoint
 from .config import RunConfig
 from .env import OBS_SIZE, N_JOINTS, QuadrupedEnv, SimulationDiverged
-from .net import ParamVector, init_network
+from .net import ParamVector, TrainingDiverged, init_network
 from .replay import ReplayBuffer
-from .rl import (TrainingDiverged, actor_spec, exploration_action,
-                 init_learner, train_step)
+from .rl import actor_spec, exploration_action, init_learner, train_step
 from .rollout import episode_steps
 from .seeds import SeedStream
 from .terrain import make_terrain
@@ -119,8 +118,8 @@ def _generations(config: RunConfig, stream: SeedStream, env, buffer, progress):
             progress["env_steps"] += collected
             progress["diverged"] |= log.diverged_count > 0
             yield log.best_fitness, ParamVector(log.best_params, a_spec), [
-                log.mean_fitness, log.median_fitness, log.noise_floor,
-                log.buffer_size, log.rl_mean_fitness, log.evo_mean_fitness]
+                log.mean_fitness, log.median_fitness, state.noise_floor,
+                len(buffer), log.rl_mean_fitness, log.evo_mean_fitness]
 
     return learner, units(), lambda: ParamVector(state.mean, a_spec)
 

@@ -79,8 +79,8 @@ def test_criterion_01_gradient_oracle():
         params = net.ParamVector(values, spec)
         inputs = rng.normal(size=(int(rng.integers(1, 5)), n_in))
         weights = rng.normal(size=(inputs.shape[0], spec.output_size))
-        analytic, _ = net.backward(params, net.layer_outputs(params, inputs),
-                                   weights)
+        analytic = net.backward(params, net.layer_outputs(params, inputs),
+                                weights, wrt="params")
         fd = _fd_param_grad(spec, values, inputs, weights)
         rel = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-3)
         worst = max(worst, float(rel.max()))

@@ -81,7 +81,6 @@ def test_cem_update_hand_example():
     new = cem.cem_update(state, population, [10.0, 5.0, -1.0, 0.0])
     assert new.mean[0] == pytest.approx(2.539, abs=1e-3)
     assert new.variance[0] == pytest.approx(7.235 + floor, abs=1e-3)
-    assert new.generation == 1
 
 
 def test_cem_update_identical_elites_collapse_to_floor():
@@ -156,7 +155,6 @@ def test_solve_toy_quadratic():
                                 generations=40, seed=0)
     assert np.linalg.norm(final.mean) < 1e-2
     assert -float(best @ best) >= -1e-3
-    assert final.generation == 40
 
 
 def test_solve_toy_returns_best_ever():
@@ -195,10 +193,8 @@ def test_generation_collects_transitions_and_logs():
     state, learner, buffer, env = make_generation_fixture()
     new_state, log = cem.cem_rl_generation(
         state, learner, env, buffer, grad_steps=0, seed=0)
-    assert new_state.generation == 1
-    assert log.generation == 1
+    assert new_state.noise_floor == cem.decay_noise(state).noise_floor
     assert len(buffer) == log.transitions_collected == 4 * 5
-    assert log.buffer_size == len(buffer)
     assert len(log.fitnesses) == 4
     assert log.best_fitness == max(log.fitnesses)
     assert log.best_fitness >= log.median_fitness

@@ -291,11 +291,11 @@ def test_fell_threshold_uses_local_ground():
     assert env._done_reason(state, rough, CONFIG, 1000) == "fell"
 
 
-def test_step_result_validates_done_flag():
-    with pytest.raises(ValueError):
-        env.StepResult(np.zeros(env.OBS_SIZE), 0.0, True, "none")
-    with pytest.raises(ValueError):
-        env.StepResult(np.zeros(env.OBS_SIZE), 0.0, False, "fell")
+def test_step_result_done_follows_done_reason():
+    obs = np.zeros(env.OBS_SIZE)
+    assert not env.StepResult(obs, 0.0, "none").done
+    for reason in ("fell", "tilted", "timeout"):
+        assert env.StepResult(obs, 0.0, reason).done
 
 
 def test_step_clips_action():

@@ -132,6 +132,14 @@ def test_config_dict_round_trip():
         config_from_dict({"bogus": 1})
 
 
+def test_every_config_path_accepts_a_dashed_algorithm():
+    # Text, keyword overrides and dicts all go through config_from_dict.
+    assert config_from_dict({"algorithm": "cem-ddpg"}).algorithm == "cem_ddpg"
+    assert parse_config("", algorithm="cem-td3").algorithm == "cem_td3"
+    with pytest.raises(ConfigError):
+        config_from_dict({"algorithm": 3})
+
+
 def test_cem_hyperparams_validation():
     with pytest.raises(ConfigError):
         CemHyperparams(population_size=1)
@@ -436,6 +444,19 @@ def test_train_records_learner_divergence(tmp_path, monkeypatch, algo):
         assert load_checkpoint(str(tmp_path / name)).progress["diverged"] is True
 
 
+def test_train_records_non_finite_critic_gradient(tmp_path, monkeypatch):
+    # Adam refuses the gradient with TrainingDiverged, which the training
+    # loop records like any other learner divergence.
+    monkeypatch.setattr("quadrl.rl._critic_gradient",
+                        lambda critic, x, targets: np.full(critic.values.size,
+                                                           np.inf))
+    cfg = parse_config(TINY_GRADIENT, algorithm="td3", out_dir=str(tmp_path))
+    with pytest.raises(TrainingDiverged):
+        train(cfg)
+    for name in ("checkpoint.json", "checkpoint_best.json"):
+        assert load_checkpoint(str(tmp_path / name)).progress["diverged"] is True
+
+
 def raise_on_call(fn, n, error):
     """fn, except that its n-th call raises error instead."""
     calls = [0]
@@ -538,11 +559,15 @@ def test_summarize_hand_values():
 
 
 def test_eval_report_from_returns():
-    report = EvalReport.from_returns("flat", [1.0, 2.0, 3.0, 4.0])
+    report = EvalReport("flat", [1, 2.0, 3.0, 4.0])
     assert report.terrain == "flat"
     assert report.trial_returns == (1.0, 2.0, 3.0, 4.0)
-    assert report.mean == 2.5
-    assert report.best == 4.0
+    assert (report.mean, report.std, report.median, report.best) == summarize(
+        [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(TypeError):
+        EvalReport("flat", [1.0], 1.0, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        EvalReport("flat", [])
 
 
 def eval_checkpoint():
@@ -592,8 +617,8 @@ def test_transfer_experiment_degradation():
 
 
 def test_report_csv_layout_and_round_trip():
-    flat = EvalReport.from_returns("flat", [1.5, 2.5])
-    rough = EvalReport.from_returns("rough", [0.25, -1.75])
+    flat = EvalReport("flat", [1.5, 2.5])
+    rough = EvalReport("rough", [0.25, -1.75])
     text = report_csv([flat, rough])
     lines = text.splitlines()
     assert lines[0] == "terrain,mean,std,median,best,trial_1,trial_2"
@@ -603,12 +628,12 @@ def test_report_csv_layout_and_round_trip():
     assert float(cells[5]) == 0.25
     assert float(cells[6]) == -1.75
     with pytest.raises(ValueError):
-        report_csv([flat, EvalReport.from_returns("rough", [1.0])])
+        report_csv([flat, EvalReport("rough", [1.0])])
 
 
 def test_transfer_table_columns():
-    flat = EvalReport.from_returns("flat", [10.0, 20.0])
-    rough = EvalReport.from_returns("rough", [1.0, 2.0])
+    flat = EvalReport("flat", [10.0, 20.0])
+    rough = EvalReport("rough", [1.0, 2.0])
     table = transfer_table(flat, rough, 13.5)
     for column in TABLE_COLUMNS:
         assert column in table

@@ -1,4 +1,4 @@
-"""Source hygiene checks on the quadrl package."""
+"""Source hygiene checks on the quadrl package and its tests."""
 
 import ast
 import importlib
@@ -8,7 +8,8 @@ from pathlib import Path
 import quadrl
 
 PACKAGE = Path(quadrl.__file__).resolve().parent
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+TESTS = Path(__file__).resolve().parent
+SPANS = TESTS.parent / "perfbench" / "spans.py"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -29,11 +30,11 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_imports():
     # __init__.py imports names to re-export them, so it is skipped.
     found = {}
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
         if path.name != "__init__.py":
             unused = _unused_imports(ast.parse(path.read_text(), str(path)))
             if unused:
-                found[path.name] = unused
+                found[f"{path.parent.name}/{path.name}"] = unused
     assert found == {}
 
 

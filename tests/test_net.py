@@ -118,8 +118,9 @@ def test_forward_rejects_bad_shape():
 def test_backward_linear_1x1():
     spec = net.NetworkSpec((net.LayerSpec(1, 1, activation="linear"),))
     params = net.ParamVector([2.5, 0.1], spec)
-    grad, input_grad = net.backward(params, net.layer_outputs(params, [[3.0]]),
-                                    [[1.0]])
+    outputs = net.layer_outputs(params, [[3.0]])
+    grad = net.backward(params, outputs, [[1.0]], wrt="params")
+    input_grad = net.backward(params, outputs, [[1.0]], wrt="inputs")
     assert grad[0] == pytest.approx(3.0, abs=0)  # d/dw (wx+b) = x
     assert grad[1] == pytest.approx(1.0, abs=0)  # d/db = 1
     assert input_grad[0, 0] == pytest.approx(2.5, abs=0)  # d/dx = w
@@ -128,10 +129,9 @@ def test_backward_linear_1x1():
 def test_backward_zero_upstream_gives_zero():
     spec = net.mlp_spec([3, 5, 2])
     params = net.init_network(spec, 4)
-    grad, input_grad = net.backward(params, net.layer_outputs(params, np.ones((1, 3))),
-                                    np.zeros((1, 2)))
-    assert np.all(grad == 0.0)
-    assert np.all(input_grad == 0.0)
+    outputs = net.layer_outputs(params, np.ones((1, 3)))
+    for wrt in net.GRADIENTS:
+        assert np.all(net.backward(params, outputs, np.zeros((1, 2)), wrt) == 0.0)
 
 
 def test_backward_matches_finite_differences():
@@ -140,8 +140,8 @@ def test_backward_matches_finite_differences():
     params = net.init_network(spec, 5)
     x = rng.normal(size=6)
     g_out = rng.normal(size=4)
-    analytic, _ = net.backward(params, net.layer_outputs(params, x[None, :]),
-                               g_out[None, :])
+    analytic = net.backward(params, net.layer_outputs(params, x[None, :]),
+                            g_out[None, :], wrt="params")
     fd = finite_difference_grad(params, x, g_out)
     rel = np.abs(analytic - fd) / np.maximum(1e-3, np.abs(fd))
     assert rel.max() < 1e-4
@@ -154,13 +154,16 @@ def test_backward_batch_is_sum_of_singles():
     params = net.init_network(spec, 6)
     xs = rng.normal(size=(6, 4))
     gs = rng.normal(size=(6, 2))
-    batch_grad, batch_in = net.backward(params, net.layer_outputs(params, xs), gs)
-    singles = [net.backward(params, net.layer_outputs(params, xs[i:i + 1]),
-                            gs[i:i + 1]) for i in range(6)]
-    single_grad = sum(grad for grad, _ in singles)
-    assert np.allclose(batch_grad, single_grad, atol=1e-12)
+    outputs = net.layer_outputs(params, xs)
+    batch_grad = net.backward(params, outputs, gs, wrt="params")
+    batch_in = net.backward(params, outputs, gs, wrt="inputs")
+    single_grad = 0.0
     for i in range(6):
-        assert np.allclose(batch_in[i], singles[i][1][0], atol=1e-12)
+        single = net.layer_outputs(params, xs[i:i + 1])
+        single_grad += net.backward(params, single, gs[i:i + 1], wrt="params")
+        single_in = net.backward(params, single, gs[i:i + 1], wrt="inputs")
+        assert np.allclose(batch_in[i], single_in[0], atol=1e-12)
+    assert np.allclose(batch_grad, single_grad, atol=1e-12)
 
 
 def test_layer_outputs_record_the_forward_pass():
@@ -182,21 +185,38 @@ def test_layer_outputs_record_the_forward_pass():
 LEARNER_SPECS = {"actor": rl.actor_spec(48, 8), "critic": rl.critic_spec(48, 8)}
 
 
+def plain_backward(params, outputs, output_grad):
+    """Both gradients from a textbook reverse pass on fresh temporaries."""
+    g = np.ascontiguousarray(output_grad)
+    layer_grads = []
+    for idx in range(len(params.spec.layers) - 1, -1, -1):
+        layer, y = params.spec.layers[idx], outputs[idx + 1]
+        if layer.activation == "tanh":
+            g = (1.0 - y * y) * g
+        elif layer.activation == "scaled_tanh":
+            g = (layer.bound - y * y / layer.bound) * g
+        layer_grads.append(np.concatenate([(g.T @ outputs[idx]).ravel(),
+                                           np.add.reduce(g, axis=0)]))
+        g = g @ params.views[idx][0]
+    return np.concatenate(layer_grads[::-1]), g
+
+
 @pytest.mark.parametrize("batch", [1, 128])
 @pytest.mark.parametrize("name", sorted(LEARNER_SPECS))
 def test_partial_backward_matches_full_pass_bytes(name, batch):
+    # Each gradient that backward computes alone, in place, has the bytes of
+    # the same gradient from a reverse pass that computes both.
     spec = LEARNER_SPECS[name]
     params = net.init_network(spec, 13)
     rng = np.random.default_rng(batch)
     xs = rng.normal(size=(batch, spec.input_size))
     gs = rng.normal(size=(batch, spec.output_size))
     outputs = net.layer_outputs(params, xs)
-    full_params, full_inputs = net.backward(params, outputs, gs)
-    only_params, none_inputs = net.backward(params, outputs, gs, wrt="params")
-    none_params, only_inputs = net.backward(params, outputs, gs, wrt="inputs")
-    assert none_inputs is None and none_params is None
-    assert only_params.tobytes() == full_params.tobytes()
-    assert only_inputs.tobytes() == full_inputs.tobytes()
+    param_grad, input_grad = plain_backward(params, outputs, gs)
+    only_params = net.backward(params, outputs, gs, wrt="params")
+    only_inputs = net.backward(params, outputs, gs, wrt="inputs")
+    assert only_params.tobytes() == param_grad.tobytes()
+    assert only_inputs.tobytes() == input_grad.tobytes()
     assert only_inputs.shape == xs.shape
 
 
@@ -229,18 +249,19 @@ def test_backward_linear_output_reads_a_strided_gradient_like_a_copy():
     rng = np.random.default_rng(16)
     outputs = net.layer_outputs(params, rng.normal(size=(9, 5)))
     wide = rng.normal(size=(9, 7))
-    sliced = net.backward(params, outputs, wide[:, 4:])
-    copied = net.backward(params, outputs, wide[:, 4:].copy())
-    for a, b in zip(sliced, copied):
-        assert a.tobytes() == b.tobytes()
+    for wrt in net.GRADIENTS:
+        sliced = net.backward(params, outputs, wide[:, 4:], wrt)
+        copied = net.backward(params, outputs, wide[:, 4:].copy(), wrt)
+        assert sliced.tobytes() == copied.tobytes(), wrt
 
 
 def test_backward_rejects_unknown_gradient_selection():
     spec = net.mlp_spec([3, 2])
     params = net.init_network(spec, 1)
     outputs = net.layer_outputs(params, np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        net.backward(params, outputs, np.zeros((2, 2)), wrt="weights")
+    for wrt in ("weights", "both"):
+        with pytest.raises(ValueError):
+            net.backward(params, outputs, np.zeros((2, 2)), wrt=wrt)
 
 
 def test_layer_views_are_read_only_views_of_the_values():
@@ -259,10 +280,10 @@ def test_backward_rejects_gradient_not_shaped_like_output():
     spec = net.mlp_spec([3, 4, 2])
     params = net.init_network(spec, 1)
     outputs = net.layer_outputs(params, np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        net.backward(params, outputs, np.zeros(2))  # single vector, not a batch
-    with pytest.raises(ValueError):
-        net.backward(params, outputs, np.zeros((3, 2)))  # wrong batch size
+    with pytest.raises(ValueError):  # single vector, not a batch
+        net.backward(params, outputs, np.zeros(2), wrt="params")
+    with pytest.raises(ValueError):  # wrong batch size
+        net.backward(params, outputs, np.zeros((3, 2)), wrt="params")
 
 
 def test_adam_first_step_closed_form():
@@ -313,8 +334,9 @@ def test_adam_rejects_nan_gradient():
     state = net.init_adam(spec.param_count)
     g = np.zeros(spec.param_count)
     g[0] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(net.TrainingDiverged):
         net.adam_step(params, g, state, 0.1)
+    assert net.TrainingDiverged is rl.TrainingDiverged
 
 
 def test_polyak_endpoints_and_rate():

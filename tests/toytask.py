@@ -49,7 +49,7 @@ class ToyEnv:
         self.done = self.timestep >= T_MAX
         reason = "timeout" if self.done else "none"
         return StepResult(np.array([self.velocity]), 75.0 * self.velocity,
-                          self.done, reason)
+                          reason)
 
 
 def optimal_return() -> float:

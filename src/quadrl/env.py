@@ -88,7 +88,7 @@ class RobotConfig:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
-    @property
+    @functools.cached_property
     def stand_height(self) -> float:
         """Torso height above the feet at the nominal stance."""
         return (self.upper_leg_length * np.cos(self.stance_hip)
@@ -148,68 +148,84 @@ class StepResult:
         return self.done_reason != "none"
 
 
-def rotation_matrix(orientation: np.ndarray) -> np.ndarray:
-    """World-from-body rotation for (roll, pitch, yaw), applied z-y-x.
+def _rotation_transposed(roll: float, pitch: float, yaw: float) -> np.ndarray:
+    """Body-to-world rotation for (roll, pitch, yaw), applied z-y-x, transposed.
 
-    Written out as the composed Rz(yaw) @ Ry(pitch) @ Rx(roll) matrix.
+    The composed Rz(yaw) @ Ry(pitch) @ Rx(roll) matrix written out,
+    column by column, as a C-contiguous array: torso-frame rows times it
+    are world rows.
     """
-    roll, pitch, yaw = orientation
     cr, sr = math.cos(roll), math.sin(roll)
     cp, sp = math.cos(pitch), math.sin(pitch)
     cy, sy = math.cos(yaw), math.sin(yaw)
     return np.array([
-        [cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
-        [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
-        [-sp, cp * sr, cp * cr],
+        [cy * cp, sy * cp, -sp],
+        [cy * sp * sr - sy * cr, sy * sp * sr + cy * cr, cp * sr],
+        [cy * sp * cr + sy * sr, sy * sp * cr - cy * sr, cp * cr],
     ])
 
 
-def _leg_geometry(q: list, config: RobotConfig):
-    """Torso-frame foot positions and joint-rate terms from 8 joint angles.
+def rotation_matrix(orientation: np.ndarray) -> np.ndarray:
+    """World-from-body rotation for (roll, pitch, yaw), applied z-y-x."""
+    roll, pitch, yaw = orientation
+    return _rotation_transposed(roll, pitch, yaw).T.copy()
 
-    Each leg is a planar two-link chain in the torso's x-z plane. Returns
-    (body, rates): body is the 12 foot coordinates, leg-major x/y/z, and
-    rates holds per leg the x and z of d_pos/d_hip and of d_pos/d_knee
-    (their y is 0). One np.sin and one np.cos call cover all 8 hip and
-    total angles.
+
+def _leg_rows(q: list, qd: list, hips: list, l1: float, l2: float) -> list:
+    """The eight torso-frame rows a substep rotates, as 24 floats.
+
+    Each leg is a planar two-link chain in the torso's x-z plane. Rows
+    0-3 are the foot positions and rows 4-7 the feet's velocities from
+    the joint rates (their y is 0.0 times the rates, as in the array
+    form), one row per leg. q and qd are the 8 joint angles and rates,
+    hips the torso-frame hip offsets as rows of floats, l1 and l2 the
+    upper and lower leg lengths.
     """
-    l1, l2 = config.upper_leg_length, config.lower_leg_length
-    hip = q[0::2]
-    angles = np.array(hip + [a + b for a, b in zip(hip, q[1::2])])
-    sin, cos = np.sin(angles).tolist(), np.cos(angles).tolist()
-    body, rates = [], []
-    for (hx, hy, hz), sin_h, sin_t, cos_h, cos_t in zip(
-            config.hip_offsets.tolist(), sin[:N_LEGS], sin[N_LEGS:],
-            cos[:N_LEGS], cos[N_LEGS:]):
-        body += (hx + (l1 * sin_h + l2 * sin_t), hy, hz - (l1 * cos_h + l2 * cos_t))
-        knee_x, knee_z = l2 * cos_t, l2 * sin_t
-        rates.append((knee_x + l1 * cos_h, knee_z + l1 * sin_h, knee_x, knee_z))
-    return body, rates
+    feet, rates = [], []
+    for (hx, hy, hz), hip, knee, rate_h, rate_k in zip(
+            hips, q[0::2], q[1::2], qd[0::2], qd[1::2]):
+        total = hip + knee
+        # (knee_x, knee_z) is d_pos/d_knee, the lower link turned a quarter
+        # turn; (hip_x, hip_z) is d_pos/d_hip, which adds the upper link.
+        # The foot sits at (hip_z, 0, -hip_x) from its hip.
+        knee_x, knee_z = l2 * math.cos(total), l2 * math.sin(total)
+        hip_x, hip_z = l1 * math.cos(hip) + knee_x, l1 * math.sin(hip) + knee_z
+        feet += (hx + hip_z, hy, hz - hip_x)
+        rates += (hip_x * rate_h + knee_x * rate_k,
+                  0.0 * rate_h + 0.0 * rate_k,
+                  hip_z * rate_h + knee_z * rate_k)
+    return feet + rates
 
 
 def forward_kinematics(state: RobotState, config: RobotConfig) -> np.ndarray:
     """World positions of the four feet, one row per leg."""
-    rot = rotation_matrix(state.torso_orientation)
-    body, _ = _leg_geometry(state.joint_angles.tolist(), config)
-    return state.torso_position + np.array(body).reshape(N_LEGS, 3) @ rot.T
-
-
-def _clamp(x: float, bound: float) -> float:
-    """np.clip(x, -bound, bound) for one float, NaN passing through."""
-    return bound if x > bound else (-bound if x < -bound else x)
+    rows = _leg_rows(state.joint_angles.tolist(), state.joint_velocities.tolist(),
+                     config.hip_offsets.tolist(), config.upper_leg_length,
+                     config.lower_leg_length)
+    rot_t = _rotation_transposed(*state.torso_orientation.tolist())
+    world = np.array(rows).reshape(2 * N_LEGS, 3) @ rot_t
+    return state.torso_position + world[:N_LEGS]
 
 
 def pd_torque(targets, angles, velocities, config: RobotConfig) -> np.ndarray:
-    """Saturated PD torque toward the (clamped) joint targets."""
+    """Saturated PD torque toward the (clamped) joint targets.
+
+    Each clamp is a branch that gives what np.clip gives on one float,
+    NaN passing through.
+    """
     b, limit = config.action_bound, config.torque_limit
     kp, kd = config.pd_kp, config.pd_kd
     t = np.asarray(targets, dtype=np.float64)
     if t.shape != np.shape(angles):
         t = np.broadcast_to(t, np.shape(angles))
-    torques = [_clamp(kp * (_clamp(target, b) - q) - kd * qd, limit)
-               for target, q, qd in zip(t.tolist(), np.asarray(angles).tolist(),
-                                        np.asarray(velocities).tolist())]
-    return np.array(torques, dtype=np.float64)
+    torques = []
+    for target, q, qd in zip(t.tolist(), np.asarray(angles).tolist(),
+                             np.asarray(velocities).tolist()):
+        target = b if target > b else (-b if target < -b else target)
+        torque = kp * (target - q) - kd * qd
+        torques.append(limit if torque > limit
+                       else (-limit if torque < -limit else torque))
+    return np.array(torques)
 
 
 def _foot_force(depth, vx, vy, vz, config: RobotConfig):
@@ -260,10 +276,15 @@ def integrate(state: RobotState, torques, terrain: Terrain,
     range with their velocity zeroed at the stop.
 
     The substep is a scalar kernel: every per-foot and per-joint quantity
-    is a Python float, and only the two rotation products and the leg
-    sin/cos run in numpy. Each operation runs in the order the array form
+    is a Python float, the leg sin/cos included, and only one product
+    runs in numpy: the eight torso-frame rows of `_leg_rows` times the
+    transposed rotation. Each operation runs in the order the array form
     of these equations would run it (sums left to right from 0.0, numpy's
-    `@` for the products), so trajectories are bit-identical to it.
+    `@` for the product), so trajectories are bit-identical to it.
+
+    Only a NaN torque makes the step diverge. A torque of +-inf drives its
+    joint into the stop, which zeroes the joint's velocity, so the state
+    stays finite; `step` never passes one, because `pd_torque` saturates.
     """
     h = config.dt / config.substeps
     qd_step = [(t / config.leg_inertia) * h
@@ -272,26 +293,20 @@ def integrate(state: RobotState, torques, terrain: Terrain,
     roll, pitch, yaw = state.torso_orientation.tolist()
     vx, vy, vz = state.linear_velocity.tolist()
     wx, wy, wz = state.angular_velocity.tolist()
-    q = state.joint_angles.tolist()
+    q = q_start = state.joint_angles.tolist()
     qd = state.joint_velocities.tolist()
+    hips = config.hip_offsets.tolist()
+    l1, l2 = config.upper_leg_length, config.lower_leg_length
     ix, iy, iz = config.inertia.tolist()
     mass, gravity = config.mass, config.gravity
 
     for _ in range(config.substeps):
-        rot_t = rotation_matrix((roll, pitch, yaw)).T
-        body, rates = _leg_geometry(q, config)
-        joint_vel = []  # the y rows are 0.0 times the rates, as in the array form
-        for (hip_x, hip_z, knee_x, knee_z), rate_h, rate_k in zip(
-                rates, qd[0::2], qd[1::2]):
-            joint_vel += (hip_x * rate_h + knee_x * rate_k,
-                          0.0 * rate_h + 0.0 * rate_k,
-                          hip_z * rate_h + knee_z * rate_k)
-        offsets = (np.array(body).reshape(N_LEGS, 3) @ rot_t).tolist()
-        joint_vel = (np.array(joint_vel).reshape(N_LEGS, 3) @ rot_t).tolist()
+        rows = np.array(_leg_rows(q, qd, hips, l1, l2)).reshape(2 * N_LEGS, 3)
+        world = (rows @ _rotation_transposed(roll, pitch, yaw)).tolist()
 
         forces = []
         fx_sum = fy_sum = fz_sum = tx_sum = ty_sum = tz_sum = 0.0
-        for (ox, oy, oz), (jx, jy, jz) in zip(offsets, joint_vel):
+        for (ox, oy, oz), (jx, jy, jz) in zip(world[:N_LEGS], world[N_LEGS:]):
             foot_x, foot_y, foot_z = px + ox, py + oy, pz + oz
             fx, fy, fz = _foot_force(
                 point_height(terrain, foot_x, foot_y) - foot_z,
@@ -314,35 +329,60 @@ def integrate(state: RobotState, torques, terrain: Terrain,
         wx = wx + (tx_sum / ix) * h
         wy = wy + (ty_sum / iy) * h
         wz = wz + (tz_sum / iz) * h
-        qd = [rate + step for rate, step in zip(qd, qd_step)]
         px, py, pz = px + vx * h, py + vy * h, pz + vz * h
         roll, pitch, yaw = roll + wx * h, pitch + wy * h, yaw + wz * h
-        q = [angle + rate * h for angle, rate in zip(q, qd)]
-        for j, angle in enumerate(q):
+        angles, rates = q, qd
+        q, qd = [], []
+        for angle, rate, rate_step in zip(angles, rates, qd_step):
+            rate = rate + rate_step
+            angle = angle + rate * h
             if angle > JOINT_RANGE:
-                q[j], qd[j] = JOINT_RANGE, 0.0
+                angle, rate = JOINT_RANGE, 0.0
             elif angle < -JOINT_RANGE:
-                q[j], qd[j] = -JOINT_RANGE, 0.0
+                angle, rate = -JOINT_RANGE, 0.0
+            q.append(angle)
+            qd.append(rate)
 
-    new_state = RobotState(
-        torso_position=np.array([px, py, pz]),
-        torso_orientation=np.array([roll, pitch, yaw]),
-        linear_velocity=np.array([vx, vy, vz]),
-        angular_velocity=np.array([wx, wy, wz]),
-        joint_angles=np.array(q),
-        joint_velocities=np.array(qd),
-        previous_joint_angles=state.joint_angles.copy(),
-        foot_forces=np.array(forces).reshape(N_LEGS, 3),
-        timestep=state.timestep + 1,
-        initial_position=state.initial_position,
-    )
+    # One array holds the new state; its fields are views of it.
     values = [px, py, pz, roll, pitch, yaw, vx, vy, vz, wx, wy, wz,
               *q, *qd, *forces]
     if not all(map(math.isfinite, values)):
         raise SimulationDiverged(
-            f"non-finite state at control step {new_state.timestep}"
+            f"non-finite state at control step {state.timestep + 1}"
         )
-    return new_state
+    flat = np.array(values + q_start)
+    return RobotState(
+        torso_position=flat[0:3],
+        torso_orientation=flat[3:6],
+        linear_velocity=flat[6:9],
+        angular_velocity=flat[9:12],
+        joint_angles=flat[12:20],
+        joint_velocities=flat[20:28],
+        foot_forces=flat[28:40].reshape(N_LEGS, 3),
+        previous_joint_angles=flat[40:48],
+        timestep=state.timestep + 1,
+        initial_position=state.initial_position,
+    )
+
+
+def _reward_floats(state: RobotState, t_max: int) -> list:
+    """The seven reward terms as Python floats, in `reward_terms` order."""
+    _, y, z = state.torso_position.tolist()
+    _, y0, z0 = state.initial_position.tolist()
+    roll, pitch, _ = state.torso_orientation.tolist()
+    m = [abs(abs(a) - abs(b)) for a, b in zip(state.joint_angles.tolist(),
+                                                state.previous_joint_angles.tolist())]
+    # np.sum's pairwise order for 8 values.
+    joint_motion = ((m[0] + m[1]) + (m[2] + m[3])) + ((m[4] + m[5]) + (m[6] + m[7]))
+    return [
+        75.0 * state.linear_velocity.item(0),
+        25.0 * state.timestep / t_max,
+        -10.0 * abs(z - z0),
+        -5.0 * abs(y - y0),
+        -5.0 * abs(roll),
+        -5.0 * abs(pitch),
+        -0.05 * joint_motion,
+    ]
 
 
 def reward_terms(state: RobotState, config: RobotConfig, t_max: int) -> np.ndarray:
@@ -352,27 +392,12 @@ def reward_terms(state: RobotState, config: RobotConfig, t_max: int) -> np.ndarr
     deviation, roll, pitch, joint motion. Deviations are measured from
     the torso position recorded at reset.
     """
-    _, y, z = state.torso_position.tolist()
-    _, y0, z0 = state.initial_position.tolist()
-    roll, pitch, _ = state.torso_orientation.tolist()
-    m = [abs(abs(a) - abs(b)) for a, b in zip(state.joint_angles.tolist(),
-                                                state.previous_joint_angles.tolist())]
-    # np.sum's pairwise order for 8 values.
-    joint_motion = ((m[0] + m[1]) + (m[2] + m[3])) + ((m[4] + m[5]) + (m[6] + m[7]))
-    return np.array([
-        75.0 * state.linear_velocity.item(0),
-        25.0 * state.timestep / t_max,
-        -10.0 * abs(z - z0),
-        -5.0 * abs(y - y0),
-        -5.0 * abs(roll),
-        -5.0 * abs(pitch),
-        -0.05 * joint_motion,
-    ])
+    return np.array(_reward_floats(state, t_max))
 
 
 def compute_reward(state: RobotState, config: RobotConfig, t_max: int) -> float:
     total = 0.0
-    for term in reward_terms(state, config, t_max).tolist():
+    for term in _reward_floats(state, t_max):
         total += term  # left to right from 0.0, as ndarray.sum adds 7 values
     return total
 
@@ -421,12 +446,11 @@ def reset(terrain: Terrain, config: RobotConfig,
 
 def _done_reason(state: RobotState, terrain: Terrain, config: RobotConfig,
                  t_max: int) -> str:
-    ground = height_at(terrain, state.torso_position[0], state.torso_position[1])
-    height = state.torso_position[2] - ground
-    if height < 0.4 * config.stand_height:
+    x, y, z = state.torso_position.tolist()
+    roll, pitch, _ = state.torso_orientation.tolist()
+    if z - point_height(terrain, x, y) < 0.4 * config.stand_height:
         return "fell"
-    if (abs(state.torso_orientation[0]) > 1.0
-            or abs(state.torso_orientation[1]) > 1.0):
+    if abs(roll) > 1.0 or abs(pitch) > 1.0:
         return "tilted"
     if state.timestep >= t_max:
         return "timeout"
@@ -441,8 +465,7 @@ def step(state: RobotState, action, terrain: Terrain, config: RobotConfig,
     # pd_torque clamps the action to the action bound.
     torques = pd_torque(action, state.joint_angles, state.joint_velocities, config)
     new_state = integrate(state, torques, terrain, config)
-    reward = compute_reward(new_state, config, t_max)
-    result = StepResult(observe(new_state), reward,
+    result = StepResult(observe(new_state), compute_reward(new_state, config, t_max),
                         _done_reason(new_state, terrain, config, t_max))
     return new_state, result
 

@@ -10,6 +10,7 @@ everywhere. The grid is centered on the origin.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +40,12 @@ class Terrain:
             raise ValueError("height_grid must be 2-D")
         grid.setflags(write=False)
         object.__setattr__(self, "height_grid", grid)
+
+    @functools.cached_property
+    def _grid_frame(self) -> tuple[int, int, float, float]:
+        """The grid's rows and columns and the grid coordinates of the origin."""
+        rows, cols = self.height_grid.shape
+        return rows, cols, (cols - 1) / 2.0, (rows - 1) / 2.0
 
 
 def make_terrain(kind: str, seed: int, amplitude: float = 0.03,
@@ -97,13 +104,13 @@ def point_height(terrain: Terrain, x: float, y: float) -> float:
     simulator calls it once per foot and substep. Heights are read with
     ``grid.item`` so no per-terrain copy of the grid is made.
     """
-    grid = terrain.height_grid
-    rows, cols = grid.shape
+    item = terrain.height_grid.item
+    rows, cols, x_origin, y_origin = terrain._grid_frame
     if rows == 1 and cols == 1:
         # Degenerate grid (flat terrain): constant height everywhere.
-        return grid.item(0, 0)
-    gx = x / terrain.cell_size + (cols - 1) / 2.0
-    gy = y / terrain.cell_size + (rows - 1) / 2.0
+        return item(0, 0)
+    gx = x / terrain.cell_size + x_origin
+    gy = y / terrain.cell_size + y_origin
     if 0.0 <= gx < cols - 1 and 0.0 <= gy < rows - 1:
         # Inside the grid every clamp below is a no-op.
         j0, i0 = int(gx), int(gy)
@@ -118,9 +125,9 @@ def point_height(terrain: Terrain, x: float, y: float) -> float:
         i0 = min(math.floor(gy), hy) if gy == gy else 0
         fx, fy = gx - j0, gy - i0
         j1, i1 = min(j0 + 1, cols - 1), min(i0 + 1, rows - 1)
-    return ((1 - fy) * (1 - fx) * grid.item(i0, j0)
-            + (1 - fy) * fx * grid.item(i0, j1)
-            + fy * (1 - fx) * grid.item(i1, j0) + fy * fx * grid.item(i1, j1))
+    wy, wx = 1 - fy, 1 - fx
+    return (wy * wx * item(i0, j0) + wy * fx * item(i0, j1)
+            + fy * wx * item(i1, j0) + fy * fx * item(i1, j1))
 
 
 def height_at(terrain: Terrain, x, y):

@@ -2,7 +2,8 @@
 
 This is the array implementation `quadrl.env.integrate` used before it
 became a scalar loop: vectorized bilinear height queries, the array
-contact law, the foot kinematics on (4, 3) rows and the substep loop.
+contact law, the foot kinematics on (4, 3) rows, the substep loop and
+the step's scoring: PD torque, reward, observation and done rule.
 `tests/test_env_kernel.py` requires the kernel to reproduce it byte for
 byte. It also keeps the broadcast-gather upsample that rough terrain
 generation used, which `tests/test_terrain.py` holds `make_terrain` to.
@@ -240,3 +241,17 @@ def observe(state: RobotState) -> np.ndarray:
     if not np.all(np.isfinite(obs)):
         raise SimulationDiverged("non-finite observation")
     return obs
+
+
+def done_reason(state: RobotState, terrain: Terrain, config: RobotConfig,
+                t_max: int) -> str:
+    ground = height_at(terrain, state.torso_position[0], state.torso_position[1])
+    height = state.torso_position[2] - ground
+    if height < 0.4 * config.stand_height:
+        return "fell"
+    if (abs(state.torso_orientation[0]) > 1.0
+            or abs(state.torso_orientation[1]) > 1.0):
+        return "tilted"
+    if state.timestep >= t_max:
+        return "timeout"
+    return "none"

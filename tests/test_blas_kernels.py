@@ -1,0 +1,64 @@
+"""The simulator kernel tests under each OpenBLAS kernel this CPU can run.
+
+The pinned bytes come from the OpenBLAS kernel numpy's wheel selects for
+the CPU (SkylakeX on an AVX-512 machine), and the simulator's one
+rotation product per substep goes through BLAS. ``OPENBLAS_CORETYPE``
+selects another kernel for one process, so each run below reruns
+`tests/test_env_kernel.py` in a subprocess under that kernel: the scalar
+kernel must match its numpy reference byte for byte there too.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Kernel -> the CPU flags it needs, as /proc/cpuinfo names them.
+KERNELS = {"Haswell": ("avx2", "fma"), "Sandybridge": ("avx",)}
+
+# Prints the kernel the loaded OpenBLAS runs, if it is numpy's bundled
+# scipy-openblas, which can report it.
+CORENAME = """
+import ctypes, glob, os, numpy
+libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir,
+                              "numpy.libs", "libscipy_openblas*.so*"))
+if libs:
+    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    print(corename().decode())
+"""
+
+
+def _cpu_flags() -> set:
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
+            for line in fh:
+                if line.startswith("flags"):
+                    return set(line.partition(":")[2].split())
+    except OSError:
+        pass
+    return set()
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_env_kernel_matches_reference_under_openblas_kernel(kernel):
+    missing = [f for f in KERNELS[kernel] if f not in _cpu_flags()]
+    if missing:
+        pytest.skip(f"CPU lacks {', '.join(missing)} for the {kernel} kernel")
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel)
+    corename = subprocess.run([sys.executable, "-c", CORENAME], env=env,
+                              capture_output=True, text=True, check=True,
+                              timeout=60).stdout.strip()
+    if corename != kernel:
+        pytest.skip(f"OpenBLAS reports kernel {corename or 'unknown'!r}, "
+                    f"not {kernel!r}")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_env_kernel.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]

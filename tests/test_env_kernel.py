@@ -101,6 +101,36 @@ def test_kernel_matches_numpy_substep_over_episodes():
             state = new
 
 
+def test_step_matches_numpy_forms_over_episodes():
+    # The composed step against one built from the reference forms:
+    # pd_torque, integrate, then reward, observation and done rule. Each
+    # episode pushes every joint one way, past the action bound, so
+    # episodes end by each reason.
+    rng = np.random.default_rng(0)
+    t_max = 40
+    reasons = set()
+    for terrain in TERRAINS.values():
+        state, _ = env.reset(terrain, CONFIG)
+        signs = rng.choice([-1.0, 1.0], size=env.N_JOINTS)
+        for k in range(400):
+            action = signs * rng.uniform(0.4, 1.0, size=env.N_JOINTS)
+            torques = ref.pd_torque(action, state.joint_angles,
+                                    state.joint_velocities, CONFIG)
+            want = ref.integrate(state, torques, terrain, CONFIG)
+            state, result = env.step(state, action, terrain, CONFIG, t_max)
+            assert _fields(state) == _fields(want), k
+            assert result.observation.tobytes() == ref.observe(want).tobytes(), k
+            assert (repr(result.reward)
+                    == repr(ref.compute_reward(want, CONFIG, t_max))), k
+            assert result.done_reason == ref.done_reason(want, terrain, CONFIG,
+                                                         t_max), k
+            if result.done:
+                reasons.add(result.done_reason)
+                state, _ = env.reset(terrain, CONFIG)
+                signs = rng.choice([-1.0, 1.0], size=env.N_JOINTS)
+    assert reasons == {"fell", "tilted", "timeout"}
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_torque_behaves_like_numpy_substep(bad):
     for terrain in TERRAINS.values():

@@ -339,6 +339,29 @@ def test_adam_rejects_nan_gradient():
     assert net.TrainingDiverged is rl.TrainingDiverged
 
 
+def test_updates_keep_their_values_private_and_read_only():
+    # adam_step and polyak_blend adopt the array they build without a
+    # copy; it must still be theirs alone.
+    spec = net.mlp_spec([3, 4, 2])
+    params = net.init_network(spec, 0)
+    other = net.init_network(spec, 1)
+    state = net.init_adam(spec.param_count)
+    grads = np.random.default_rng(2).normal(size=spec.param_count)
+    stepped, new_state = net.adam_step(params, grads, state, 1e-3)
+    blended = net.polyak_blend(params, other, 0.1)
+    held = {
+        stepped: (params.values, grads, state.first_moment, state.second_moment,
+                  new_state.first_moment, new_state.second_moment),
+        blended: (params.values, other.values),
+    }
+    for result, arrays in held.items():
+        assert not any(np.shares_memory(result.values, a) for a in arrays)
+        assert not result.values.flags.writeable
+        with pytest.raises(ValueError):
+            result.values[0] = 0.0
+        assert result.values.shape == (spec.param_count,)
+
+
 def test_polyak_endpoints_and_rate():
     spec = net.NetworkSpec((net.LayerSpec(1, 1, activation="linear"),))
     target = net.ParamVector([1.0, 1.0], spec)

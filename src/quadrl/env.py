@@ -148,27 +148,35 @@ class StepResult:
         return self.done_reason != "none"
 
 
-def _rotation_transposed(roll: float, pitch: float, yaw: float) -> np.ndarray:
-    """Body-to-world rotation for (roll, pitch, yaw), applied z-y-x, transposed.
+def _rotation_columns(roll: float, pitch: float, yaw: float) -> list:
+    """World-from-body rotation for (roll, pitch, yaw), applied z-y-x.
 
-    The composed Rz(yaw) @ Ry(pitch) @ Rx(roll) matrix written out,
-    column by column, as a C-contiguous array: torso-frame rows times it
-    are world rows.
+    The composed Rz(yaw) @ Ry(pitch) @ Rx(roll) matrix written out, as
+    its 9 entries column by column: row-major, that is the transposed
+    rotation, and torso-frame rows times it are world rows.
     """
     cr, sr = math.cos(roll), math.sin(roll)
     cp, sp = math.cos(pitch), math.sin(pitch)
     cy, sy = math.cos(yaw), math.sin(yaw)
-    return np.array([
-        [cy * cp, sy * cp, -sp],
-        [cy * sp * sr - sy * cr, sy * sp * sr + cy * cr, cp * sr],
-        [cy * sp * cr + sy * sr, sy * sp * cr - cy * sr, cp * cr],
-    ])
+    return [cy * cp, sy * cp, -sp,
+            cy * sp * sr - sy * cr, sy * sp * sr + cy * cr, cp * sr,
+            cy * sp * cr + sy * sr, sy * sp * cr - cy * sr, cp * cr]
 
 
 def rotation_matrix(orientation: np.ndarray) -> np.ndarray:
     """World-from-body rotation for (roll, pitch, yaw), applied z-y-x."""
     roll, pitch, yaw = orientation
-    return _rotation_transposed(roll, pitch, yaw).T.copy()
+    return np.array(_rotation_columns(roll, pitch, yaw)).reshape(3, 3).T.copy()
+
+
+def _world_rows(q, qd, orientation, hips, l1, l2) -> list:
+    """The `_leg_rows` rows turned into the world frame: 8 rows of 3 floats.
+
+    One array holds the 24 row entries and then the transposed rotation,
+    so one product, through BLAS, turns all eight rows.
+    """
+    values = np.array(_leg_rows(q, qd, hips, l1, l2) + _rotation_columns(*orientation))
+    return (values[:24].reshape(2 * N_LEGS, 3) @ values[24:].reshape(3, 3)).tolist()
 
 
 def _leg_rows(q: list, qd: list, hips: list, l1: float, l2: float) -> list:
@@ -199,12 +207,10 @@ def _leg_rows(q: list, qd: list, hips: list, l1: float, l2: float) -> list:
 
 def forward_kinematics(state: RobotState, config: RobotConfig) -> np.ndarray:
     """World positions of the four feet, one row per leg."""
-    rows = _leg_rows(state.joint_angles.tolist(), state.joint_velocities.tolist(),
-                     config.hip_offsets.tolist(), config.upper_leg_length,
-                     config.lower_leg_length)
-    rot_t = _rotation_transposed(*state.torso_orientation.tolist())
-    world = np.array(rows).reshape(2 * N_LEGS, 3) @ rot_t
-    return state.torso_position + world[:N_LEGS]
+    world = _world_rows(state.joint_angles.tolist(), state.joint_velocities.tolist(),
+                        state.torso_orientation.tolist(), config.hip_offsets.tolist(),
+                        config.upper_leg_length, config.lower_leg_length)
+    return state.torso_position + np.array(world[:N_LEGS])
 
 
 def pd_torque(targets, angles, velocities, config: RobotConfig) -> np.ndarray:
@@ -216,11 +222,11 @@ def pd_torque(targets, angles, velocities, config: RobotConfig) -> np.ndarray:
     b, limit = config.action_bound, config.torque_limit
     kp, kd = config.pd_kp, config.pd_kd
     t = np.asarray(targets, dtype=np.float64)
-    if t.shape != np.shape(angles):
-        t = np.broadcast_to(t, np.shape(angles))
+    angles, velocities = np.asarray(angles), np.asarray(velocities)
+    if t.shape != angles.shape:
+        t = np.broadcast_to(t, angles.shape)
     torques = []
-    for target, q, qd in zip(t.tolist(), np.asarray(angles).tolist(),
-                             np.asarray(velocities).tolist()):
+    for target, q, qd in zip(t.tolist(), angles.tolist(), velocities.tolist()):
         target = b if target > b else (-b if target < -b else target)
         torque = kp * (target - q) - kd * qd
         torques.append(limit if torque > limit
@@ -277,10 +283,11 @@ def integrate(state: RobotState, torques, terrain: Terrain,
 
     The substep is a scalar kernel: every per-foot and per-joint quantity
     is a Python float, the leg sin/cos included, and only one product
-    runs in numpy: the eight torso-frame rows of `_leg_rows` times the
-    transposed rotation. Each operation runs in the order the array form
-    of these equations would run it (sums left to right from 0.0, numpy's
-    `@` for the product), so trajectories are bit-identical to it.
+    runs in numpy: `_world_rows` turns the eight torso-frame rows of
+    `_leg_rows` into the world frame. Each operation runs in the order the
+    array form of these equations would run it (sums left to right from
+    0.0, numpy's `@` for the product), so trajectories are bit-identical
+    to it.
 
     Only a NaN torque makes the step diverge. A torque of +-inf drives its
     joint into the stop, which zeroes the joint's velocity, so the state
@@ -301,8 +308,7 @@ def integrate(state: RobotState, torques, terrain: Terrain,
     mass, gravity = config.mass, config.gravity
 
     for _ in range(config.substeps):
-        rows = np.array(_leg_rows(q, qd, hips, l1, l2)).reshape(2 * N_LEGS, 3)
-        world = (rows @ _rotation_transposed(roll, pitch, yaw)).tolist()
+        world = _world_rows(q, qd, (roll, pitch, yaw), hips, l1, l2)
 
         forces = []
         fx_sum = fy_sum = fz_sum = tx_sum = ty_sum = tz_sum = 0.0

@@ -169,7 +169,8 @@ def rotation_matrix(orientation: np.ndarray) -> np.ndarray:
     return np.array(_rotation_columns(roll, pitch, yaw)).reshape(3, 3).T.copy()
 
 
-def _world_rows(q, qd, orientation, hips, l1, l2) -> list:
+def _world_rows(q: list, qd: list, orientation, hips: list, l1: float,
+                l2: float) -> list:
     """The `_leg_rows` rows turned into the world frame: 8 rows of 3 floats.
 
     One array holds the 24 row entries and then the transposed rotation,
@@ -471,7 +472,8 @@ def step(state: RobotState, action, terrain: Terrain, config: RobotConfig,
     # pd_torque clamps the action to the action bound.
     torques = pd_torque(action, state.joint_angles, state.joint_velocities, config)
     new_state = integrate(state, torques, terrain, config)
-    result = StepResult(observe(new_state), compute_reward(new_state, config, t_max),
+    reward = compute_reward(new_state, config, t_max)
+    result = StepResult(observe(new_state), reward,
                         _done_reason(new_state, terrain, config, t_max))
     return new_state, result
 

@@ -16,6 +16,7 @@ cannot silently fall back to defaults.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from .env import RobotConfig
@@ -159,12 +160,16 @@ def config_from_dict(data: dict) -> RunConfig:
     """Build a RunConfig from dotted keys; missing keys take their defaults.
 
     An algorithm may be spelled with dashes (cem-td3) or underscores.
+    A nan or infinite number is rejected here, the one place config
+    files, keyword overrides and checkpoint snapshots all pass through.
     """
     top: dict = {}
     sections: dict[str, dict] = {name: {} for name in _SECTIONS}
     for key, value in data.items():
         if key not in _DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key}: expected a finite number, got {value!r}")
         section, dot, name = key.partition(".")
         if dot:
             sections[section][name] = value

@@ -123,18 +123,36 @@ OBS_SCALES = np.repeat(
 OBS_SCALES.setflags(write=False)
 
 
+def _block(start: int, stop: int, *shape: int) -> property:
+    """A read-only attribute: a view of `values[start:stop]`, in shape if given."""
+    def view(state: RobotState) -> np.ndarray:
+        block = state.values[start:stop]
+        return block.reshape(shape) if shape else block
+    return property(view)
+
+
 @dataclass
 class RobotState:
-    torso_position: np.ndarray
-    torso_orientation: np.ndarray
-    linear_velocity: np.ndarray
-    angular_velocity: np.ndarray
-    joint_angles: np.ndarray
-    joint_velocities: np.ndarray
-    previous_joint_angles: np.ndarray
-    foot_forces: np.ndarray
+    """One robot's state: `values` holds its 48 raw entries in the
+    observation layout of the module docstring (position, orientation,
+    linear and angular velocity, joint angles, joint velocities, foot
+    forces, previous joint angles), so the observation is
+    `values / OBS_SCALES`. Each named block is a view of `values`; write
+    through it (`state.joint_angles[:] = ...`) to change the state.
+    """
+
+    values: np.ndarray
     timestep: int
     initial_position: np.ndarray
+
+    torso_position = _block(0, 3)
+    torso_orientation = _block(3, 6)
+    linear_velocity = _block(6, 9)
+    angular_velocity = _block(9, 12)
+    joint_angles = _block(12, 20)
+    joint_velocities = _block(20, 28)
+    foot_forces = _block(28, 40, N_LEGS, 3)
+    previous_joint_angles = _block(40, 48)
 
 
 @dataclass(frozen=True)
@@ -204,14 +222,6 @@ def _leg_rows(q: list, qd: list, hips: list, l1: float, l2: float) -> list:
                   0.0 * rate_h + 0.0 * rate_k,
                   hip_z * rate_h + knee_z * rate_k)
     return feet + rates
-
-
-def forward_kinematics(state: RobotState, config: RobotConfig) -> np.ndarray:
-    """World positions of the four feet, one row per leg."""
-    world = _world_rows(state.joint_angles.tolist(), state.joint_velocities.tolist(),
-                        state.torso_orientation.tolist(), config.hip_offsets.tolist(),
-                        config.upper_leg_length, config.lower_leg_length)
-    return state.torso_position + np.array(world[:N_LEGS])
 
 
 def pd_torque(targets, angles, velocities, config: RobotConfig) -> np.ndarray:
@@ -297,12 +307,10 @@ def integrate(state: RobotState, torques, terrain: Terrain,
     h = config.dt / config.substeps
     qd_step = [(t / config.leg_inertia) * h
                for t in np.asarray(torques, dtype=np.float64).tolist()]
-    px, py, pz = state.torso_position.tolist()
-    roll, pitch, yaw = state.torso_orientation.tolist()
-    vx, vy, vz = state.linear_velocity.tolist()
-    wx, wy, wz = state.angular_velocity.tolist()
-    q = q_start = state.joint_angles.tolist()
-    qd = state.joint_velocities.tolist()
+    start = state.values.tolist()
+    px, py, pz, roll, pitch, yaw, vx, vy, vz, wx, wy, wz = start[:12]
+    q = q_start = start[12:20]
+    qd = start[20:28]
     hips = config.hip_offsets.tolist()
     l1, l2 = config.upper_leg_length, config.lower_leg_length
     ix, iy, iz = config.inertia.tolist()
@@ -350,39 +358,26 @@ def integrate(state: RobotState, torques, terrain: Terrain,
             q.append(angle)
             qd.append(rate)
 
-    # One array holds the new state; its fields are views of it.
     values = [px, py, pz, roll, pitch, yaw, vx, vy, vz, wx, wy, wz,
               *q, *qd, *forces]
     if not all(map(math.isfinite, values)):
         raise SimulationDiverged(
             f"non-finite state at control step {state.timestep + 1}"
         )
-    flat = np.array(values + q_start)
-    return RobotState(
-        torso_position=flat[0:3],
-        torso_orientation=flat[3:6],
-        linear_velocity=flat[6:9],
-        angular_velocity=flat[9:12],
-        joint_angles=flat[12:20],
-        joint_velocities=flat[20:28],
-        foot_forces=flat[28:40].reshape(N_LEGS, 3),
-        previous_joint_angles=flat[40:48],
-        timestep=state.timestep + 1,
-        initial_position=state.initial_position,
-    )
+    return RobotState(np.array(values + q_start), state.timestep + 1,
+                      state.initial_position)
 
 
 def _reward_floats(state: RobotState, t_max: int) -> list:
     """The seven reward terms as Python floats, in `reward_terms` order."""
-    _, y, z = state.torso_position.tolist()
+    values = state.values.tolist()
+    _, y, z, roll, pitch, _, forward_velocity = values[:7]
     _, y0, z0 = state.initial_position.tolist()
-    roll, pitch, _ = state.torso_orientation.tolist()
-    m = [abs(abs(a) - abs(b)) for a, b in zip(state.joint_angles.tolist(),
-                                                state.previous_joint_angles.tolist())]
+    m = [abs(abs(a) - abs(b)) for a, b in zip(values[12:20], values[40:48])]
     # np.sum's pairwise order for 8 values.
     joint_motion = ((m[0] + m[1]) + (m[2] + m[3])) + ((m[4] + m[5]) + (m[6] + m[7]))
     return [
-        75.0 * state.linear_velocity.item(0),
+        75.0 * forward_velocity,
         25.0 * state.timestep / t_max,
         -10.0 * abs(z - z0),
         -5.0 * abs(y - y0),
@@ -410,16 +405,7 @@ def compute_reward(state: RobotState, config: RobotConfig, t_max: int) -> float:
 
 
 def observe(state: RobotState) -> np.ndarray:
-    obs = np.concatenate([
-        state.torso_position,
-        state.torso_orientation,
-        state.linear_velocity,
-        state.angular_velocity,
-        state.joint_angles,
-        state.joint_velocities,
-        state.foot_forces.ravel(),
-        state.previous_joint_angles,
-    ]) / OBS_SCALES
+    obs = state.values / OBS_SCALES
     if not np.isfinite(obs).all():
         raise SimulationDiverged("non-finite observation")
     return obs
@@ -434,27 +420,17 @@ def reset(terrain: Terrain, config: RobotConfig,
     The initial torso position becomes the reward's deviation reference.
     """
     del seed
-    position = np.array([0.0, 0.0, config.stand_height + height_at(terrain, 0.0, 0.0)])
-    stance = config.nominal_stance.astype(np.float64)
-    state = RobotState(
-        torso_position=position,
-        torso_orientation=np.zeros(3),
-        linear_velocity=np.zeros(3),
-        angular_velocity=np.zeros(3),
-        joint_angles=stance.copy(),
-        joint_velocities=np.zeros(N_JOINTS),
-        previous_joint_angles=stance.copy(),
-        foot_forces=np.zeros((N_LEGS, 3)),
-        timestep=0,
-        initial_position=position.copy(),
-    )
+    position = [0.0, 0.0, config.stand_height + height_at(terrain, 0.0, 0.0)]
+    stance = config.nominal_stance.tolist()
+    # At rest: orientation, velocities and foot forces are zero.
+    values = position + [0.0] * 9 + stance + [0.0] * (N_JOINTS + 3 * N_LEGS) + stance
+    state = RobotState(np.array(values), 0, np.array(position))
     return state, observe(state)
 
 
 def _done_reason(state: RobotState, terrain: Terrain, config: RobotConfig,
                  t_max: int) -> str:
-    x, y, z = state.torso_position.tolist()
-    roll, pitch, _ = state.torso_orientation.tolist()
+    x, y, z, roll, pitch = state.values[:5].tolist()
     if z - point_height(terrain, x, y) < 0.4 * config.stand_height:
         return "fell"
     if abs(roll) > 1.0 or abs(pitch) > 1.0:

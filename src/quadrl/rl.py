@@ -51,7 +51,7 @@ class RlHyperparams:
             raise ValueError("action_bound must be positive")
 
 
-def actor_spec(obs_size: int, action_size: int, bound: float = 0.7,
+def actor_spec(obs_size: int, action_size: int, bound: float,
                hidden: tuple[int, ...] = (64, 64)) -> net.NetworkSpec:
     return net.mlp_spec([obs_size, *hidden, action_size],
                         output_activation="scaled_tanh", output_bound=bound)
@@ -101,7 +101,7 @@ def init_learner(obs_size: int, action_size: int, hp: RlHyperparams, seed: int,
 
 
 def exploration_action(actor: net.ParamVector, observation, sigma: float,
-                       seed: int, bound: float = 0.7) -> np.ndarray:
+                       seed: int, bound: float) -> np.ndarray:
     """Deterministic policy action plus clamped seeded Gaussian noise."""
     if sigma < 0.0:
         raise ValueError("sigma must be non-negative")

@@ -31,10 +31,10 @@ class Terrain:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown terrain kind {self.kind!r}")
-        if self.cell_size <= 0.0:
-            raise ValueError("cell_size must be positive")
-        if self.amplitude < 0.0:
-            raise ValueError("amplitude must be non-negative")
+        if not 0.0 < self.cell_size < math.inf:
+            raise ValueError("cell_size must be positive and finite")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValueError("amplitude must be non-negative and finite")
         grid = np.array(self.height_grid, dtype=np.float64)
         if grid.ndim != 2:
             raise ValueError("height_grid must be 2-D")
@@ -179,5 +179,7 @@ def load_terrain(path: str) -> Terrain:
     grid = np.array([[float(v) for v in line.split()] for line in body])
     if grid.shape != (rows, cols):
         raise ValueError(f"terrain file {path!r}: ragged or mis-sized height rows")
+    if not np.isfinite(grid).all():
+        raise ValueError(f"terrain file {path!r} has a non-finite height")
     return Terrain(header["kind"], int(header["seed"]), float(header["amplitude"]),
                    float(header["cell_size"]), grid)

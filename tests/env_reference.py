@@ -182,17 +182,9 @@ def integrate(state: RobotState, torques, terrain: Terrain,
             qd = np.where(hit_stop, 0.0, qd)
 
     new_state = RobotState(
-        torso_position=pos,
-        torso_orientation=euler,
-        linear_velocity=lin_vel,
-        angular_velocity=ang_vel,
-        joint_angles=q,
-        joint_velocities=qd,
-        previous_joint_angles=state.joint_angles.copy(),
-        foot_forces=forces,
-        timestep=state.timestep + 1,
-        initial_position=state.initial_position,
-    )
+        np.concatenate([pos, euler, lin_vel, ang_vel, q, qd, forces.ravel(),
+                        state.joint_angles]),
+        state.timestep + 1, state.initial_position)
     for arr in (pos, euler, lin_vel, ang_vel, q, qd, forces):
         if not np.all(np.isfinite(arr)):
             raise SimulationDiverged(

@@ -92,21 +92,17 @@ def test_criterion_01_gradient_oracle():
 
 # --- 2: reward arithmetic --------------------------------------------------
 
-def _reward_state(**kwargs):
-    fields = dict(
-        torso_position=np.zeros(3),
-        torso_orientation=np.zeros(3),
-        linear_velocity=np.zeros(3),
-        angular_velocity=np.zeros(3),
-        joint_angles=np.zeros(8),
-        joint_velocities=np.zeros(8),
-        previous_joint_angles=np.zeros(8),
-        foot_forces=np.zeros((4, 3)),
-        timestep=0,
-        initial_position=np.zeros(3),
-    )
-    fields.update(kwargs)
-    return RobotState(**fields)
+# The state blocks in observation order, with their sizes.
+_STATE_LAYOUT = {"torso_position": 3, "torso_orientation": 3, "linear_velocity": 3,
+                 "angular_velocity": 3, "joint_angles": 8, "joint_velocities": 8,
+                 "foot_forces": 12, "previous_joint_angles": 8}
+
+
+def _reward_state(timestep=0, initial_position=(0.0, 0.0, 0.0), **blocks):
+    assert set(blocks) <= set(_STATE_LAYOUT)
+    values = np.concatenate([blocks.get(name, np.zeros(size))
+                             for name, size in _STATE_LAYOUT.items()])
+    return RobotState(values, timestep, np.array(initial_position, dtype=np.float64))
 
 
 def test_criterion_02_reward_oracle():
@@ -355,7 +351,8 @@ def test_criterion_07_toy_learning():
                 action = np.random.default_rng(seed).uniform(-0.7, 0.7, 1)
             else:
                 action = exploration_action(learner.actor, obs,
-                                            hp.exploration_sigma, seed)
+                                            hp.exploration_sigma, seed,
+                                            hp.action_bound)
             result = env.step(action)
             buffer.push(obs, action, result.reward, result.observation,
                         result.done)
@@ -372,7 +369,7 @@ def test_criterion_07_toy_learning():
     ddpg_elapsed = time.time() - start
 
     start = time.time()
-    spec = actor_spec(1, 1, hidden=(8,))
+    spec = actor_spec(1, 1, 0.7, hidden=(8,))
     mean = net.init_network(spec, 0).values
     state = CemState(mean, np.full(mean.size, 0.05), 1e-3,
                      CemHyperparams(population_size=16, elite_count=8))
@@ -398,7 +395,7 @@ def test_criterion_07_toy_learning():
 
 def test_criterion_08_protocol_fidelity():
     default_trials = inspect.signature(evaluate).parameters["trials"].default
-    spec = actor_spec(OBS_SIZE, 8, hidden=(8, 8))
+    spec = actor_spec(OBS_SIZE, 8, 0.7, hidden=(8, 8))
     values = np.random.default_rng(0).normal(size=spec.param_count)
     ck = Checkpoint({"actor": net.ParamVector(values, spec)},
                     parse_config("algorithm = td3\nt_max = 30"))

@@ -15,23 +15,12 @@ from pathlib import Path
 
 import pytest
 
+import blas_kernel
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # Kernel -> the CPU flags it needs, as /proc/cpuinfo names them.
 KERNELS = {"Haswell": ("avx2", "fma"), "Sandybridge": ("avx",)}
-
-# Prints the kernel the loaded OpenBLAS runs, if it is numpy's bundled
-# scipy-openblas, which can report it.
-CORENAME = """
-import ctypes, glob, os, numpy
-libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir,
-                              "numpy.libs", "libscipy_openblas*.so*"))
-if libs:
-    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
-    corename.argtypes = []
-    corename.restype = ctypes.c_char_p
-    print(corename().decode())
-"""
 
 
 def _cpu_flags() -> set:
@@ -51,7 +40,7 @@ def test_env_kernel_matches_reference_under_openblas_kernel(kernel):
     if missing:
         pytest.skip(f"CPU lacks {', '.join(missing)} for the {kernel} kernel")
     env = dict(os.environ, OPENBLAS_CORETYPE=kernel)
-    corename = subprocess.run([sys.executable, "-c", CORENAME], env=env,
+    corename = subprocess.run([sys.executable, blas_kernel.__file__], env=env,
                               capture_output=True, text=True, check=True,
                               timeout=60).stdout.strip()
     if corename != kernel:

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import env_reference as ref
 from quadrl import env
 from quadrl.terrain import make_terrain
 
@@ -74,21 +77,45 @@ def test_feet_under_hips_at_nominal_stance():
     # hip + knee = 0.3 - 0.6 mirrors the hip angle, so both link x
     # offsets cancel and each foot sits directly below its hip.
     state = standing_state()
-    feet = env.forward_kinematics(state, CONFIG)
+    feet = ref.forward_kinematics(state, CONFIG)
     assert np.allclose(feet[:, :2], CONFIG.hip_offsets[:, :2], atol=1e-15)
     assert np.allclose(feet[:, 2], 0.0, atol=1e-15)
 
 
+def test_state_is_one_array_in_the_observation_layout():
+    state = standing_state()
+    assert [f.name for f in dataclasses.fields(state)] == [
+        "values", "timestep", "initial_position"]
+    assert state.values.shape == (env.OBS_SIZE,)
+    state.values[:] = np.arange(env.OBS_SIZE)
+    blocks = ("torso_position", "torso_orientation", "linear_velocity",
+              "angular_velocity", "joint_angles", "joint_velocities",
+              "foot_forces", "previous_joint_angles")
+    for name in blocks:
+        # Each block is a view: a write through it changes values.
+        block = getattr(state, name)
+        assert np.shares_memory(block, state.values), name
+        with pytest.raises(AttributeError):
+            setattr(state, name, block.copy())
+    assert np.array_equal(np.concatenate([getattr(state, name).ravel()
+                                          for name in blocks]),
+                          np.arange(env.OBS_SIZE))
+    assert state.foot_forces.shape == (env.N_LEGS, 3)
+    state.joint_angles[:] = -1.0
+    assert np.array_equal(state.values[12:20], np.full(8, -1.0))
+    assert np.array_equal(env.observe(state), state.values / env.OBS_SCALES)
+
+
 def test_observation_layout_and_normalizers():
     state = standing_state()
-    state.torso_position = np.array([1.0, 2.0, 3.0])
-    state.torso_orientation = np.array([0.1, 0.2, 0.3])
-    state.linear_velocity = np.array([4.0, 5.0, 6.0])
-    state.angular_velocity = np.array([7.0, 8.0, 9.0])
-    state.joint_angles = np.arange(8.0) / 10.0
-    state.joint_velocities = np.arange(8.0)
-    state.foot_forces = np.arange(12.0).reshape(4, 3)
-    state.previous_joint_angles = -np.arange(8.0) / 10.0
+    state.torso_position[:] = np.array([1.0, 2.0, 3.0])
+    state.torso_orientation[:] = np.array([0.1, 0.2, 0.3])
+    state.linear_velocity[:] = np.array([4.0, 5.0, 6.0])
+    state.angular_velocity[:] = np.array([7.0, 8.0, 9.0])
+    state.joint_angles[:] = np.arange(8.0) / 10.0
+    state.joint_velocities[:] = np.arange(8.0)
+    state.foot_forces[:] = np.arange(12.0).reshape(4, 3)
+    state.previous_joint_angles[:] = -np.arange(8.0) / 10.0
     obs = env.observe(state)
     assert np.allclose(obs[0:3], [1.0, 2.0, 3.0], atol=0)
     assert np.allclose(obs[3:6], np.array([0.1, 0.2, 0.3]) / (np.pi / 2), atol=1e-15)
@@ -103,7 +130,7 @@ def test_observation_layout_and_normalizers():
 
 def test_observe_rejects_non_finite():
     state = standing_state()
-    state.linear_velocity = np.array([np.nan, 0.0, 0.0])
+    state.linear_velocity[:] = np.array([np.nan, 0.0, 0.0])
     with pytest.raises(env.SimulationDiverged):
         env.observe(state)
 
@@ -177,7 +204,7 @@ def test_friction_saturates_beyond_slip_velocity():
 
 def test_free_fall_matches_closed_form():
     state = standing_state()
-    state.torso_position = state.torso_position + np.array([0.0, 0.0, 5.0])
+    state.torso_position[2] += 5.0
     z0 = state.torso_position[2]
     s = CONFIG.substeps
     h = CONFIG.dt / s
@@ -193,9 +220,9 @@ def test_free_fall_matches_closed_form():
 
 def test_constant_torque_spins_joint():
     state = standing_state()
-    state.torso_position = state.torso_position + np.array([0.0, 0.0, 5.0])
-    state.joint_angles = np.zeros(8)
-    state.joint_velocities = np.zeros(8)
+    state.torso_position[2] += 5.0
+    state.joint_angles[:] = 0.0
+    state.joint_velocities[:] = 0.0
     tau = np.zeros(8)
     tau[0] = 0.1
     new = env.integrate(state, tau, FLAT, CONFIG)
@@ -212,9 +239,9 @@ def test_constant_torque_spins_joint():
 
 def test_joint_stop_clamps_and_zeroes_velocity():
     state = standing_state()
-    state.torso_position = state.torso_position + np.array([0.0, 0.0, 5.0])
-    state.joint_angles = np.zeros(8)
-    state.joint_velocities = np.zeros(8)
+    state.torso_position[2] += 5.0
+    state.joint_angles[:] = 0.0
+    state.joint_velocities[:] = 0.0
     tau = np.full(8, CONFIG.torque_limit)
     for _ in range(100):
         state = env.integrate(state, tau, FLAT, CONFIG)
@@ -239,10 +266,10 @@ def test_integrate_raises_on_non_finite():
 def test_reward_terms_hand_values():
     state = standing_state()
     state.timestep = 50
-    state.linear_velocity = np.array([0.5, 0.0, 0.0])
-    state.torso_position = state.initial_position + np.array([1.0, 0.03, -0.02])
-    state.torso_orientation = np.array([0.1, -0.2, 0.5])
-    state.previous_joint_angles = state.joint_angles - 0.01
+    state.linear_velocity[:] = np.array([0.5, 0.0, 0.0])
+    state.torso_position[:] = state.initial_position + np.array([1.0, 0.03, -0.02])
+    state.torso_orientation[:] = np.array([0.1, -0.2, 0.5])
+    state.previous_joint_angles[:] = state.joint_angles - 0.01
     terms = env.reward_terms(state, CONFIG, t_max=1000)
     assert terms.shape == (7,)
     assert terms[0] == pytest.approx(75.0 * 0.5, abs=1e-12)
@@ -260,8 +287,8 @@ def test_reward_terms_hand_values():
 def test_reward_survival_full_at_t_max():
     state = standing_state()
     state.timestep = 1000
-    state.linear_velocity = np.zeros(3)
-    state.previous_joint_angles = state.joint_angles.copy()
+    state.linear_velocity[:] = 0.0
+    state.previous_joint_angles[:] = state.joint_angles
     terms = env.reward_terms(state, CONFIG, t_max=1000)
     assert terms[1] == pytest.approx(25.0, abs=0)
 
@@ -269,12 +296,12 @@ def test_reward_survival_full_at_t_max():
 def test_done_priority_fell_over_tilted():
     state = standing_state()
     state.timestep = 5
-    state.torso_position = np.array([0.0, 0.0, 0.1 * CONFIG.stand_height])
-    state.torso_orientation = np.array([1.5, 0.0, 0.0])
+    state.torso_position[:] = np.array([0.0, 0.0, 0.1 * CONFIG.stand_height])
+    state.torso_orientation[:] = np.array([1.5, 0.0, 0.0])
     assert env._done_reason(state, FLAT, CONFIG, 1000) == "fell"
-    state.torso_position = np.array([0.0, 0.0, CONFIG.stand_height])
+    state.torso_position[:] = np.array([0.0, 0.0, CONFIG.stand_height])
     assert env._done_reason(state, FLAT, CONFIG, 1000) == "tilted"
-    state.torso_orientation = np.zeros(3)
+    state.torso_orientation[:] = 0.0
     state.timestep = 1000
     assert env._done_reason(state, FLAT, CONFIG, 1000) == "timeout"
     state.timestep = 999
@@ -287,7 +314,7 @@ def test_fell_threshold_uses_local_ground():
     # Drop the torso to 0.39 of stand height above the local ground.
     from quadrl.terrain import height_at
     ground = height_at(rough, 0.0, 0.0)
-    state.torso_position = np.array([0.0, 0.0, ground + 0.39 * CONFIG.stand_height])
+    state.torso_position[:] = np.array([0.0, 0.0, ground + 0.39 * CONFIG.stand_height])
     assert env._done_reason(state, rough, CONFIG, 1000) == "fell"
 
 

@@ -179,10 +179,28 @@ def test_parse_rejects_negative_learner_steps(line):
         parse_config(line)
 
 
+@pytest.mark.parametrize("line", ["robot.mass = inf", "robot.stance_hip = nan",
+                                  "rl.tau = -inf", "terrain_amplitude = NaN"])
+def test_config_file_rejects_non_finite_numbers(line, tmp_path):
+    # float() reads these; without the check robot.mass = inf is accepted
+    # and a nan stance surfaces only as a diverged observation at reset.
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n")
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(str(path))
+
+
+def test_keyword_overrides_reject_non_finite_numbers():
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config("", terrain_extent=math.inf)
+    with pytest.raises(ConfigError, match="finite"):
+        config_from_dict({"robot.stance_knee": math.nan})
+
+
 # --- checkpoint ----------------------------------------------------------
 
 def sample_checkpoint(seed=0):
-    spec = actor_spec(OBS_SIZE, 8, hidden=(8, 8))
+    spec = actor_spec(OBS_SIZE, 8, 0.7, hidden=(8, 8))
     rng = np.random.default_rng(seed)
     values = rng.normal(size=spec.param_count)
     values[0] = 1e-300  # denormal-adjacent values must survive the trip
@@ -216,7 +234,7 @@ def test_checkpoint_save_is_byte_stable(tmp_path):
 
 
 def test_checkpoint_requires_actor():
-    spec = actor_spec(4, 2, hidden=(4,))
+    spec = actor_spec(4, 2, 0.7, hidden=(4,))
     critic = net.ParamVector(np.zeros(spec.param_count), spec)
     with pytest.raises(CheckpointError):
         Checkpoint({"critic": critic}, RunConfig())
@@ -232,6 +250,18 @@ def test_checkpoint_rejects_length_mismatch(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError):
         load_checkpoint(str(path))
+
+
+def test_load_rejects_non_finite_config_snapshot(tmp_path):
+    # json reads NaN and Infinity; the snapshot goes through config_from_dict.
+    path = tmp_path / "ck.json"
+    save_checkpoint(sample_checkpoint(), str(path))
+    doc = json.loads(path.read_text())
+    for value in (math.nan, math.inf):
+        path.write_text(json.dumps(dict(doc, config=dict(doc["config"],
+                                                         **{"robot.mass": value}))))
+        with pytest.raises(CheckpointError, match="finite"):
+            load_checkpoint(str(path))
 
 
 def test_load_rejects_malformed_documents(tmp_path):

@@ -182,7 +182,7 @@ def test_layer_outputs_record_the_forward_pass():
     assert single[-1].shape == (1, 2)
 
 
-LEARNER_SPECS = {"actor": rl.actor_spec(48, 8), "critic": rl.critic_spec(48, 8)}
+LEARNER_SPECS = {"actor": rl.actor_spec(48, 8, 0.7), "critic": rl.critic_spec(48, 8)}
 
 
 def plain_backward(params, outputs, output_grad):

@@ -48,7 +48,7 @@ def test_hyperparams_validation():
 
 
 def test_network_shapes():
-    a = rl.actor_spec(48, 8)
+    a = rl.actor_spec(48, 8, 0.7)
     assert a.input_size == 48
     assert a.output_size == 8
     assert a.layers[-1].activation == "scaled_tanh"
@@ -85,7 +85,8 @@ def test_exploration_action_noise_free_limit():
     learner = small_learner("ddpg")
     obs = np.random.default_rng(0).normal(size=OBS)
     clean = net.forward(learner.actor, obs)
-    assert np.array_equal(rl.exploration_action(learner.actor, obs, 0.0, 1), clean)
+    assert np.array_equal(rl.exploration_action(learner.actor, obs, 0.0, 1, 0.7),
+                          clean)
 
 
 def test_exploration_action_bounded_and_seeded():
@@ -93,14 +94,14 @@ def test_exploration_action_bounded_and_seeded():
     rng = np.random.default_rng(2)
     for i in range(50):
         obs = rng.normal(size=OBS)
-        a1 = rl.exploration_action(learner.actor, obs, 0.5, seed=i)
-        a2 = rl.exploration_action(learner.actor, obs, 0.5, seed=i)
-        a3 = rl.exploration_action(learner.actor, obs, 0.5, seed=i + 1000)
+        a1 = rl.exploration_action(learner.actor, obs, 0.5, seed=i, bound=0.7)
+        a2 = rl.exploration_action(learner.actor, obs, 0.5, seed=i, bound=0.7)
+        a3 = rl.exploration_action(learner.actor, obs, 0.5, seed=i + 1000, bound=0.7)
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, a3)
         assert np.all(np.abs(a1) <= 0.7)
     with pytest.raises(ValueError):
-        rl.exploration_action(learner.actor, obs, -0.1, seed=0)
+        rl.exploration_action(learner.actor, obs, -0.1, seed=0, bound=0.7)
 
 
 def test_ddpg_target_formula():

@@ -165,6 +165,21 @@ def test_load_rejects_truncated_grid(tmp_path):
         terrain.load_terrain(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_numbers(tmp_path, bad):
+    rough = terrain.make_terrain("rough", seed=4)
+    path = tmp_path / "t.terrain"
+    terrain.save_terrain(rough, path)
+    lines = path.read_text().splitlines()
+    assert lines[2].startswith("amplitude ") and lines[3].startswith("cell_size ")
+    # A height, the amplitude and the cell size, one at a time.
+    for index, line in ((len(lines) - 1, " ".join([bad] + lines[-1].split()[1:])),
+                        (2, f"amplitude {bad}"), (3, f"cell_size {bad}")):
+        path.write_text("\n".join(lines[:index] + [line] + lines[index + 1:]) + "\n")
+        with pytest.raises(ValueError, match="finite"):
+            terrain.load_terrain(path)
+
+
 def test_terrain_immutable():
     rough = terrain.make_terrain("rough", seed=0)
     with pytest.raises(ValueError):

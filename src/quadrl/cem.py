@@ -106,7 +106,6 @@ class GenerationLog:
     evo_mean_fitness: float
     transitions_collected: int
     best_params: np.ndarray
-    diverged_count: int = 0
     fitnesses: list[float] = field(default_factory=list)
 
 
@@ -148,14 +147,12 @@ def cem_rl_generation(state: CemState, learner: Learner, env, buffer: ReplayBuff
     eval_seeds = [stream.next() for _ in population]
     actor_spec = learner.actor.spec
     fitnesses = np.empty(len(population))
-    diverged = 0
     collected = 0
     for i, eval_seed in enumerate(eval_seeds):
         actor = net.ParamVector(population[i], actor_spec)
         result = run_episode(env, lambda obs: net.forward(actor, obs), eval_seed,
                              buffer)
         fitnesses[i] = result.episode_return
-        diverged += int(result.diverged)
         collected += result.steps
 
     new_state = decay_noise(cem_update(state, population, fitnesses))
@@ -169,7 +166,6 @@ def cem_rl_generation(state: CemState, learner: Learner, env, buffer: ReplayBuff
         evo_mean_fitness=float(evo_fit.mean()),
         transitions_collected=collected,
         best_params=population[best].copy(),
-        diverged_count=diverged,
         fitnesses=[float(f) for f in fitnesses],
     )
     return new_state, log

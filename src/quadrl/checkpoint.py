@@ -64,7 +64,10 @@ def _decode_params(text: str, name: str) -> np.ndarray:
         raise CheckpointError(f"invalid base64 parameters for {name!r}: {exc}") from None
     if len(raw) % 8:
         raise CheckpointError(f"parameter byte length for {name!r} is not float64")
-    return np.frombuffer(raw, dtype="<f8")
+    values = np.frombuffer(raw, dtype="<f8")
+    if not np.isfinite(values).all():
+        raise CheckpointError(f"non-finite parameters for {name!r}")
+    return values
 
 
 def save_checkpoint(ck: Checkpoint, path: str) -> None:

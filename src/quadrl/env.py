@@ -85,8 +85,11 @@ class RobotConfig:
                     "contact_stiffness", "contact_damping", "friction_mu",
                     "slip_velocity", "action_bound")
         for name in positive:
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("stance_hip", "stance_knee"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
     @functools.cached_property
     def stand_height(self) -> float:
@@ -405,10 +408,8 @@ def compute_reward(state: RobotState, config: RobotConfig, t_max: int) -> float:
 
 
 def observe(state: RobotState) -> np.ndarray:
-    obs = state.values / OBS_SCALES
-    if not np.isfinite(obs).all():
-        raise SimulationDiverged("non-finite observation")
-    return obs
+    """`values / OBS_SCALES`; `reset` and `integrate` refuse a non-finite state."""
+    return state.values / OBS_SCALES
 
 
 def reset(terrain: Terrain, config: RobotConfig,
@@ -418,12 +419,16 @@ def reset(terrain: Terrain, config: RobotConfig,
     The placement is deterministic; the seed parameter is accepted for
     interface uniformity and reserved for future start randomization.
     The initial torso position becomes the reward's deviation reference.
+    A start state that is not finite (a stance height that overflows)
+    raises SimulationDiverged.
     """
     del seed
     position = [0.0, 0.0, config.stand_height + height_at(terrain, 0.0, 0.0)]
     stance = config.nominal_stance.tolist()
     # At rest: orientation, velocities and foot forces are zero.
     values = position + [0.0] * 9 + stance + [0.0] * (N_JOINTS + 3 * N_LEGS) + stance
+    if not all(map(math.isfinite, values)):
+        raise SimulationDiverged("non-finite start state")
     state = RobotState(np.array(values), 0, np.array(position))
     return state, observe(state)
 

@@ -72,7 +72,9 @@ def _trial_terrain(ck: Checkpoint, kind: str, seed: int,
 
 def evaluate(ck: Checkpoint, terrain_kind: str, trials: int = 10,
              eval_seed: int = 0, fixed_terrain: Terrain | None = None) -> EvalReport:
-    """Run noise-free rollouts of the checkpoint's actor and summarize."""
+    """Run noise-free rollouts of the checkpoint's actor and summarize.
+
+    A simulation divergence in any trial propagates: no report is made."""
     if terrain_kind not in ("flat", "rough"):
         raise ValueError(f"unknown terrain kind {terrain_kind!r}")
     if trials < 1:

@@ -12,18 +12,12 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .env import SimulationDiverged
-
 
 @dataclass
 class EpisodeResult:
     episode_return: float
     steps: int
-    done_reason: str  # the last step's reason, or "diverged"
-
-    @property
-    def diverged(self) -> bool:
-        return self.done_reason == "diverged"
+    done_reason: str  # the last step's reason
 
 
 def episode_steps(env, policy: Callable[[np.ndarray], np.ndarray],
@@ -32,7 +26,7 @@ def episode_steps(env, policy: Callable[[np.ndarray], np.ndarray],
 
     The policy is called for the next action only after the consumer has
     handled the previous step, so a consumer may draw seeds or update
-    the policy between steps. A SimulationDiverged from env.step
+    the policy between steps. A simulation divergence in env.step
     propagates to the consumer.
     """
     obs = env.reset(reset_seed)
@@ -50,19 +44,14 @@ def run_episode(env, policy: Callable[[np.ndarray], np.ndarray], reset_seed: int
     """Roll the policy until the env reports done.
 
     Each step is pushed into buffer when one is given. A simulation
-    divergence ends the episode early with the return accumulated so far
-    and done_reason "diverged", so a caller can treat the partial return
-    as a (poor) fitness instead of crashing.
+    divergence propagates; the steps pushed before it stay in the buffer.
     """
     total = 0.0
     steps = 0
-    try:
-        for obs, action, result in episode_steps(env, policy, reset_seed):
-            total += result.reward
-            steps += 1
-            if buffer is not None:
-                buffer.push(obs, action, result.reward, result.observation,
-                            result.done)
-    except SimulationDiverged:
-        return EpisodeResult(total, steps, "diverged")
+    for obs, action, result in episode_steps(env, policy, reset_seed):
+        total += result.reward
+        steps += 1
+        if buffer is not None:
+            buffer.push(obs, action, result.reward, result.observation,
+                        result.done)
     return EpisodeResult(total, steps, result.done_reason)

@@ -38,6 +38,8 @@ class Terrain:
         grid = np.array(self.height_grid, dtype=np.float64)
         if grid.ndim != 2:
             raise ValueError("height_grid must be 2-D")
+        if not np.isfinite(grid).all():
+            raise ValueError("height_grid must be finite")
         grid.setflags(write=False)
         object.__setattr__(self, "height_grid", grid)
 
@@ -58,12 +60,13 @@ def make_terrain(kind: str, seed: int, amplitude: float = 0.03,
     """
     if kind not in KINDS:
         raise ValueError(f"unknown terrain kind {kind!r}")
-    if cell_size <= 0.0:
-        raise ValueError("cell_size must be positive")
-    if amplitude < 0.0:
-        raise ValueError("amplitude must be non-negative")
-    if extent <= 0.0:
-        raise ValueError("extent must be positive")
+    # Checked before the draw, which overflows on an infinite extent or amplitude.
+    if not 0.0 < cell_size < math.inf:
+        raise ValueError("cell_size must be positive and finite")
+    if not 0.0 <= amplitude < math.inf:
+        raise ValueError("amplitude must be non-negative and finite")
+    if not 0.0 < extent < math.inf:
+        raise ValueError("extent must be positive and finite")
     if kind == "flat":
         # A 1x1 zero grid plus edge clamping gives height 0 everywhere.
         return Terrain("flat", seed, 0.0, cell_size, np.zeros((1, 1)))
@@ -179,7 +182,5 @@ def load_terrain(path: str) -> Terrain:
     grid = np.array([[float(v) for v in line.split()] for line in body])
     if grid.shape != (rows, cols):
         raise ValueError(f"terrain file {path!r}: ragged or mis-sized height rows")
-    if not np.isfinite(grid).all():
-        raise ValueError(f"terrain file {path!r} has a non-finite height")
     return Terrain(header["kind"], int(header["seed"]), float(header["amplitude"]),
                    float(header["cell_size"]), grid)

@@ -94,10 +94,7 @@ def _episodes(config: RunConfig, stream: SeedStream, env, buffer, progress):
 
 
 def _generations(config: RunConfig, stream: SeedStream, env, buffer, progress):
-    """CEM family: (learner, generation units, distribution-mean getter).
-
-    A diverged rollout scores as a poor fitness and sets the diverged flag.
-    """
+    """CEM family: (learner, generation units, distribution-mean getter)."""
     hp, ch = config.rl, config.cem
     a_spec = actor_spec(OBS_SIZE, N_JOINTS, hp.action_bound)
     mean = init_network(a_spec, stream.next())
@@ -116,7 +113,6 @@ def _generations(config: RunConfig, stream: SeedStream, env, buffer, progress):
                                            grad_steps, stream.next())
             collected = log.transitions_collected
             progress["env_steps"] += collected
-            progress["diverged"] |= log.diverged_count > 0
             yield log.best_fitness, ParamVector(log.best_params, a_spec), [
                 log.mean_fitness, log.median_fitness, state.noise_floor,
                 len(buffer), log.rl_mean_fitness, log.evo_mean_fitness]

@@ -4,10 +4,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quadrl
+from quadrl import net
+from quadrl.checkpoint import Checkpoint, save_checkpoint
 from quadrl.cli import main
+from quadrl.config import parse_config
+from quadrl.env import OBS_SIZE, SimulationDiverged
+from quadrl.rl import actor_spec
 from quadrl.terrain import make_terrain, save_terrain
 
 TINY = """
@@ -115,6 +121,40 @@ def test_eval_malformed_checkpoint_exit_2(tmp_path, capsys):
     code = run_cli(["eval", "--checkpoint", str(bad), "--terrain", "flat"])
     assert code == 2
     capsys.readouterr()
+
+
+def actor_checkpoint(path, nan_index=None):
+    """Save a small random actor, with one NaN weight if nan_index is given."""
+    spec = actor_spec(OBS_SIZE, 8, 0.7, hidden=(8, 8))
+    values = np.random.default_rng(0).normal(size=spec.param_count)
+    if nan_index is not None:
+        values[nan_index] = np.nan
+    save_checkpoint(Checkpoint({"actor": net.ParamVector(values, spec)},
+                               parse_config("t_max = 30")), str(path))
+    return path
+
+
+def test_eval_divergence_exit_2_without_report(tmp_path, monkeypatch, capsys):
+    def diverge(*args):
+        raise SimulationDiverged("forced")
+
+    monkeypatch.setattr("quadrl.env.step", diverge)
+    ck = actor_checkpoint(tmp_path / "ck.json")
+    report = tmp_path / "eval.csv"
+    code = run_cli(["eval", "--checkpoint", str(ck), "--terrain", "flat",
+                    "--trials", "2", "--out", str(report)])
+    assert code == 2
+    assert "forced" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_transfer_nan_weight_checkpoint_exit_2_without_report(tmp_path, capsys):
+    ck = actor_checkpoint(tmp_path / "ck.json", nan_index=5)
+    code = run_cli(["transfer", "--checkpoint", str(ck), "--trials", "2",
+                    "--out", str(tmp_path / "reports")])
+    assert code == 2
+    assert "'actor'" in capsys.readouterr().err
+    assert not (tmp_path / "reports" / "transfer_report.csv").exists()
 
 
 def test_eval_fixed_terrain(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,15 @@ def test_config_defaults_and_validation():
         env.RobotConfig(mass=-1.0)
     with pytest.raises(ValueError):
         env.RobotConfig(substeps=0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("mass", math.inf), ("contact_stiffness", math.inf), ("dt", math.nan),
+    ("stance_hip", math.nan), ("stance_knee", -math.inf)])
+def test_config_rejects_non_finite_values(name, value):
+    # Built in Python, not through config_from_dict, which checks too.
+    with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+        env.RobotConfig(**{name: value})
 
 
 def test_stand_height_closed_form():
@@ -128,11 +138,13 @@ def test_observation_layout_and_normalizers():
                        atol=1e-15)
 
 
-def test_observe_rejects_non_finite():
-    state = standing_state()
-    state.linear_velocity[:] = np.array([np.nan, 0.0, 0.0])
-    with pytest.raises(env.SimulationDiverged):
-        env.observe(state)
+def test_reset_rejects_non_finite_start_state():
+    # Finite leg lengths whose stance height overflows.
+    config = env.RobotConfig(upper_leg_length=1e308, lower_leg_length=1e308)
+    with np.errstate(over="ignore"):
+        assert config.stand_height == math.inf
+    with pytest.raises(env.SimulationDiverged, match="start state"):
+        env.reset(FLAT, config)
 
 
 def test_pd_torque_zero_at_rest_on_target():

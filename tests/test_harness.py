@@ -282,6 +282,9 @@ def test_load_rejects_tampered_fields(tmp_path):
     save_checkpoint(sample_checkpoint(), str(path))
     doc = json.loads(path.read_text())
     tampered = tmp_path / "tampered.json"
+    values = np.frombuffer(base64.b64decode(doc["params"]["actor"]), "<f8").copy()
+    values[5] = np.nan
+    nan_actor = base64.b64encode(values.tobytes()).decode("ascii")
 
     cases = [
         dict(doc, format_version=99),
@@ -291,6 +294,7 @@ def test_load_rejects_tampered_fields(tmp_path):
         dict(doc, algorithm="ddpg"),  # the config says td3
         dict(doc, specs=dict(doc["specs"], critic=doc["specs"]["actor"])),
         dict(doc, params=dict(doc["params"], critic=doc["params"]["actor"])),
+        dict(doc, params=dict(doc["params"], actor=nan_actor)),
     ]
     for bad in cases:
         tampered.write_text(json.dumps(bad))
@@ -327,7 +331,6 @@ def test_run_episode_to_timeout_and_return_sum():
     result = run_episode(env, lambda obs: stance, reset_seed=0, buffer=buffer)
     assert result.steps == 15
     assert result.done_reason == "timeout"
-    assert not result.diverged
     assert len(buffer) == 15
     batch = stored_rows(buffer)
     assert result.episode_return == pytest.approx(batch.rewards.sum(), abs=1e-12)
@@ -371,18 +374,20 @@ class DivergesOnThirdStep:
         return self.env.step(action)
 
 
-def test_episode_steps_raises_divergence_and_run_episode_absorbs_it():
+def test_episode_steps_and_run_episode_raise_divergence():
     stance = RobotConfig().nominal_stance
     seen = []
     with pytest.raises(SimulationDiverged):
         for step in episode_steps(DivergesOnThirdStep(), lambda obs: stance, 0):
             seen.append(step)
     assert len(seen) == 2
+    # The two steps completed before the divergence stay in the buffer.
     buffer = ReplayBuffer(100, OBS_SIZE, 8)
-    result = run_episode(DivergesOnThirdStep(), lambda obs: stance, 0, buffer)
-    assert (result.steps, result.done_reason, result.diverged) == (2, "diverged", True)
+    with pytest.raises(SimulationDiverged):
+        run_episode(DivergesOnThirdStep(), lambda obs: stance, 0, buffer)
     assert len(buffer) == 2
-    assert result.episode_return == sum(r.reward for _, _, r in seen)
+    assert np.array_equal(stored_rows(buffer).rewards,
+                          [r.reward for _, _, r in seen])
 
 # --- train ---------------------------------------------------------------
 
@@ -517,16 +522,28 @@ def test_train_divergence_mid_episode_counts_its_steps(tmp_path, monkeypatch):
     assert float(lines[1].split(",")[1]) == progress["best_return"]
 
 
-def test_train_cem_records_absorbed_simulation_divergence(tmp_path, monkeypatch):
+@pytest.mark.parametrize("algo, call, env_steps", [
+    ("ddpg", 30, 29), ("td3", 30, 29), ("cem_ddpg", 90, 80), ("cem_td3", 90, 80)])
+def test_train_records_simulation_divergence(tmp_path, monkeypatch, algo, call,
+                                             env_steps):
+    # The call lands in the second unit: after a 20-step first episode, or
+    # after a first generation of four 20-step rollouts. Episodes count
+    # their steps live; a generation counts its steps once it completes.
     monkeypatch.setattr("quadrl.env.step",
-                        raise_on_call(quadrl.env.step, 30, SimulationDiverged))
-    cfg = parse_config(TINY_CEM, algorithm="cem_td3", out_dir=str(tmp_path))
-    ck, metrics_path = train(cfg)
-    assert ck.progress["generations"] == 2
-    assert ck.progress["diverged"] is True
-    assert len(read_lines(metrics_path)) == 1 + 2
-    best = load_checkpoint(str(tmp_path / "checkpoint_best.json"))
-    assert best.progress == ck.progress
+                        raise_on_call(quadrl.env.step, call, SimulationDiverged))
+    gradient = algo in ("ddpg", "td3")
+    cfg = parse_config(TINY_GRADIENT if gradient else TINY_CEM, algorithm=algo,
+                       out_dir=str(tmp_path))
+    with pytest.raises(SimulationDiverged):
+        train(cfg)
+    unit = "episodes" if gradient else "generations"
+    for name in ("checkpoint.json", "checkpoint_best.json"):
+        progress = load_checkpoint(str(tmp_path / name)).progress
+        assert (progress[unit], progress["env_steps"],
+                progress["diverged"]) == (1, env_steps, True)
+    lines = read_lines(tmp_path / "metrics.csv")
+    assert len(lines) == 1 + 1
+    assert float(lines[1].split(",")[1]) == progress["best_return"]
 
 
 def test_train_deterministic_bytes(tmp_path):
@@ -630,6 +647,17 @@ def test_evaluate_fixed_terrain_pins_every_trial():
     report = evaluate(eval_checkpoint(), "rough", trials=3, eval_seed=0,
                       fixed_terrain=fixed)
     assert report.std == 0.0
+
+
+def test_evaluate_raises_on_a_diverged_trial():
+    # A NaN weight makes every action NaN, so the first step diverges; the
+    # trial is not scored as a return of 0.
+    ck = eval_checkpoint()
+    values = ck.networks["actor"].values.copy()
+    values[5] = np.nan
+    ck.networks["actor"] = net.ParamVector(values, ck.networks["actor"].spec)
+    with pytest.raises(SimulationDiverged, match="control step 1"):
+        evaluate(ck, "flat", trials=2)
 
 
 def test_evaluate_validates_inputs():

@@ -123,6 +123,22 @@ def test_make_terrain_rejects_bad_geometry():
         terrain.make_terrain("rough", seed=0, amplitude=-0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_make_terrain_rejects_non_finite_geometry(bad):
+    # A ValueError before the draw, not numpy's OverflowError from it.
+    for name in ("amplitude", "extent", "cell_size"):
+        with pytest.raises(ValueError, match=f"{name} .*finite"):
+            terrain.make_terrain("rough", seed=0, **{name: bad})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_terrain_rejects_non_finite_heights(bad):
+    grid = np.zeros((3, 3))
+    grid[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        terrain.Terrain("rough", 0, 0.03, 0.05, grid)
+
+
 def test_save_load_round_trip(tmp_path):
     for kind in ("flat", "rough"):
         src = terrain.make_terrain(kind, seed=12)

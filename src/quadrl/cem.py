@@ -10,19 +10,22 @@ count and the floor's decay.
 The coupled generation (used by the hybrid algorithms) gives the first
 half of each sampled population critic-guided gradient steps before
 fitness evaluation; the critic persists across generations while actors
-are transient population members.
+are transient population members. Each of the population_size // 2
+coached members takes min(grad_steps_cap, previous // (population_size // 2))
+steps, previous being the transitions the previous generation collected
+(Pourchot & Sigaud 2019).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import net
 from .config import CemHyperparams
 from .replay import ReplayBuffer
-from .rl import Learner, train_step
+from .rl import Learner, reset_actor, train_step
 from .rollout import run_episode
 from .seeds import SeedStream
 
@@ -97,52 +100,48 @@ def decay_noise(state: CemState) -> CemState:
     return replace(state, noise_floor=floor)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GenerationLog:
-    best_fitness: float
-    mean_fitness: float
-    median_fitness: float
-    rl_mean_fitness: float
-    evo_mean_fitness: float
+    """What one generation evaluated.
+
+    population holds the rows as they were rolled out, so its first
+    `coached` rows are the coached parameters; fitnesses[i] is row i's
+    episode return.
+    """
+
+    population: np.ndarray
+    fitnesses: np.ndarray
+    coached: int
     transitions_collected: int
-    best_params: np.ndarray
-    fitnesses: list[float] = field(default_factory=list)
-
-
-def _load_actor(learner: Learner, params: np.ndarray) -> None:
-    """Install population parameters as the learner's (transient) actor."""
-    actor = net.ParamVector(params, learner.actor.spec)
-    learner.actor = actor
-    learner.target_actor = actor
-    learner.actor_adam = net.init_adam(actor.spec.param_count)
-    learner.update_counter = 0
 
 
 def cem_rl_generation(state: CemState, learner: Learner, env, buffer: ReplayBuffer,
-                      grad_steps: int, seed: int) -> tuple[CemState, GenerationLog]:
+                      previous: int, seed: int) -> tuple[CemState, GenerationLog]:
     """One generation: sample, gradient-coach half, evaluate, refit, decay.
 
     The learner and the buffer are updated in place. Every member is
     rolled out in env, whose reset rebuilds all episode state, and each
     step of its episode is pushed into the buffer as it happens.
+    previous is the previous generation's transition count (0 for the
+    first); it sets the gradient steps per coached member.
 
-    Seed draw order (fixed): one population seed; then grad_steps seeds
-    per coached member, first-half members in index order (only when
-    gradient steps actually run); then one evaluation seed per member in
-    index order. Coaching runs only once the buffer can fill a batch;
-    coaching pushes nothing, so that holds for the whole first half or
-    for none of it.
+    Seed draw order (fixed): one population seed; then one seed per
+    gradient step, coached members in index order (only when gradient
+    steps actually run); then one evaluation seed per member in index
+    order. Coaching runs only once the buffer can fill a batch; coaching
+    pushes nothing, so that holds for the whole first half or for none
+    of it.
     """
     stream = SeedStream(seed)
     population = sample_population(state, stream.next())
     half = state.hp.population_size // 2
-    coached = grad_steps > 0 and len(buffer) >= learner.hp.batch_size
-    if coached:
-        for row in population[:half]:
-            _load_actor(learner, row)
-            for _ in range(grad_steps):
-                train_step(learner, buffer, stream.next())
-            row[:] = learner.actor.values
+    grad_steps = min(state.hp.grad_steps_cap, previous // half)
+    coached = half if grad_steps > 0 and len(buffer) >= learner.hp.batch_size else 0
+    for row in population[:coached]:
+        reset_actor(learner, row)
+        for _ in range(grad_steps):
+            train_step(learner, buffer, stream.next())
+        row[:] = learner.actor.values
 
     eval_seeds = [stream.next() for _ in population]
     actor_spec = learner.actor.spec
@@ -156,16 +155,4 @@ def cem_rl_generation(state: CemState, learner: Learner, env, buffer: ReplayBuff
         collected += result.steps
 
     new_state = decay_noise(cem_update(state, population, fitnesses))
-    best = int(np.argmax(fitnesses))
-    evo_fit = fitnesses[half:] if coached else fitnesses
-    log = GenerationLog(
-        best_fitness=float(fitnesses[best]),
-        mean_fitness=float(fitnesses.mean()),
-        median_fitness=float(np.median(fitnesses)),
-        rl_mean_fitness=float(fitnesses[:half].mean()) if coached else float("nan"),
-        evo_mean_fitness=float(evo_fit.mean()),
-        transitions_collected=collected,
-        best_params=population[best].copy(),
-        fitnesses=[float(f) for f in fitnesses],
-    )
-    return new_state, log
+    return new_state, GenerationLog(population, fitnesses, coached, collected)

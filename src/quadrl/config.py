@@ -40,6 +40,9 @@ class CemHyperparams:
     grad_steps_cap: int = 100
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"cem.{f.name} must be finite")
         if self.population_size < 2:
             raise ConfigError("cem.population_size must be at least 2")
         if not 1 <= self.elite_count <= self.population_size:
@@ -80,10 +83,11 @@ class RunConfig:
             raise ConfigError("t_max must be at least 1")
         if self.warmup_steps < 0 or self.max_env_steps < 0:
             raise ConfigError("step counts must be non-negative")
-        if self.terrain_amplitude < 0.0:
-            raise ConfigError("terrain_amplitude must be non-negative")
-        if self.terrain_cell_size <= 0.0 or self.terrain_extent <= 0.0:
-            raise ConfigError("terrain_cell_size and terrain_extent must be positive")
+        if not 0.0 <= self.terrain_amplitude < math.inf:
+            raise ConfigError("terrain_amplitude must be non-negative and finite")
+        for name in ("terrain_cell_size", "terrain_extent"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
 
 
 _SECTIONS = {"robot": RobotConfig, "rl": RlHyperparams, "cem": CemHyperparams}

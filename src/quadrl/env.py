@@ -390,7 +390,7 @@ def _reward_floats(state: RobotState, t_max: int) -> list:
     ]
 
 
-def reward_terms(state: RobotState, config: RobotConfig, t_max: int) -> np.ndarray:
+def reward_terms(state: RobotState, t_max: int) -> np.ndarray:
     """The seven reward terms; their plain sum is the step reward.
 
     Order: forward velocity, survival, height deviation, lateral
@@ -400,7 +400,7 @@ def reward_terms(state: RobotState, config: RobotConfig, t_max: int) -> np.ndarr
     return np.array(_reward_floats(state, t_max))
 
 
-def compute_reward(state: RobotState, config: RobotConfig, t_max: int) -> float:
+def compute_reward(state: RobotState, t_max: int) -> float:
     total = 0.0
     for term in _reward_floats(state, t_max):
         total += term  # left to right from 0.0, as ndarray.sum adds 7 values
@@ -453,7 +453,7 @@ def step(state: RobotState, action, terrain: Terrain, config: RobotConfig,
     # pd_torque clamps the action to the action bound.
     torques = pd_torque(action, state.joint_angles, state.joint_velocities, config)
     new_state = integrate(state, torques, terrain, config)
-    reward = compute_reward(new_state, config, t_max)
+    reward = compute_reward(new_state, t_max)
     result = StepResult(observe(new_state), reward,
                         _done_reason(new_state, terrain, config, t_max))
     return new_state, result

@@ -74,11 +74,14 @@ def evaluate(ck: Checkpoint, terrain_kind: str, trials: int = 10,
              eval_seed: int = 0, fixed_terrain: Terrain | None = None) -> EvalReport:
     """Run noise-free rollouts of the checkpoint's actor and summarize.
 
+    A fixed terrain must be of terrain_kind, the label the report carries.
     A simulation divergence in any trial propagates: no report is made."""
     if terrain_kind not in ("flat", "rough"):
         raise ValueError(f"unknown terrain kind {terrain_kind!r}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if fixed_terrain is not None and fixed_terrain.kind != terrain_kind:
+        raise ValueError(f"fixed terrain is {fixed_terrain.kind}, not {terrain_kind}")
     actor = ck.networks["actor"]
     cfg = ck.config
     returns = []

@@ -114,35 +114,19 @@ class ParamVector:
 
     def __post_init__(self) -> None:
         # A private copy, so no array a caller holds aliases the parameters.
-        _seal(self, np.array(self.values, dtype=np.float64).ravel())
+        values = np.array(self.values, dtype=np.float64).ravel()
+        if values.size != self.spec.param_count:
+            raise ValueError(
+                f"parameter length {values.size} does not match spec "
+                f"({self.spec.param_count})"
+            )
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @cached_property
     def views(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """(weights, bias) views into the values, layer by layer."""
         return tuple(_layer_views(self.values, self.spec))
-
-
-def _seal(params: ParamVector, values: np.ndarray) -> None:
-    """Check values against the spec, make them read-only and store them."""
-    if values.size != params.spec.param_count:
-        raise ValueError(
-            f"parameter length {values.size} does not match spec "
-            f"({params.spec.param_count})"
-        )
-    values.setflags(write=False)
-    object.__setattr__(params, "values", values)
-
-
-def _adopt(values: np.ndarray, spec: NetworkSpec) -> ParamVector:
-    """A ParamVector over values without a copy.
-
-    values must be a fresh flat float64 array that only the calling
-    update built and that it drops after this call.
-    """
-    params = object.__new__(ParamVector)
-    object.__setattr__(params, "spec", spec)
-    _seal(params, values)
-    return params
 
 
 def _layer_views(values: np.ndarray, spec: NetworkSpec):
@@ -314,7 +298,7 @@ def adam_step(params: ParamVector, grads, state: AdamState,
     step *= lr
     step /= denom
     np.subtract(params.values, step, out=step)
-    return _adopt(step, params.spec), AdamState(m, v, t)
+    return ParamVector(step, params.spec), AdamState(m, v, t)
 
 
 def polyak_blend(target: ParamVector, source: ParamVector, tau: float) -> ParamVector:
@@ -323,4 +307,4 @@ def polyak_blend(target: ParamVector, source: ParamVector, tau: float) -> ParamV
         raise ValueError("polyak blend requires matching network specs")
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
-    return _adopt((1.0 - tau) * target.values + tau * source.values, target.spec)
+    return ParamVector((1.0 - tau) * target.values + tau * source.values, target.spec)

@@ -10,6 +10,8 @@ through the actor.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,9 @@ class RlHyperparams:
     action_bound: float = 0.7
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
         if not 0.0 < self.tau <= 1.0:
@@ -98,6 +103,19 @@ def init_learner(obs_size: int, action_size: int, hp: RlHyperparams, seed: int,
     return Learner(actor, actor, net.init_adam(a_spec.param_count),
                    critics, critics,
                    tuple(net.init_adam(c_spec.param_count) for _ in critics), hp)
+
+
+def reset_actor(learner: Learner, params) -> None:
+    """Install params as a fresh actor.
+
+    The actor is its own target, its Adam moments are zero and
+    update_counter is 0, so a twin learner's policy delay counts from it.
+    """
+    actor = net.ParamVector(params, learner.actor.spec)
+    learner.actor = actor
+    learner.target_actor = actor
+    learner.actor_adam = net.init_adam(actor.spec.param_count)
+    learner.update_counter = 0
 
 
 def exploration_action(actor: net.ParamVector, observation, sigma: float,

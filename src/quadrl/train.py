@@ -107,15 +107,17 @@ def _generations(config: RunConfig, stream: SeedStream, env, buffer, progress):
         nonlocal state
         collected = 0
         while True:
-            grad_steps = min(ch.grad_steps_cap,
-                             collected // (ch.population_size // 2))
             state, log = cem_rl_generation(state, learner, env, buffer,
-                                           grad_steps, stream.next())
+                                           collected, stream.next())
             collected = log.transitions_collected
             progress["env_steps"] += collected
-            yield log.best_fitness, ParamVector(log.best_params, a_spec), [
-                log.mean_fitness, log.median_fitness, state.noise_floor,
-                len(buffer), log.rl_mean_fitness, log.evo_mean_fitness]
+            # CEM_HEADER's columns; with nobody coached, evo_mean covers all.
+            fit, coached = log.fitnesses, log.coached
+            best = int(np.argmax(fit))
+            rl_mean = fit[:coached].mean() if coached else float("nan")
+            yield fit[best], ParamVector(log.population[best], a_spec), [
+                fit.mean(), np.median(fit), state.noise_floor, len(buffer),
+                rl_mean, fit[coached:].mean()]
 
     return learner, units(), lambda: ParamVector(state.mean, a_spec)
 

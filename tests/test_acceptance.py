@@ -106,7 +106,6 @@ def _reward_state(timestep=0, initial_position=(0.0, 0.0, 0.0), **blocks):
 
 
 def test_criterion_02_reward_oracle():
-    config = RobotConfig()
     vec = lambda x, y, z: np.array([x, y, z], dtype=np.float64)
     # (state, t_max, independently hand-computed expected reward)
     cases = [
@@ -146,7 +145,7 @@ def test_criterion_02_reward_oracle():
          75.0 * 0.2 + 25.0 * 0.5 - 5.0 * 0.1 - 5.0 * 0.1 - 0.05 * 8 * 0.05),
     ]
     assert len(cases) == 20
-    worst_case = max(abs(compute_reward(state, config, t_max) - expected)
+    worst_case = max(abs(compute_reward(state, t_max) - expected)
                      for state, t_max, expected in cases)
 
     # decomposition invariant on live simulator steps, fsum as the oracle
@@ -156,7 +155,7 @@ def test_criterion_02_reward_oracle():
     worst_sum = 0.0
     for _ in range(10_000):
         result = env.step(rng.uniform(-0.7, 0.7, 8))
-        total = math.fsum(reward_terms(env.state, env.config, env.t_max))
+        total = math.fsum(reward_terms(env.state, env.t_max))
         worst_sum = max(worst_sum, abs(result.reward - total))
         if result.done:
             env.reset(0)

@@ -6,6 +6,7 @@ from quadrl.config import CemHyperparams
 from quadrl.env import OBS_SIZE, QuadrupedEnv
 from quadrl.replay import ReplayBuffer
 from quadrl.rl import RlHyperparams, init_learner
+from quadrl.seeds import SeedStream
 from quadrl.terrain import make_terrain
 from toytask import cem_solve_toy
 
@@ -178,79 +179,99 @@ def test_solve_toy_dimension_check():
         cem_solve_toy(lambda p: 0.0, 3, state, 1)
 
 
-def make_generation_fixture(batch_size=8):
+def make_generation_fixture(batch_size=8, pop=4, t_max=5, **cem_kwargs):
     terrain = make_terrain("flat", seed=0)
     hp = RlHyperparams(batch_size=batch_size)
     learner = init_learner(OBS_SIZE, 8, hp, seed=0, twin=True, hidden=(8, 8))
     dim = learner.actor.spec.param_count
     state = cem.CemState(learner.actor.values.copy(), np.full(dim, 1e-4),
-                         1e-5, cem_hp(4, 2))
+                         1e-5, cem_hp(pop, 2, **cem_kwargs))
     buffer = ReplayBuffer(capacity=10000, obs_size=OBS_SIZE, action_size=8)
-    return state, learner, buffer, QuadrupedEnv(terrain, t_max=5)
+    return state, learner, buffer, QuadrupedEnv(terrain, t_max=t_max)
 
 
 def test_generation_collects_transitions_and_logs():
     state, learner, buffer, env = make_generation_fixture()
-    new_state, log = cem.cem_rl_generation(
-        state, learner, env, buffer, grad_steps=0, seed=0)
+    new_state, log = cem.cem_rl_generation(state, learner, env, buffer, 0, seed=0)
     assert new_state.noise_floor == cem.decay_noise(state).noise_floor
     assert len(buffer) == log.transitions_collected == 4 * 5
-    assert len(log.fitnesses) == 4
-    assert log.best_fitness == max(log.fitnesses)
-    assert log.best_fitness >= log.median_fitness
-    assert np.isnan(log.rl_mean_fitness)  # nobody was gradient-coached
-    assert log.evo_mean_fitness == pytest.approx(np.mean(log.fitnesses))
-    assert log.best_params.shape == state.mean.shape
+    assert log.fitnesses.shape == (4,)
+    assert log.population.shape == (4, state.mean.size)
+    assert log.coached == 0  # the first generation has nothing to coach with
 
 
 def test_generation_skips_coaching_until_buffer_fills():
     state, learner, buffer, env = make_generation_fixture(batch_size=512)
-    _, log = cem.cem_rl_generation(
-        state, learner, env, buffer, grad_steps=3, seed=0)
-    # 20 transitions < batch 512, so no individual got gradient steps.
-    assert np.isnan(log.rl_mean_fitness)
+    # 6 previous transitions give 6 // 2 = 3 steps per coached member, but
+    # the buffer holds fewer than a batch of 512, so nobody is coached.
+    _, log = cem.cem_rl_generation(state, learner, env, buffer, 6, seed=0)
+    assert log.coached == 0
 
 
 def test_generation_coaches_first_half_once_possible():
     state, learner, buffer, env = make_generation_fixture(batch_size=8)
-    state, _ = cem.cem_rl_generation(
-        state, learner, env, buffer, grad_steps=0, seed=0)
-    _, log = cem.cem_rl_generation(
-        state, learner, env, buffer, grad_steps=2, seed=1)
-    assert not np.isnan(log.rl_mean_fitness)
-    assert not np.isnan(log.evo_mean_fitness)
+    state, _ = cem.cem_rl_generation(state, learner, env, buffer, 0, seed=0)
+    _, log = cem.cem_rl_generation(state, learner, env, buffer, 4, seed=1)
+    assert log.coached == 2
 
 
 def test_generation_deterministic():
     def run():
         state, learner, buffer, env = make_generation_fixture()
         for g in range(3):
-            state, log = cem.cem_rl_generation(
-                state, learner, env, buffer, grad_steps=1, seed=g)
+            state, log = cem.cem_rl_generation(state, learner, env, buffer, 2,
+                                               seed=g)
         return state, log
 
     s1, l1 = run()
     s2, l2 = run()
     assert np.array_equal(s1.mean, s2.mean)
     assert np.array_equal(s1.variance, s2.variance)
-    assert l1.fitnesses == l2.fitnesses
+    assert np.array_equal(l1.fitnesses, l2.fitnesses)
+    assert np.array_equal(l1.population, l2.population)
 
 
 def test_generation_odd_population_coaches_floor_half():
-    terrain = make_terrain("flat", seed=0)
-    hp = RlHyperparams(batch_size=4)
-    learner = init_learner(OBS_SIZE, 8, hp, seed=0, twin=True, hidden=(8, 8))
-    dim = learner.actor.spec.param_count
-    state = cem.CemState(learner.actor.values.copy(), np.full(dim, 1e-4),
-                         1e-5, cem_hp(5, 2))
-    buffer = ReplayBuffer(capacity=10000, obs_size=OBS_SIZE, action_size=8)
-    env = QuadrupedEnv(terrain, t_max=3)
-    state, _ = cem.cem_rl_generation(
-        state, learner, env, buffer, grad_steps=0, seed=0)
+    state, learner, buffer, env = make_generation_fixture(batch_size=4, pop=5,
+                                                          t_max=3)
+    state, _ = cem.cem_rl_generation(state, learner, env, buffer, 0, seed=0)
     collected_before = len(buffer)
-    _, log = cem.cem_rl_generation(
-        state, learner, env, buffer, grad_steps=1, seed=1)
+    _, log = cem.cem_rl_generation(state, learner, env, buffer, 2, seed=1)
     # floor(5 / 2) = 2 coached individuals, in index order, then 3 pure draws.
-    assert log.rl_mean_fitness == pytest.approx(np.mean(log.fitnesses[:2]))
-    assert log.evo_mean_fitness == pytest.approx(np.mean(log.fitnesses[2:]))
+    drawn = cem.sample_population(state, SeedStream(1).next())
+    assert log.coached == 2
+    assert np.array_equal(log.population[2:], drawn[2:])
     assert len(buffer) == collected_before + 5 * 3
+
+
+@pytest.mark.parametrize("pop, cap, previous, batch_size, steps", [
+    (4, 100, 0, 8, 0),        # the first generation
+    (4, 100, 1, 8, 0),        # 1 // 2 = 0 steps per member
+    (4, 100, 20, 512, 0),     # the buffer holds less than a batch
+    (4, 100, 20, 8, 2 * 10),
+    (4, 100, 21, 8, 2 * 10),  # the remainder of previous // half is dropped
+    (4, 3, 20, 8, 2 * 3),     # grad_steps_cap binds
+    (5, 100, 9, 8, 2 * 4),    # an odd population coaches floor(5 / 2) = 2
+    (5, 3, 9, 8, 2 * 3),
+])
+def test_generation_coaching_schedule(monkeypatch, pop, cap, previous,
+                                      batch_size, steps):
+    # Each coached member takes min(cap, previous // half) gradient steps.
+    state, learner, buffer, env = make_generation_fixture(
+        batch_size=batch_size, pop=pop, grad_steps_cap=cap)
+    for _ in range(previous):
+        buffer.push(np.zeros(OBS_SIZE), np.zeros(8), 0.0, np.zeros(OBS_SIZE),
+                    False)
+    counters = []
+
+    def count_step(lrn, buf, seed):
+        counters.append(lrn.update_counter)
+        lrn.update_counter += 1
+
+    monkeypatch.setattr("quadrl.cem.train_step", count_step)
+    _, log = cem.cem_rl_generation(state, learner, env, buffer, previous, seed=0)
+    assert len(counters) == steps
+    half = pop // 2
+    assert log.coached == (half if steps else 0)
+    # Each coached member starts from a fresh actor, update_counter 0.
+    assert counters == list(range(steps // half)) * half

@@ -172,6 +172,24 @@ def test_eval_fixed_terrain(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, kind, message", [
+    (["eval", "--terrain", "flat", "--out", "reports/eval.csv"], "rough",
+     "fixed terrain is rough, not flat"),
+    (["transfer", "--out", "reports"], "flat", "fixed terrain is flat, not rough"),
+])
+def test_fixed_terrain_of_another_kind_exit_2_without_report(
+        argv, kind, message, tmp_path, monkeypatch, capsys):
+    # The report would carry the label of one terrain and the returns of the other.
+    monkeypatch.chdir(tmp_path)
+    ck = actor_checkpoint(tmp_path / "ck.json")
+    save_terrain(make_terrain(kind, seed=5), "pinned.terrain")
+    code = run_cli([*argv, "--checkpoint", str(ck), "--trials", "2",
+                    "--fixed-terrain", "pinned.terrain"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
+
+
 def test_transfer_writes_table_and_report(tmp_path, capsys):
     out = trained_dir(tmp_path, algo="cem-td3")
     code = run_cli(["transfer", "--checkpoint", str(out / "checkpoint_best.json"),

@@ -282,7 +282,7 @@ def test_reward_terms_hand_values():
     state.torso_position[:] = state.initial_position + np.array([1.0, 0.03, -0.02])
     state.torso_orientation[:] = np.array([0.1, -0.2, 0.5])
     state.previous_joint_angles[:] = state.joint_angles - 0.01
-    terms = env.reward_terms(state, CONFIG, t_max=1000)
+    terms = env.reward_terms(state, t_max=1000)
     assert terms.shape == (7,)
     assert terms[0] == pytest.approx(75.0 * 0.5, abs=1e-12)
     assert terms[1] == pytest.approx(25.0 * 50 / 1000, abs=1e-12)
@@ -292,8 +292,7 @@ def test_reward_terms_hand_values():
     assert terms[5] == pytest.approx(-5.0 * 0.2, abs=1e-12)
     # |q| - |q_prev| per joint: hips |0.3|-|0.29|, knees |-0.6|-|-0.59|.
     assert terms[6] == pytest.approx(-0.05 * 8 * 0.01, abs=1e-12)
-    assert env.compute_reward(state, CONFIG, 1000) == pytest.approx(terms.sum(),
-                                                                    abs=0)
+    assert env.compute_reward(state, 1000) == pytest.approx(terms.sum(), abs=0)
 
 
 def test_reward_survival_full_at_t_max():
@@ -301,7 +300,7 @@ def test_reward_survival_full_at_t_max():
     state.timestep = 1000
     state.linear_velocity[:] = 0.0
     state.previous_joint_angles[:] = state.joint_angles
-    terms = env.reward_terms(state, CONFIG, t_max=1000)
+    terms = env.reward_terms(state, t_max=1000)
     assert terms[1] == pytest.approx(25.0, abs=0)
 
 

@@ -193,7 +193,7 @@ def test_step_wrappers_match_numpy_forms():
                     == ref.pd_torque(targets, state.joint_angles,
                                      state.joint_velocities, CONFIG).tobytes())
             assert env.observe(state).tobytes() == ref.observe(state).tobytes()
-            assert (env.reward_terms(state, CONFIG, 1000).tobytes()
+            assert (env.reward_terms(state, 1000).tobytes()
                     == ref.reward_terms(state, CONFIG, 1000).tobytes())
-            assert (repr(env.compute_reward(state, CONFIG, 1000))
+            assert (repr(env.compute_reward(state, 1000))
                     == repr(ref.compute_reward(state, CONFIG, 1000)))

@@ -155,6 +155,24 @@ def test_cem_hyperparams_validation():
         CemHyperparams(grad_steps_cap=-1)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("init_variance", math.inf), ("noise_floor", math.nan),
+    ("noise_floor_final", math.inf), ("noise_decay", math.nan)])
+def test_cem_hyperparams_reject_non_finite_values(name, value):
+    # Built in Python, not through config_from_dict, which checks too.
+    with pytest.raises(ConfigError, match=f"cem.{name} must be finite"):
+        CemHyperparams(**{name: value})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("terrain_extent", math.inf), ("terrain_amplitude", math.nan),
+    ("terrain_amplitude", math.inf), ("terrain_cell_size", math.nan)])
+def test_run_config_rejects_non_finite_values(name, value):
+    # Built in Python, not through config_from_dict, which checks too.
+    with pytest.raises(ConfigError, match=f"{name} must be .*finite"):
+        RunConfig(**{name: value})
+
+
 @pytest.mark.parametrize("line", ["cem.noise_decay = 0", "cem.noise_decay = 1.5",
                                   "cem.noise_floor_final = -1"])
 def test_parse_rejects_bad_cem_noise_schedule(line):

@@ -44,6 +44,43 @@ def test_unused_import_check_sees_unused_names():
     assert _unused_imports(tree) == ["line 1: os", "line 3: pi"]
 
 
+def _unused_parameters(tree: ast.Module) -> list[str]:
+    """Parameters of each function or lambda that its body never names.
+
+    Any mention counts as a read, `del seed` included.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [arg.arg for arg in (*args.posonlyargs, *args.args,
+                                          *args.kwonlyargs, args.vararg,
+                                          args.kwarg) if arg]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            named = {n.id for stmt in body for n in ast.walk(stmt)
+                     if isinstance(n, ast.Name)}
+            name = getattr(node, "name", "lambda")
+            found += [f"line {node.lineno}: {name}({param})"
+                      for param in params if param not in named]
+    return found
+
+
+def test_no_unused_parameters():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        unused = _unused_parameters(ast.parse(path.read_text(), str(path)))
+        if unused:
+            found[path.name] = unused
+    assert found == {}
+
+
+def test_unused_parameter_check_sees_unread_names():
+    tree = ast.parse("def f(a, b, *rest, c, **kw):\n    del b\n"
+                     "    return lambda x, y: a + x\n")
+    assert _unused_parameters(tree) == ["line 1: f(c)", "line 1: f(rest)",
+                                        "line 1: f(kw)", "line 3: lambda(y)"]
+
+
 def test_every_traced_name_resolves():
     # The benchmark's tracer rebinds these names; a refactor that drops one
     # would otherwise break only a traced benchmark run.

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,15 @@ def test_hyperparams_validation():
         rl.RlHyperparams(policy_delay=0)
     with pytest.raises(ValueError):
         rl.RlHyperparams(batch_size=0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("actor_lr", math.inf), ("actor_lr", math.nan), ("action_bound", math.nan),
+    ("target_noise_sigma", math.inf), ("gamma", -math.inf)])
+def test_hyperparams_reject_non_finite_values(name, value):
+    # Built in Python, not through config_from_dict, which checks too.
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        rl.RlHyperparams(**{name: value})
 
 
 def test_network_shapes():

@@ -159,19 +159,29 @@ def config_to_dict(config: RunConfig) -> dict:
 # Every settable key, dotted for section fields, with its default value.
 _DEFAULTS = dict(config_to_dict(RunConfig()), out_dir=RunConfig().out_dir)
 
+# The value types a field of each default's type takes: a bool only where
+# a bool is due, and an int wherever a number is.
+_ACCEPTED = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
 
 def config_from_dict(data: dict) -> RunConfig:
     """Build a RunConfig from dotted keys; missing keys take their defaults.
 
     An algorithm may be spelled with dashes (cem-td3) or underscores.
-    A nan or infinite number is rejected here, the one place config
-    files, keyword overrides and checkpoint snapshots all pass through.
+    A value whose type its field does not take, and a nan or infinite
+    number, are rejected here, the one place config files, keyword
+    overrides and checkpoint snapshots all pass through. An int in a
+    float field is kept as it is.
     """
     top: dict = {}
     sections: dict[str, dict] = {name: {} for name in _SECTIONS}
     for key, value in data.items():
         if key not in _DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
+        kind = type(_DEFAULTS[key])
+        if (isinstance(value, bool) != (kind is bool)
+                or not isinstance(value, _ACCEPTED[kind])):
+            raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key}: expected a finite number, got {value!r}")
         section, dot, name = key.partition(".")

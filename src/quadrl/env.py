@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .terrain import Terrain, height_at, point_height
+from .terrain import Terrain, height_at
 
 N_LEGS = 4
 N_JOINTS = 8
@@ -184,12 +184,6 @@ def _rotation_columns(roll: float, pitch: float, yaw: float) -> list:
             cy * sp * cr + sy * sr, sy * sp * cr - cy * sr, cp * cr]
 
 
-def rotation_matrix(orientation: np.ndarray) -> np.ndarray:
-    """World-from-body rotation for (roll, pitch, yaw), applied z-y-x."""
-    roll, pitch, yaw = orientation
-    return np.array(_rotation_columns(roll, pitch, yaw)).reshape(3, 3).T.copy()
-
-
 def _world_rows(q: list, qd: list, orientation, hips: list, l1: float,
                 l2: float) -> list:
     """The `_leg_rows` rows turned into the world frame: 8 rows of 3 floats.
@@ -248,14 +242,17 @@ def pd_torque(targets, angles, velocities, config: RobotConfig) -> np.ndarray:
     return np.array(torques)
 
 
-def _foot_force(depth, vx, vy, vz, config: RobotConfig):
-    """The contact law for one foot: world (fx, fy, fz) as Python floats.
+def contact_forces(depth: float, vx: float, vy: float, vz: float,
+                   config: RobotConfig) -> tuple[float, float, float]:
+    """Spring-damper normal force plus regularized Coulomb friction on one foot.
 
-    depth is the ground height minus the foot height. The normal force is
-    a spring-damper that only pushes; friction ramps linearly with
-    horizontal speed up to the Coulomb bound mu * normal. Each branch
-    gives what np.where, np.maximum and np.minimum give on the same
-    floats, signed zeros and NaN included.
+    depth is the ground height minus the foot height and (vx, vy, vz) the
+    foot's world velocity; the result is world (fx, fy, fz) as Python
+    floats. A foot at or above the ground gets zero force. The normal
+    force only pushes; friction ramps linearly with horizontal speed up to
+    the Coulomb bound mu * normal, so it never leaves the friction cone.
+    Each branch gives what np.where, np.maximum and np.minimum give on the
+    same floats, signed zeros and NaN included.
     """
     if depth > 0.0:
         down = -vz
@@ -268,22 +265,6 @@ def _foot_force(depth, vx, vy, vz, config: RobotConfig):
     magnitude = config.friction_mu * normal * (1.0 if ratio > 1.0 else ratio)
     safe_speed = speed if speed > 0.0 else 1.0
     return -magnitude * (vx / safe_speed), -magnitude * (vy / safe_speed), normal
-
-
-def contact_forces(foot_positions, foot_velocities, terrain: Terrain,
-                   config: RobotConfig) -> np.ndarray:
-    """Spring-damper normal force plus regularized Coulomb friction.
-
-    Accepts (n, 3) position/velocity arrays and returns (n, 3) forces in
-    world x/y/z per foot. A foot at or above the ground gets zero force.
-    The friction magnitude ramps linearly with horizontal speed up to the
-    Coulomb bound mu * normal, so it never violates the friction cone.
-    """
-    pos = np.asarray(foot_positions, dtype=np.float64)
-    vel = np.asarray(foot_velocities, dtype=np.float64)
-    forces = [_foot_force(point_height(terrain, x, y) - z, vx, vy, vz, config)
-              for (x, y, z), (vx, vy, vz) in zip(pos.tolist(), vel.tolist())]
-    return np.array(forces, dtype=np.float64).reshape(pos.shape)
 
 
 def integrate(state: RobotState, torques, terrain: Terrain,
@@ -326,8 +307,8 @@ def integrate(state: RobotState, torques, terrain: Terrain,
         fx_sum = fy_sum = fz_sum = tx_sum = ty_sum = tz_sum = 0.0
         for (ox, oy, oz), (jx, jy, jz) in zip(world[:N_LEGS], world[N_LEGS:]):
             foot_x, foot_y, foot_z = px + ox, py + oy, pz + oz
-            fx, fy, fz = _foot_force(
-                point_height(terrain, foot_x, foot_y) - foot_z,
+            fx, fy, fz = contact_forces(
+                height_at(terrain, foot_x, foot_y) - foot_z,
                 (vx + (wy * oz - wz * oy)) + jx,
                 (vy + (wz * ox - wx * oz)) + jy,
                 (vz + (wx * oy - wy * ox)) + jz,
@@ -371,8 +352,13 @@ def integrate(state: RobotState, torques, terrain: Terrain,
                       state.initial_position)
 
 
-def _reward_floats(state: RobotState, t_max: int) -> list:
-    """The seven reward terms as Python floats, in `reward_terms` order."""
+def reward_terms(state: RobotState, t_max: int) -> list[float]:
+    """The seven reward terms as Python floats; their sum is the step reward.
+
+    Order: forward velocity, survival, height deviation, lateral
+    deviation, roll, pitch, joint motion. Deviations are measured from
+    the torso position recorded at reset.
+    """
     values = state.values.tolist()
     _, y, z, roll, pitch, _, forward_velocity = values[:7]
     _, y0, z0 = state.initial_position.tolist()
@@ -390,19 +376,9 @@ def _reward_floats(state: RobotState, t_max: int) -> list:
     ]
 
 
-def reward_terms(state: RobotState, t_max: int) -> np.ndarray:
-    """The seven reward terms; their plain sum is the step reward.
-
-    Order: forward velocity, survival, height deviation, lateral
-    deviation, roll, pitch, joint motion. Deviations are measured from
-    the torso position recorded at reset.
-    """
-    return np.array(_reward_floats(state, t_max))
-
-
 def compute_reward(state: RobotState, t_max: int) -> float:
     total = 0.0
-    for term in _reward_floats(state, t_max):
+    for term in reward_terms(state, t_max):
         total += term  # left to right from 0.0, as ndarray.sum adds 7 values
     return total
 
@@ -436,7 +412,7 @@ def reset(terrain: Terrain, config: RobotConfig,
 def _done_reason(state: RobotState, terrain: Terrain, config: RobotConfig,
                  t_max: int) -> str:
     x, y, z, roll, pitch = state.values[:5].tolist()
-    if z - point_height(terrain, x, y) < 0.4 * config.stand_height:
+    if z - height_at(terrain, x, y) < 0.4 * config.stand_height:
         return "fell"
     if abs(roll) > 1.0 or abs(pitch) > 1.0:
         return "tilted"

@@ -60,6 +60,11 @@ class EvalReport:
             object.__setattr__(self, name, value)
 
 
+def _check_fixed_kind(fixed_terrain: Terrain | None, terrain_kind: str) -> None:
+    if fixed_terrain is not None and fixed_terrain.kind != terrain_kind:
+        raise ValueError(f"fixed terrain is {fixed_terrain.kind}, not {terrain_kind}")
+
+
 def _trial_terrain(ck: Checkpoint, kind: str, seed: int,
                    fixed: Terrain | None) -> Terrain:
     if fixed is not None:
@@ -80,8 +85,7 @@ def evaluate(ck: Checkpoint, terrain_kind: str, trials: int = 10,
         raise ValueError(f"unknown terrain kind {terrain_kind!r}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if fixed_terrain is not None and fixed_terrain.kind != terrain_kind:
-        raise ValueError(f"fixed terrain is {fixed_terrain.kind}, not {terrain_kind}")
+    _check_fixed_kind(fixed_terrain, terrain_kind)
     actor = ck.networks["actor"]
     cfg = ck.config
     returns = []
@@ -97,7 +101,11 @@ def evaluate(ck: Checkpoint, terrain_kind: str, trials: int = 10,
 def transfer_experiment(ck: Checkpoint, eval_seed: int = 0, trials: int = 10,
                         fixed_terrain: Terrain | None = None
                         ) -> tuple[EvalReport, EvalReport, float]:
-    """Evaluate flat then rough; degradation = flat mean - rough mean."""
+    """Evaluate flat then rough; degradation = flat mean - rough mean.
+
+    A fixed terrain pins the rough trials, so it must be rough; that is
+    checked before any trial runs."""
+    _check_fixed_kind(fixed_terrain, "rough")
     flat = evaluate(ck, "flat", trials, eval_seed)
     rough = evaluate(ck, "rough", trials, eval_seed, fixed_terrain)
     return flat, rough, flat.mean - rough.mean

@@ -21,6 +21,9 @@ from .net import TrainingDiverged
 from .replay import Batch, ReplayBuffer
 from .seeds import SeedStream
 
+# Hidden layer widths of the actor and critic networks.
+HIDDEN = (64, 64)
+
 
 @dataclass(frozen=True)
 class RlHyperparams:
@@ -57,13 +60,13 @@ class RlHyperparams:
 
 
 def actor_spec(obs_size: int, action_size: int, bound: float,
-               hidden: tuple[int, ...] = (64, 64)) -> net.NetworkSpec:
+               hidden: tuple[int, ...] = HIDDEN) -> net.NetworkSpec:
     return net.mlp_spec([obs_size, *hidden, action_size],
                         output_activation="scaled_tanh", output_bound=bound)
 
 
 def critic_spec(obs_size: int, action_size: int,
-                hidden: tuple[int, ...] = (64, 64)) -> net.NetworkSpec:
+                hidden: tuple[int, ...] = HIDDEN) -> net.NetworkSpec:
     return net.mlp_spec([obs_size + action_size, *hidden, 1])
 
 
@@ -92,7 +95,7 @@ class Learner:
 
 
 def init_learner(obs_size: int, action_size: int, hp: RlHyperparams, seed: int,
-                 *, twin: bool, hidden: tuple[int, ...] = (64, 64)) -> Learner:
+                 *, twin: bool, hidden: tuple[int, ...] = HIDDEN) -> Learner:
     """Seed draw order: the actor, then one seed per critic."""
     stream = SeedStream(seed)
     a_spec = actor_spec(obs_size, action_size, hp.action_bound, hidden)

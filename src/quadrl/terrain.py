@@ -100,12 +100,12 @@ def make_terrain(kind: str, seed: int, amplitude: float = 0.03,
     return Terrain("rough", seed, amplitude, cell_size, grid)
 
 
-def point_height(terrain: Terrain, x: float, y: float) -> float:
+def height_at(terrain: Terrain, x: float, y: float) -> float:
     """Ground height at one world point, as a Python float.
 
-    This is the one bilinear rule: `height_at` loops over it and the
-    simulator calls it once per foot and substep. Heights are read with
-    ``grid.item`` so no per-terrain copy of the grid is made.
+    This is the one bilinear rule: the simulator calls it once per foot
+    and substep, and `reset` and the done rule once per torso. Heights are
+    read with ``grid.item`` so no per-terrain copy of the grid is made.
     """
     item = terrain.height_grid.item
     rows, cols, x_origin, y_origin = terrain._grid_frame
@@ -131,17 +131,6 @@ def point_height(terrain: Terrain, x: float, y: float) -> float:
     wy, wx = 1 - fy, 1 - fx
     return (wy * wx * item(i0, j0) + wy * fx * item(i0, j1)
             + fy * wx * item(i1, j0) + fy * fx * item(i1, j1))
-
-
-def height_at(terrain: Terrain, x, y):
-    """Ground height at world (x, y); accepts scalars or same-shape arrays."""
-    if np.ndim(x) == 0:
-        return point_height(terrain, float(x), float(y))
-    xs, ys = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
-                                 np.asarray(y, dtype=np.float64))
-    heights = [point_height(terrain, a, b)
-               for a, b in zip(xs.ravel().tolist(), ys.ravel().tolist())]
-    return np.array(heights, dtype=np.float64).reshape(xs.shape)
 
 
 def save_terrain(terrain: Terrain, path: str) -> None:

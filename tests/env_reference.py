@@ -2,20 +2,26 @@
 
 This is the array implementation `quadrl.env.integrate` used before it
 became a scalar loop: vectorized bilinear height queries, the array
-contact law, the foot kinematics on (4, 3) rows, the substep loop and
-the step's scoring: PD torque, reward, observation and done rule.
-`tests/test_env_kernel.py` requires the kernel to reproduce it byte for
+contact law, the rotation matrix, the foot kinematics on (4, 3) rows,
+the substep loop and the step's scoring: PD torque, reward, observation
+and done rule. The simulator applies each rule to one point at a time
+(`terrain.height_at` per point, `env.contact_forces` per foot,
+`env.reward_terms` per state); the forms here apply it to whole arrays.
+`tests/test_env_kernel.py` requires the kernel to reproduce them byte for
 byte. It also keeps the broadcast-gather upsample that rough terrain
 generation used, which `tests/test_terrain.py` holds `make_terrain` to.
-It is test code only; nothing under ``src/`` imports it.
+It is test code only; nothing under ``src/`` imports it, and it imports
+no function from the code under test.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from quadrl.env import (JOINT_RANGE, N_LEGS, RobotConfig, RobotState,
-                        SimulationDiverged, rotation_matrix)
+                        SimulationDiverged)
 from quadrl.terrain import LATTICE_STEP, Terrain
 
 
@@ -61,6 +67,21 @@ def rough_height_grid(seed: int, amplitude: float, cell_size: float,
             + fy * (1 - fx) * coarse[r1, c0] + fy * fx * coarse[r1, c1])
     np.clip(grid, -amplitude, amplitude, out=grid)
     return grid
+
+
+def rotation_matrix(orientation) -> np.ndarray:
+    """World-from-body rotation for (roll, pitch, yaw), applied z-y-x.
+
+    Rz(yaw) @ Ry(pitch) @ Rx(roll) written out, each entry's products in
+    the order the simulator forms them.
+    """
+    roll, pitch, yaw = orientation
+    cr, sr = math.cos(roll), math.sin(roll)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    return np.array([[cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
+                     [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
+                     [-sp, cp * sr, cp * cr]])
 
 
 def feet_body_frame(joint_angles: np.ndarray, config: RobotConfig):

@@ -31,7 +31,7 @@ from quadrl.rl import (RlHyperparams, actor_spec, critic_target,
                        smoothed_target_action, train_step)
 from quadrl.rollout import run_episode
 from quadrl.seeds import SeedStream
-from quadrl.terrain import make_terrain
+from quadrl.terrain import height_at, make_terrain
 from quadrl.train import train
 from toytask import ToyEnv, cem_solve_toy, optimal_return
 
@@ -311,7 +311,9 @@ def test_criterion_06_physics_sanity():
         rng.uniform(-0.05, 0.05, 100_000),  # half the feet penetrate
     ])
     velocities = rng.normal(scale=1.0, size=(100_000, 3))
-    forces = contact_forces(positions, velocities, env.terrain, config)
+    forces = np.array([
+        contact_forces(height_at(env.terrain, x, y) - z, vx, vy, vz, config)
+        for (x, y, z), (vx, vy, vz) in zip(positions.tolist(), velocities.tolist())])
     normal = forces[:, 2]
     tangent = np.hypot(forces[:, 0], forces[:, 1])
     cone_ok = bool(np.all(normal >= 0.0)

@@ -9,7 +9,8 @@ import pytest
 
 import quadrl
 from quadrl import net
-from quadrl.checkpoint import Checkpoint, save_checkpoint
+from quadrl.checkpoint import (Checkpoint, CheckpointError, load_checkpoint,
+                               save_checkpoint)
 from quadrl.cli import main
 from quadrl.config import parse_config
 from quadrl.env import OBS_SIZE, SimulationDiverged
@@ -157,6 +158,25 @@ def test_transfer_nan_weight_checkpoint_exit_2_without_report(tmp_path, capsys):
     assert not (tmp_path / "reports" / "transfer_report.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("t_max", "250"), ("robot.substeps", 2.5), ("episodes", 1.5),
+    ("record_wall_time", "no"), ("master_seed", True)])
+def test_transfer_mistyped_config_value_exit_2_without_report(key, value, tmp_path,
+                                                              capsys):
+    # Each once raised a TypeError outside ConfigError, or loaded silently.
+    ck = actor_checkpoint(tmp_path / "ck.json")
+    doc = json.loads(ck.read_text())
+    doc["config"][key] = value
+    ck.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(str(ck))
+    code = run_cli(["transfer", "--checkpoint", str(ck), "--trials", "2",
+                    "--out", str(tmp_path / "reports")])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
+
+
 def test_eval_fixed_terrain(tmp_path, capsys):
     out = trained_dir(tmp_path)
     terrain_file = tmp_path / "pinned.terrain"
@@ -180,14 +200,24 @@ def test_eval_fixed_terrain(tmp_path, capsys):
 def test_fixed_terrain_of_another_kind_exit_2_without_report(
         argv, kind, message, tmp_path, monkeypatch, capsys):
     # The report would carry the label of one terrain and the returns of the other.
+    # The kind is checked before any trial runs, flat trials included.
     monkeypatch.chdir(tmp_path)
     ck = actor_checkpoint(tmp_path / "ck.json")
     save_terrain(make_terrain(kind, seed=5), "pinned.terrain")
+    episodes = []
+    run_episode = quadrl.evaluate.run_episode
+
+    def counted(*args):
+        episodes.append(args)
+        return run_episode(*args)
+
+    monkeypatch.setattr("quadrl.evaluate.run_episode", counted)
     code = run_cli([*argv, "--checkpoint", str(ck), "--trials", "2",
                     "--fixed-terrain", "pinned.terrain"])
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "reports").exists()
+    assert episodes == []
 
 
 def test_transfer_writes_table_and_report(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 import env_reference as ref
 from quadrl import env
-from quadrl.terrain import make_terrain
+from quadrl.terrain import height_at, make_terrain
 
 FLAT = make_terrain("flat", seed=0)
 CONFIG = env.RobotConfig()
@@ -42,15 +42,23 @@ def test_stand_height_closed_form():
     assert CONFIG.stand_height == pytest.approx(expected, abs=1e-15)
 
 
+def kernel_rotation(roll, pitch, yaw):
+    """The kernel's rotation as a matrix: its entries come column by column."""
+    return np.array(env._rotation_columns(roll, pitch, yaw)).reshape(3, 3).T
+
+
 def test_rotation_matrix_identity_at_zero():
-    assert np.allclose(env.rotation_matrix(np.zeros(3)), np.eye(3), atol=0)
+    assert np.allclose(kernel_rotation(0.0, 0.0, 0.0), np.eye(3), atol=0)
 
 
 def test_rotation_matrix_orthonormal_and_composed():
     rng = np.random.default_rng(0)
     for _ in range(25):
         roll, pitch, yaw = rng.uniform(-1.0, 1.0, size=3)
-        rot = env.rotation_matrix(np.array([roll, pitch, yaw]))
+        rot = kernel_rotation(roll, pitch, yaw)
+        # The reference keeps its own copy of the rule, entry for entry.
+        assert (np.ascontiguousarray(rot).tobytes()
+                == ref.rotation_matrix(np.array([roll, pitch, yaw])).tobytes())
         assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
         rx = np.array([[1, 0, 0],
@@ -78,7 +86,6 @@ def test_reset_pose_and_observation():
 def test_reset_on_rough_terrain_sits_on_local_ground():
     rough = make_terrain("rough", seed=8)
     state, _ = env.reset(rough, CONFIG)
-    from quadrl.terrain import height_at
     expected = CONFIG.stand_height + height_at(rough, 0.0, 0.0)
     assert state.torso_position[2] == pytest.approx(expected, abs=1e-15)
 
@@ -170,48 +177,47 @@ def test_pd_torque_damping_sign():
     assert np.allclose(tau, -CONFIG.pd_kd * 2.0, atol=1e-15)
 
 
+def flat_contact(z, velocity):
+    """The contact law for a foot at height z over flat ground."""
+    return np.array(env.contact_forces(height_at(FLAT, 0.0, 0.0) - z, *velocity,
+                                       CONFIG))
+
+
 def test_contact_zero_above_ground():
-    pos = np.array([[0.0, 0.0, 0.01]])
-    vel = np.zeros((1, 3))
-    forces = env.contact_forces(pos, vel, FLAT, CONFIG)
-    assert np.array_equal(forces, np.zeros((1, 3)))
+    forces = flat_contact(0.01, [0.0, 0.0, 0.0])
+    assert np.array_equal(forces, np.zeros(3))
 
 
 def test_contact_spring_and_damping_terms():
-    pos = np.array([[0.0, 0.0, -0.002]])
-    still = env.contact_forces(pos, np.zeros((1, 3)), FLAT, CONFIG)
-    assert still[0, 2] == pytest.approx(5000.0 * 0.002, abs=1e-12)
-    assert np.array_equal(still[0, :2], np.zeros(2))
-    moving_down = env.contact_forces(pos, np.array([[0.0, 0.0, -0.1]]), FLAT, CONFIG)
-    assert moving_down[0, 2] == pytest.approx(5000.0 * 0.002 + 50.0 * 0.1, abs=1e-12)
-    moving_up = env.contact_forces(pos, np.array([[0.0, 0.0, 0.1]]), FLAT, CONFIG)
+    still = flat_contact(-0.002, [0.0, 0.0, 0.0])
+    assert still[2] == pytest.approx(5000.0 * 0.002, abs=1e-12)
+    assert np.array_equal(still[:2], np.zeros(2))
+    moving_down = flat_contact(-0.002, [0.0, 0.0, -0.1])
+    assert moving_down[2] == pytest.approx(5000.0 * 0.002 + 50.0 * 0.1, abs=1e-12)
+    moving_up = flat_contact(-0.002, [0.0, 0.0, 0.1])
     # Upward motion gets no damping bonus and never a sticking force.
-    assert moving_up[0, 2] == pytest.approx(5000.0 * 0.002, abs=1e-12)
+    assert moving_up[2] == pytest.approx(5000.0 * 0.002, abs=1e-12)
 
 
 def test_friction_opposes_motion_and_respects_cone():
-    pos = np.array([[0.0, 0.0, -0.002]])
     rng = np.random.default_rng(5)
     for _ in range(100):
         v = rng.uniform(-1.0, 1.0, size=3)
-        forces = env.contact_forces(pos, v[None, :], FLAT, CONFIG)
-        normal = forces[0, 2]
-        tangent = forces[0, :2]
+        forces = flat_contact(-0.002, v.tolist())
+        normal = forces[2]
+        tangent = forces[:2]
         assert np.hypot(*tangent) <= CONFIG.friction_mu * normal + 1e-12
         if np.hypot(v[0], v[1]) > 1e-9:
             assert tangent @ v[:2] <= 0.0
 
 
 def test_friction_saturates_beyond_slip_velocity():
-    pos = np.array([[0.0, 0.0, -0.002]])
-    vel = np.array([[1.0, 0.0, 0.0]])  # far above slip_velocity
-    forces = env.contact_forces(pos, vel, FLAT, CONFIG)
-    assert forces[0, 0] == pytest.approx(-CONFIG.friction_mu * forces[0, 2],
-                                         abs=1e-12)
-    slow = env.contact_forces(pos, np.array([[0.01, 0.0, 0.0]]), FLAT, CONFIG)
+    forces = flat_contact(-0.002, [1.0, 0.0, 0.0])  # far above slip_velocity
+    assert forces[0] == pytest.approx(-CONFIG.friction_mu * forces[2], abs=1e-12)
+    slow = flat_contact(-0.002, [0.01, 0.0, 0.0])
     # Below the slip velocity the magnitude ramps linearly.
-    assert slow[0, 0] == pytest.approx(-CONFIG.friction_mu * slow[0, 2]
-                                       * 0.01 / CONFIG.slip_velocity, abs=1e-12)
+    assert slow[0] == pytest.approx(-CONFIG.friction_mu * slow[2]
+                                    * 0.01 / CONFIG.slip_velocity, abs=1e-12)
 
 
 def test_free_fall_matches_closed_form():
@@ -283,7 +289,7 @@ def test_reward_terms_hand_values():
     state.torso_orientation[:] = np.array([0.1, -0.2, 0.5])
     state.previous_joint_angles[:] = state.joint_angles - 0.01
     terms = env.reward_terms(state, t_max=1000)
-    assert terms.shape == (7,)
+    assert [type(term) for term in terms] == [float] * 7
     assert terms[0] == pytest.approx(75.0 * 0.5, abs=1e-12)
     assert terms[1] == pytest.approx(25.0 * 50 / 1000, abs=1e-12)
     assert terms[2] == pytest.approx(-10.0 * 0.02, abs=1e-12)
@@ -292,7 +298,7 @@ def test_reward_terms_hand_values():
     assert terms[5] == pytest.approx(-5.0 * 0.2, abs=1e-12)
     # |q| - |q_prev| per joint: hips |0.3|-|0.29|, knees |-0.6|-|-0.59|.
     assert terms[6] == pytest.approx(-0.05 * 8 * 0.01, abs=1e-12)
-    assert env.compute_reward(state, 1000) == pytest.approx(terms.sum(), abs=0)
+    assert env.compute_reward(state, 1000) == pytest.approx(sum(terms), abs=0)
 
 
 def test_reward_survival_full_at_t_max():
@@ -323,7 +329,6 @@ def test_fell_threshold_uses_local_ground():
     rough = make_terrain("rough", seed=3, amplitude=0.03)
     state, _ = env.reset(rough, CONFIG)
     # Drop the torso to 0.39 of stand height above the local ground.
-    from quadrl.terrain import height_at
     ground = height_at(rough, 0.0, 0.0)
     state.torso_position[:] = np.array([0.0, 0.0, ground + 0.39 * CONFIG.stand_height])
     assert env._done_reason(state, rough, CONFIG, 1000) == "fell"

@@ -208,6 +208,16 @@ def test_config_file_rejects_non_finite_numbers(line, tmp_path):
         load_config(str(path))
 
 
+def test_config_values_must_have_their_field_type():
+    # An int in a float field is kept as it is, so snapshots keep their bytes.
+    mass = config_from_dict({"robot.mass": 5}).robot.mass
+    assert type(mass) is int and mass == 5
+    for key, value in (("robot.mass", True), ("rl.batch_size", 128.0),
+                       ("out_dir", 3), ("algorithm", None), ("cem.elite_count", [4])):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({key: value})
+
+
 def test_keyword_overrides_reject_non_finite_numbers():
     with pytest.raises(ConfigError, match="finite"):
         parse_config("", terrain_extent=math.inf)

@@ -81,6 +81,38 @@ def test_unused_parameter_check_sees_unread_names():
                                         "line 1: f(kw)", "line 3: lambda(y)"]
 
 
+def _unnamed_public_functions(trees: dict[str, ast.Module],
+                              exported: set[str]) -> list[str]:
+    """Top-level public functions that no module names and none exports.
+
+    A name counts where a module reads it (`f(...)`) or reads it as an
+    attribute (`module.f`); an import alone does not count, so a function
+    kept only for tests is found even where `__init__.py` imports it.
+    """
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    return [f"{module}: {node.name}" for module, tree in sorted(trees.items())
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and node.name not in named and node.name not in exported]
+
+
+def test_every_public_function_is_run_or_exported():
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unnamed_public_functions(trees, set(quadrl.__all__)) == []
+
+
+def test_unnamed_function_check_sees_test_only_functions():
+    trees = {"a.py": ast.parse("def used():\n    pass\n\ndef spare():\n    pass\n\n"
+                               "def shipped():\n    pass\n\ndef _private():\n"
+                               "    pass\n"),
+             "b.py": ast.parse("from .a import spare, used\nimport a\n"
+                               "used()\na.used\n")}
+    assert _unnamed_public_functions(trees, {"shipped"}) == ["a.py: spare"]
+
+
 def test_every_traced_name_resolves():
     # The benchmark's tracer rebinds these names; a refactor that drops one
     # would otherwise break only a traced benchmark run.

@@ -33,6 +33,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _trial_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"trials must be at least 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="quadrl",
@@ -55,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on one terrain")
     p_eval.add_argument("--checkpoint", required=True, metavar="FILE")
     p_eval.add_argument("--terrain", required=True, choices=["flat", "rough"])
-    p_eval.add_argument("--trials", type=int, default=10, metavar="N")
+    p_eval.add_argument("--trials", type=_trial_count, default=10, metavar="N")
     p_eval.add_argument("--seed", type=int, default=0, metavar="N")
     p_eval.add_argument("--fixed-terrain", metavar="FILE",
                         help="pin evaluation to a terrain file instead of "
@@ -67,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
         "transfer", help="evaluate a checkpoint on flat then rough terrain")
     p_transfer.add_argument("--checkpoint", required=True, metavar="FILE")
     p_transfer.add_argument("--seed", type=int, default=0, metavar="N")
-    p_transfer.add_argument("--trials", type=int, default=10, metavar="N")
+    p_transfer.add_argument("--trials", type=_trial_count, default=10,
+                            metavar="N")
     p_transfer.add_argument("--fixed-terrain", metavar="FILE",
                             help="pin the rough terrain to a terrain file")
     p_transfer.add_argument("--out", metavar="DIR",

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from .env import RobotConfig
+from .records import check_field_types, takes_type
 from .rl import RlHyperparams
 
 ALGORITHMS = ("ddpg", "td3", "cem_ddpg", "cem_td3")
@@ -40,6 +41,7 @@ class CemHyperparams:
     grad_steps_cap: int = 100
 
     def __post_init__(self) -> None:
+        check_field_types(self, ConfigError)
         for f in dataclasses.fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"cem.{f.name} must be finite")
@@ -75,6 +77,7 @@ class RunConfig:
     cem: CemHyperparams = field(default_factory=CemHyperparams)
 
     def __post_init__(self) -> None:
+        check_field_types(self, ConfigError)
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.episodes < 1 or self.generations < 1:
@@ -159,29 +162,23 @@ def config_to_dict(config: RunConfig) -> dict:
 # Every settable key, dotted for section fields, with its default value.
 _DEFAULTS = dict(config_to_dict(RunConfig()), out_dir=RunConfig().out_dir)
 
-# The value types a field of each default's type takes: a bool only where
-# a bool is due, and an int wherever a number is.
-_ACCEPTED = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
-
-
 def config_from_dict(data: dict) -> RunConfig:
     """Build a RunConfig from dotted keys; missing keys take their defaults.
 
     An algorithm may be spelled with dashes (cem-td3) or underscores.
     A value whose type its field does not take, and a nan or infinite
-    number, are rejected here, the one place config files, keyword
-    overrides and checkpoint snapshots all pass through. An int in a
-    float field is kept as it is.
+    number, are rejected here under their dotted key, before the records
+    check them again by field name. An int in a float field is kept as it
+    is.
     """
     top: dict = {}
     sections: dict[str, dict] = {name: {} for name in _SECTIONS}
     for key, value in data.items():
         if key not in _DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
-        kind = type(_DEFAULTS[key])
-        if (isinstance(value, bool) != (kind is bool)
-                or not isinstance(value, _ACCEPTED[kind])):
-            raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
+        if not takes_type(_DEFAULTS[key], value):
+            raise ConfigError(f"{key}: expected {type(_DEFAULTS[key]).__name__}, "
+                              f"got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key}: expected a finite number, got {value!r}")
         section, dot, name = key.partition(".")

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .records import check_field_types
 from .terrain import Terrain, height_at
 
 N_LEGS = 4
@@ -79,6 +80,7 @@ class RobotConfig:
     stance_knee: float = -0.6
 
     def __post_init__(self) -> None:
+        check_field_types(self, ValueError)
         positive = ("body_length", "body_width", "mass", "torque_limit",
                     "upper_leg_length", "lower_leg_length", "pd_kp", "pd_kd",
                     "dt", "substeps", "gravity", "leg_inertia",

@@ -1,0 +1,32 @@
+"""The type check the settings records share.
+
+A field takes values of its default's type: a bool only where a bool is
+due, an int but not a bool where an int is, and an int or a float where a
+float is. An int in a float field stays an int, so a config snapshot keeps
+its bytes.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+_ACCEPTED = {bool: (bool,), int: (int,), float: (int, float)}
+
+
+def takes_type(default, value) -> bool:
+    """Whether a field whose default is `default` takes `value`."""
+    kind = type(default)
+    return (isinstance(value, bool) == (kind is bool)
+            and isinstance(value, _ACCEPTED.get(kind, kind)))
+
+
+def check_field_types(record, error: type[Exception]) -> None:
+    """Raise `error` naming the first field of a settings record whose value
+    its default's type does not take."""
+    for f in dataclasses.fields(record):
+        default = (f.default_factory() if f.default is dataclasses.MISSING
+                   else f.default)
+        value = getattr(record, f.name)
+        if not takes_type(default, value):
+            raise error(f"{f.name}: expected {type(default).__name__}, "
+                        f"got {value!r}")

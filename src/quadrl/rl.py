@@ -18,6 +18,7 @@ import numpy as np
 
 from . import net
 from .net import TrainingDiverged
+from .records import check_field_types
 from .replay import Batch, ReplayBuffer
 from .seeds import SeedStream
 
@@ -39,6 +40,7 @@ class RlHyperparams:
     action_bound: float = 0.7
 
     def __post_init__(self) -> None:
+        check_field_types(self, ValueError)
         for f in dataclasses.fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")

@@ -6,6 +6,13 @@ to the fine grid, so elevation varies smoothly on a ~4-cell length scale.
 Height queries interpolate bilinearly between fine-grid nodes and clamp
 to the edge values outside the grid, so the ground function is continuous
 everywhere. The grid is centered on the origin.
+
+A generated rough terrain holds only its lattice: each fine-grid node is
+computed by one node rule the first time a height query reads it, and
+kept, so a short rollout pays for the few hundred nodes under its feet
+rather than the whole grid. Its ``height_grid`` is built through the same
+rule when first asked for, so saving it writes the same file as before.
+Flat, loaded and hand-built terrains hold their grid.
 """
 
 from __future__ import annotations
@@ -22,6 +29,9 @@ LATTICE_STEP = 4
 
 @dataclass(frozen=True, eq=False)
 class Terrain:
+    """A grid of heights ``cell_size`` apart; `height_at` reads its nodes
+    through ``_node(row, col)`` and its shape and origin from ``_grid_frame``."""
+
     kind: str
     seed: int
     amplitude: float
@@ -42,12 +52,78 @@ class Terrain:
             raise ValueError("height_grid must be finite")
         grid.setflags(write=False)
         object.__setattr__(self, "height_grid", grid)
+        self._set_nodes(*grid.shape, grid.item)
+
+    def _set_nodes(self, rows: int, cols: int, node) -> None:
+        """Install the node accessor and the grid's rows, columns and the
+        grid coordinates of the origin."""
+        object.__setattr__(self, "_grid_frame",
+                           (rows, cols, (cols - 1) / 2.0, (rows - 1) / 2.0))
+        object.__setattr__(self, "_node", node)
+
+
+class _LatticeTerrain(Terrain):
+    """A generated rough terrain: its seeded lattice, and in ``_nodes`` the
+    fine-grid nodes read so far, each computed by `_lattice_node`."""
+
+    def __init__(self, seed: int, amplitude: float, cell_size: float,
+                 lattice: np.ndarray, size: int) -> None:
+        lattice.setflags(write=False)
+        for name, value in (("kind", "rough"), ("seed", seed),
+                            ("amplitude", amplitude), ("cell_size", cell_size),
+                            ("_lattice", lattice)):
+            object.__setattr__(self, name, value)
+        nodes: dict[tuple[int, int], float] = {}
+
+        def node(i: int, j: int) -> float:
+            try:
+                return nodes[i, j]
+            except KeyError:
+                value = nodes[i, j] = _lattice_node(lattice, amplitude, i, j)
+                return value
+
+        object.__setattr__(self, "_nodes", nodes)
+        self._set_nodes(size, size, node)
 
     @functools.cached_property
-    def _grid_frame(self) -> tuple[int, int, float, float]:
-        """The grid's rows and columns and the grid coordinates of the origin."""
-        rows, cols = self.height_grid.shape
-        return rows, cols, (cols - 1) / 2.0, (rows - 1) / 2.0
+    def height_grid(self) -> np.ndarray:
+        """The whole fine grid, computed node by node without keeping them."""
+        size = self._grid_frame[0]
+        grid = np.array([[_lattice_node(self._lattice, self.amplitude, i, j)
+                          for j in range(size)] for i in range(size)])
+        grid.setflags(write=False)
+        return grid
+
+
+def _lattice_cell(index: int, last: int) -> tuple[int, float, float]:
+    """Along one axis: the lattice cell of a fine-grid index, and the
+    index's fraction f across it and 1 - f."""
+    pos = index / LATTICE_STEP
+    cell = min(int(pos), last)
+    frac = pos - cell
+    return cell, frac, 1 - frac
+
+
+def _lattice_node(lattice: np.ndarray, amplitude: float, i: int, j: int) -> float:
+    """Fine-grid node (i, j) of a rough terrain: the bilinear mix of its
+    lattice cell's four corners, summed left to right, clamped to
+    [-amplitude, amplitude].
+
+    A lattice of one node has no cell; index -1 wraps to that node, as
+    numpy's ``take`` does.
+    """
+    last = lattice.shape[0] - 2
+    r, fy, gy = _lattice_cell(i, last)
+    k, fx, gx = _lattice_cell(j, last)
+    c = lattice.item
+    value = (gy * gx * c(r, k) + gy * fx * c(r, k + 1)
+             + fy * gx * c(r + 1, k) + fy * fx * c(r + 1, k + 1))
+    # Clamped as np.clip clamps: NaN passes through, a zero keeps its sign.
+    if value > amplitude:
+        return amplitude
+    if value < -amplitude:
+        return -amplitude
+    return value
 
 
 def make_terrain(kind: str, seed: int, amplitude: float = 0.03,
@@ -74,44 +150,23 @@ def make_terrain(kind: str, seed: int, amplitude: float = 0.03,
     n = 2 * int(round(extent / cell_size)) + 1
     n_coarse = (n - 1 + LATTICE_STEP - 1) // LATTICE_STEP + 1
     rng = np.random.default_rng(seed)
-    coarse = rng.uniform(-amplitude, amplitude, size=(n_coarse, n_coarse))
-
-    # Bilinear upsample of the coarse lattice onto the fine grid: with
-    # rows y and columns x at fractions fy, fx of their lattice cells,
-    #   (1-fy)(1-fx) c[r0, c0] + (1-fy) fx c[r0, c1]
-    #     + fy (1-fx) c[r1, c0] + fy fx c[r1, c1],
-    # summed left to right. Each corner is gathered by whole rows, then
-    # columns, and each weight is an outer product of the two axes.
-    pos = np.arange(n) / LATTICE_STEP
-    i0 = np.minimum(pos.astype(np.int64), n_coarse - 2)
-    f = pos - i0
-    g = 1 - f
-    grid = None
-    for rows, fy in ((i0, g), (i0 + 1, f)):
-        lattice_rows = coarse.take(rows, axis=0)
-        for cols, fx in ((i0, g), (i0 + 1, f)):
-            term = np.multiply.outer(fy, fx)
-            term *= lattice_rows.take(cols, axis=1)
-            if grid is None:
-                grid = term
-            else:
-                grid += term
-    np.clip(grid, -amplitude, amplitude, out=grid)
-    return Terrain("rough", seed, amplitude, cell_size, grid)
+    lattice = rng.uniform(-amplitude, amplitude, size=(n_coarse, n_coarse))
+    return _LatticeTerrain(seed, amplitude, cell_size, lattice, n)
 
 
 def height_at(terrain: Terrain, x: float, y: float) -> float:
     """Ground height at one world point, as a Python float.
 
     This is the one bilinear rule: the simulator calls it once per foot
-    and substep, and `reset` and the done rule once per torso. Heights are
-    read with ``grid.item`` so no per-terrain copy of the grid is made.
+    and substep, and `reset` and the done rule once per torso. It reads
+    the four corner nodes through the terrain's node accessor, so a grid
+    is read in place and a lattice terrain computes only the nodes read.
     """
-    item = terrain.height_grid.item
     rows, cols, x_origin, y_origin = terrain._grid_frame
+    node = terrain._node
     if rows == 1 and cols == 1:
         # Degenerate grid (flat terrain): constant height everywhere.
-        return item(0, 0)
+        return node(0, 0)
     gx = x / terrain.cell_size + x_origin
     gy = y / terrain.cell_size + y_origin
     if 0.0 <= gx < cols - 1 and 0.0 <= gy < rows - 1:
@@ -129,8 +184,8 @@ def height_at(terrain: Terrain, x: float, y: float) -> float:
         fx, fy = gx - j0, gy - i0
         j1, i1 = min(j0 + 1, cols - 1), min(i0 + 1, rows - 1)
     wy, wx = 1 - fy, 1 - fx
-    return (wy * wx * item(i0, j0) + wy * fx * item(i0, j1)
-            + fy * wx * item(i1, j0) + fy * fx * item(i1, j1))
+    return (wy * wx * node(i0, j0) + wy * fx * node(i0, j1)
+            + fy * wx * node(i1, j0) + fy * fx * node(i1, j1))
 
 
 def save_terrain(terrain: Terrain, path: str) -> None:

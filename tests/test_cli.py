@@ -55,6 +55,13 @@ def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["train", "--algo", "sarsa"])
     assert exc.value.code == 1
+    # A trial count below 1 exits 1 before the (missing) checkpoint is read.
+    for argv in (["eval", "--terrain", "flat", "--trials", "0"],
+                 ["eval", "--terrain", "rough", "--trials", "-2"],
+                 ["transfer", "--trials", "0"], ["transfer", "--trials", "-2"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*argv, "--checkpoint", "missing.json"])
+        assert exc.value.code == 1
     capsys.readouterr()
 
 

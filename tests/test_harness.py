@@ -18,7 +18,7 @@ from quadrl.env import OBS_SIZE, QuadrupedEnv, RobotConfig, SimulationDiverged
 from quadrl.evaluate import (EvalReport, evaluate, report_csv, summarize,
                              transfer_experiment, transfer_table, TABLE_COLUMNS)
 from quadrl.replay import Batch, ReplayBuffer
-from quadrl.rl import TrainingDiverged, actor_spec
+from quadrl.rl import RlHyperparams, TrainingDiverged, actor_spec
 from quadrl.rollout import episode_steps, run_episode
 from quadrl.seeds import SeedStream
 from quadrl.svgplot import plot_metrics, read_metrics, render_curve
@@ -216,6 +216,24 @@ def test_config_values_must_have_their_field_type():
                        ("out_dir", 3), ("algorithm", None), ("cem.elite_count", [4])):
         with pytest.raises(ConfigError, match=key):
             config_from_dict({key: value})
+
+
+@pytest.mark.parametrize("record, error, name, value", [
+    (RobotConfig, ValueError, "substeps", 2.5),
+    (RobotConfig, ValueError, "mass", True),
+    (RunConfig, ConfigError, "episodes", 1.5),
+    (RunConfig, ConfigError, "record_wall_time", "no"),
+    (RunConfig, ConfigError, "t_max", "250"),
+    (RunConfig, ConfigError, "robot", None),
+    (RlHyperparams, ValueError, "batch_size", 128.0),
+    (RlHyperparams, ValueError, "policy_delay", True),
+    (CemHyperparams, ConfigError, "population_size", 8.0)])
+def test_settings_records_check_their_field_types(record, error, name, value):
+    # Built in Python, not through config_from_dict, which names the dotted key.
+    with pytest.raises(error, match=f"^{name}: expected"):
+        record(**{name: value})
+    mass = RobotConfig(mass=5).mass
+    assert type(mass) is int and mass == 5
 
 
 def test_keyword_overrides_reject_non_finite_numbers():
@@ -675,6 +693,30 @@ def test_evaluate_fixed_terrain_pins_every_trial():
     report = evaluate(eval_checkpoint(), "rough", trials=3, eval_seed=0,
                       fixed_terrain=fixed)
     assert report.std == 0.0
+
+
+def test_evaluate_rough_trial_computes_only_the_nodes_it_reads(monkeypatch):
+    built, read = [], set()
+
+    def recording_terrain(*args):
+        terrain = make_terrain(*args)
+        node = terrain._node
+
+        def recorded(i, j):
+            read.add((i, j))
+            return node(i, j)
+
+        object.__setattr__(terrain, "_node", recorded)
+        built.append(terrain)
+        return terrain
+
+    monkeypatch.setattr("quadrl.evaluate.make_terrain", recording_terrain)
+    evaluate(eval_checkpoint(), "rough", trials=1)
+    [terrain] = built
+    rows, cols = terrain._grid_frame[:2]
+    assert 0 < len(terrain._nodes) <= len(read) < rows * cols // 100
+    assert set(terrain._nodes) == read
+    assert "height_grid" not in vars(terrain)
 
 
 def test_evaluate_raises_on_a_diverged_trial():

@@ -55,6 +55,62 @@ def test_rough_grid_matches_broadcast_gather_reference(amplitude, cell_size, ext
         assert rough.height_grid.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("cell_size, extent",
+                         [(0.05, 8.0), (0.05, 0.05), (0.05, 0.01), (0.07, 3.3)])
+@pytest.mark.parametrize("amplitude", [0.0, 0.03, 0.06])
+def test_lattice_nodes_match_reference_grid(amplitude, cell_size, extent):
+    # (0.05, 0.01) is a one-node grid on a one-node lattice, whose missing
+    # second lattice row and column wrap to the first, as numpy's take(-1) does.
+    for seed in (0, 1005):
+        rough = terrain.make_terrain("rough", seed, amplitude, cell_size, extent)
+        expected = rough_height_grid(seed, amplitude, cell_size, extent)
+        rows, cols = expected.shape
+        assert rough._grid_frame[:2] == (rows, cols)
+        for _ in range(2):  # computed on the first pass, remembered on the second
+            nodes = [[rough._node(i, j) for j in reversed(range(cols))]
+                     for i in reversed(range(rows))]
+            assert np.array(nodes)[::-1, ::-1].tobytes() == expected.tobytes()
+        assert "height_grid" not in vars(rough)
+
+
+@pytest.mark.parametrize("cell_size, extent", [(0.05, 8.0), (0.05, 0.05), (0.05, 0.01)])
+def test_lattice_heights_match_a_grid_backed_terrain(cell_size, extent):
+    for seed, amplitude in ((3, 0.03), (4, 0.0)):
+        rough = terrain.make_terrain("rough", seed, amplitude, cell_size, extent)
+        grid = rough_height_grid(seed, amplitude, cell_size, extent)
+        backed = terrain.Terrain("rough", seed, amplitude, cell_size, grid)
+        rows, cols = grid.shape
+        half_x, half_y = (cols - 1) / 2 * cell_size, (rows - 1) / 2 * cell_size
+        rng = np.random.default_rng(seed)
+        inside = rng.uniform((-half_x, -half_y), (half_x, half_y), size=(50, 2))
+        lines = [(j * cell_size - half_x, y) for j, y in zip(range(cols), inside[:, 1])]
+        lines += [(x, i * cell_size - half_y) for i, x in zip(range(rows), inside[:, 0])]
+        edges = [(sx * half_x, sy * half_y) for sx in (-1, 0, 1) for sy in (-1, 0, 1)]
+        beyond = [(sx * (half_x + d), sy * (half_y + d)) for d in (0.01, 3.0, 1e19)
+                  for sx in (-1, 0, 1) for sy in (-1, 1)]
+        special = [(x, y) for x in (np.inf, -np.inf, np.nan, 0.01)
+                   for y in (np.inf, -np.inf, np.nan, -0.02)]
+        points = [*inside.tolist(), *lines, *edges, *beyond, *special]
+        heights = [terrain.height_at(rough, x, y) for x, y in points]
+        expected = [terrain.height_at(backed, x, y) for x, y in points]
+        assert np.array(heights).tobytes() == np.array(expected).tobytes()
+        assert "height_grid" not in vars(rough)
+
+
+@pytest.mark.parametrize("seed, amplitude, cell_size, extent",
+                         [(12, 0.03, 0.05, 8.0), (5, 0.0, 0.05, 1.0),
+                          (7, 0.03, 0.05, 0.01)])
+def test_saved_lattice_terrain_matches_the_saved_reference_grid(
+        tmp_path, seed, amplitude, cell_size, extent):
+    rough = terrain.make_terrain("rough", seed, amplitude, cell_size, extent)
+    grid = rough_height_grid(seed, amplitude, cell_size, extent)
+    backed = terrain.Terrain("rough", seed, amplitude, cell_size, grid)
+    terrain.save_terrain(rough, tmp_path / "lattice.terrain")
+    terrain.save_terrain(backed, tmp_path / "grid.terrain")
+    assert ((tmp_path / "lattice.terrain").read_bytes()
+            == (tmp_path / "grid.terrain").read_bytes())
+
+
 def test_height_query_deterministic():
     rough = terrain.make_terrain("rough", seed=9)
     rng = np.random.default_rng(1)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,13 +30,16 @@ LATTICE_STEP = 4
 @dataclass(frozen=True, eq=False)
 class Terrain:
     """A grid of heights ``cell_size`` apart; `height_at` reads its nodes
-    through ``_node(row, col)`` and its shape and origin from ``_grid_frame``."""
+    through ``_node(row, col)`` and its shape and origin from ``_grid_frame``.
+
+    Its repr leaves the grid out, which a generated terrain would build.
+    """
 
     kind: str
     seed: int
     amplitude: float
     cell_size: float
-    height_grid: np.ndarray
+    height_grid: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -64,10 +67,23 @@ class Terrain:
 
 class _LatticeTerrain(Terrain):
     """A generated rough terrain: its seeded lattice, and in ``_nodes`` the
-    fine-grid nodes read so far, each computed by `_lattice_node`."""
+    fine-grid nodes read so far, each computed by `_lattice_node`.
 
-    def __init__(self, seed: int, amplitude: float, cell_size: float,
-                 lattice: np.ndarray, size: int) -> None:
+    It is made by `make_terrain` alone: its heights follow from its seed's
+    lattice, so `dataclasses.replace` cannot give it other fields.
+    """
+
+    def __init__(self, **fields) -> None:
+        raise TypeError(
+            f"{type(self).__name__}, a generated rough terrain, cannot be rebuilt "
+            f"from the fields {sorted(fields)}: its heights follow from its "
+            "seed's lattice, so call make_terrain('rough', seed, amplitude, ...) "
+            "for another one")
+
+    @classmethod
+    def _from_lattice(cls, seed: int, amplitude: float, cell_size: float,
+                      lattice: np.ndarray, size: int) -> _LatticeTerrain:
+        self = object.__new__(cls)
         lattice.setflags(write=False)
         for name, value in (("kind", "rough"), ("seed", seed),
                             ("amplitude", amplitude), ("cell_size", cell_size),
@@ -84,6 +100,7 @@ class _LatticeTerrain(Terrain):
 
         object.__setattr__(self, "_nodes", nodes)
         self._set_nodes(size, size, node)
+        return self
 
     @functools.cached_property
     def height_grid(self) -> np.ndarray:
@@ -151,7 +168,7 @@ def make_terrain(kind: str, seed: int, amplitude: float = 0.03,
     n_coarse = (n - 1 + LATTICE_STEP - 1) // LATTICE_STEP + 1
     rng = np.random.default_rng(seed)
     lattice = rng.uniform(-amplitude, amplitude, size=(n_coarse, n_coarse))
-    return _LatticeTerrain(seed, amplitude, cell_size, lattice, n)
+    return _LatticeTerrain._from_lattice(seed, amplitude, cell_size, lattice, n)
 
 
 def height_at(terrain: Terrain, x: float, y: float) -> float:

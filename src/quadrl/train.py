@@ -32,6 +32,7 @@ from .cem import CemState, cem_rl_generation
 from .checkpoint import Checkpoint, save_checkpoint
 from .config import RunConfig
 from .env import OBS_SIZE, N_JOINTS, QuadrupedEnv, SimulationDiverged
+from .evaluate import summarize
 from .net import ParamVector, TrainingDiverged, init_network
 from .replay import ReplayBuffer
 from .rl import actor_spec, exploration_action, init_learner, train_step
@@ -112,11 +113,12 @@ def _generations(config: RunConfig, stream: SeedStream, env, buffer, progress):
             collected = log.transitions_collected
             progress["env_steps"] += collected
             # CEM_HEADER's columns; with nobody coached, evo_mean covers all.
+            # The median is summarize's: np.median would import numpy.ma.
             fit, coached = log.fitnesses, log.coached
             best = int(np.argmax(fit))
             rl_mean = fit[:coached].mean() if coached else float("nan")
             yield fit[best], ParamVector(log.population[best], a_spec), [
-                fit.mean(), np.median(fit), state.noise_floor, len(buffer),
+                fit.mean(), summarize(fit)[2], state.noise_floor, len(buffer),
                 rl_mean, fit[coached:].mean()]
 
     return learner, units(), lambda: ParamVector(state.mean, a_spec)

@@ -17,7 +17,7 @@ from quadrl.config import (CemHyperparams, ConfigError, RunConfig,
 from quadrl.env import OBS_SIZE, QuadrupedEnv, RobotConfig, SimulationDiverged
 from quadrl.evaluate import (EvalReport, evaluate, report_csv, summarize,
                              transfer_experiment, transfer_table, TABLE_COLUMNS)
-from quadrl.replay import Batch, ReplayBuffer
+from quadrl.replay import ReplayBuffer
 from quadrl.rl import RlHyperparams, TrainingDiverged, actor_spec
 from quadrl.rollout import episode_steps, run_episode
 from quadrl.seeds import SeedStream
@@ -365,9 +365,7 @@ def test_load_rejects_fields_that_are_not_objects(tmp_path, field):
 
 def stored_rows(buffer):
     """Every stored transition, in insertion order (the buffer never wrapped)."""
-    n = len(buffer)
-    return Batch(buffer._obs[:n], buffer._act[:n], buffer._rew[:n],
-                 buffer._next_obs[:n], buffer._done[:n])
+    return buffer._rows(np.arange(len(buffer)))
 
 
 def test_run_episode_to_timeout_and_return_sum():

@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import quadrl
@@ -134,3 +137,27 @@ def test_every_traced_name_resolves():
         owner, key = spans._resolve(module, attr)
         assert callable(getattr(owner, key)), name
         assert not hasattr(getattr(owner, key), "__wrapped__"), name
+
+
+TINY_COACHED_CEM = """
+t_max = 20
+generations = 3
+cem.population_size = 4
+cem.elite_count = 2
+rl.batch_size = 16
+"""
+
+
+def test_cem_training_does_not_import_numpy_ma(tmp_path):
+    # A fresh interpreter, because pytest itself may have loaded numpy.ma.
+    code = ("import sys\n"
+            "from quadrl.config import parse_config\n"
+            "from quadrl.train import train\n"
+            f"cfg = parse_config({TINY_COACHED_CEM!r}, algorithm='cem_td3', "
+            f"out_dir={str(tmp_path)!r})\n"
+            "ck, _ = train(cfg)\n"
+            "print(ck.progress['generations'], 'numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["3", "False"]

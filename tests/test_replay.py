@@ -140,6 +140,10 @@ def test_lazy_allocation_under_large_capacity():
     buf.push(*make_transition(0, obs_size=48, action_size=8))
     # A million-slot buffer must not preallocate its full footprint.
     assert buf._obs.shape[0] < 100_000
+    assert buf._end_row.shape[0] < 100_000
+    # Only the newest transition's next observation is in the side store.
+    assert buf._ends.shape[0] < 100_000
+    assert buf._end_row[0] >= 0 and len(buf._free_rows) == buf._ends.shape[0] - 1
     assert len(buf) == 1
 
 
@@ -159,6 +163,105 @@ def test_rows_and_samples_survive_growth():
                                   np.array([rows[i][3] for i in idx]))
             assert np.array_equal(batch.dones, np.array([rows[i][4] for i in idx]))
     assert buf._obs.shape[0] == 4000
+    assert buf._end_row.shape[0] == 4000
     assert np.array_equal(buf._rew[:2500], np.arange(2500.0))
     assert np.array_equal(buf._obs[:2500], np.array([r[0] for r in rows]))
     assert np.array_equal(buf._done[:2500], np.array([r[4] for r in rows]))
+    # No row continues its predecessor (observation i follows next
+    # observation i - 0.5), so every transition keeps its own next
+    # observation, and the slots past the stored rows keep none.
+    assert np.array_equal(buf._ends[buf._end_row[:2500]],
+                          np.array([r[3] for r in rows]))
+    assert np.array_equal(buf._end_row[2500:], np.full(1500, -1))
+
+
+class NaiveBuffer:
+    """The reference layout: every slot stores all five fields, copied."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.slots = []
+        self.write_index = 0
+
+    def push(self, observation, action, reward, next_observation, done):
+        row = (np.array(observation, dtype=np.float64),
+               np.array(action, dtype=np.float64), float(reward),
+               np.array(next_observation, dtype=np.float64), bool(done))
+        if len(self.slots) < self.capacity:
+            self.slots.append(row)
+        else:
+            self.slots[self.write_index] = row
+        self.write_index = (self.write_index + 1) % self.capacity
+
+    def sample_batch(self, batch_size, seed):
+        idx = np.random.default_rng(seed).integers(0, len(self.slots),
+                                                   size=batch_size)
+        return replay.Batch(*(np.array([self.slots[i][k] for i in idx])
+                              for k in range(5)))
+
+    def own_next_count(self):
+        """Stored transitions that are the newest or whose successor slot
+        does not hold their next observation byte for byte."""
+        n, newest = len(self.slots), (self.write_index - 1) % self.capacity
+        return sum(s == newest or self.slots[s][3].tobytes()
+                   != self.slots[(s + 1) % n][0].tobytes() for s in range(n))
+
+
+def random_pushes(rng, count, obs_size=3, action_size=2):
+    """Transitions with continuing and fresh observations, episode ends,
+    zeros of both signs, and a caller that reuses its arrays."""
+    values = np.array([-1.5, -0.0, 0.0, 0.25])
+    nxt = rng.choice(values, obs_size)
+    for _ in range(count):
+        kind = rng.integers(5)
+        if kind == 0:
+            obs = rng.choice(values, obs_size)  # fresh: an episode end
+        elif kind == 1:
+            obs = np.where(nxt == 0.0, -nxt, nxt)  # equal, not byte-equal
+        elif kind == 2:
+            obs = nxt.copy()  # continues, as a copy
+        else:
+            obs = nxt  # continues, the caller's own array
+        new_nxt = rng.choice(values, obs_size)
+        yield (obs, rng.normal(size=action_size), float(rng.normal()), new_nxt,
+               bool(rng.random() < 0.2))
+        if rng.random() < 0.3:
+            # The caller reuses its next-observation array after the push.
+            new_nxt[:] = rng.choice(values, obs_size)
+        nxt = new_nxt
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 5, 37])
+@pytest.mark.parametrize("stream_seed", [0, 1, 2])
+def test_samples_match_a_buffer_that_stores_everything(capacity, stream_seed):
+    buf = replay.ReplayBuffer(capacity, obs_size=3, action_size=2)
+    ref = NaiveBuffer(capacity)
+    rng = np.random.default_rng(stream_seed)
+    for n, transition in enumerate(random_pushes(rng, 4 * capacity + 60)):
+        buf.push(*transition)
+        ref.push(*transition)
+        for seed in (n, n + 1000):
+            got, want = buf.sample_batch(16, seed), ref.sample_batch(16, seed)
+            for field in ("observations", "actions", "rewards",
+                          "next_observations", "dones"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape,
+                                                           b.tobytes()), (n, field)
+        # Each observation is stored once: only the newest transition and
+        # the episode ends keep a row, and every other row is free.
+        kept = np.count_nonzero(buf._end_row[:len(buf)] >= 0)
+        assert kept == ref.own_next_count()
+        assert buf._ends.shape[0] - len(buf._free_rows) == kept
+
+
+def test_continuing_pushes_keep_only_the_newest_next_observation():
+    buf = replay.ReplayBuffer(capacity=50, obs_size=3, action_size=2)
+    obs = np.zeros(3)
+    for i in range(120):
+        nxt = np.full(3, i + 1.0)
+        buf.push(obs, np.zeros(2), 0.0, nxt, False)
+        obs = nxt
+    # Only the newest transition keeps its own next observation.
+    assert np.array_equal(np.flatnonzero(buf._end_row >= 0), [buf.write_index - 1])
+    batch = buf.sample_batch(64, seed=0)
+    assert np.array_equal(batch.next_observations, batch.observations + 1.0)

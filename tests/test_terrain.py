@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -256,3 +258,22 @@ def test_terrain_immutable():
     rough = terrain.make_terrain("rough", seed=0)
     with pytest.raises(ValueError):
         rough.height_grid[0, 0] = 1.0
+
+
+def test_repr_leaves_the_grid_out():
+    rough = terrain.make_terrain("rough", seed=1)
+    assert repr(rough) == ("_LatticeTerrain(kind='rough', seed=1, "
+                           "amplitude=0.03, cell_size=0.05)")
+    # No node was computed and no grid was built.
+    assert rough._nodes == {} and "height_grid" not in vars(rough)
+    flat = terrain.make_terrain("flat", seed=0)
+    assert repr(flat) == "Terrain(kind='flat', seed=0, amplitude=0.0, cell_size=0.05)"
+
+
+def test_replace_on_a_generated_terrain_says_why_it_cannot():
+    rough = terrain.make_terrain("rough", seed=1)
+    with pytest.raises(TypeError, match="follow from its seed's lattice"):
+        dataclasses.replace(rough, seed=2)
+    # A grid-backed terrain still takes new fields.
+    flat = dataclasses.replace(terrain.make_terrain("flat", seed=0), seed=4)
+    assert flat.seed == 4 and terrain.height_at(flat, 0.5, 0.5) == 0.0

@@ -42,9 +42,6 @@ class CemHyperparams:
 
     def __post_init__(self) -> None:
         check_field_types(self, ConfigError)
-        for f in dataclasses.fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"cem.{f.name} must be finite")
         if self.population_size < 2:
             raise ConfigError("cem.population_size must be at least 2")
         if not 1 <= self.elite_count <= self.population_size:
@@ -80,17 +77,19 @@ class RunConfig:
         check_field_types(self, ConfigError)
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be non-negative")
         if self.episodes < 1 or self.generations < 1:
             raise ConfigError("training budget must be at least 1")
         if self.t_max < 1:
             raise ConfigError("t_max must be at least 1")
         if self.warmup_steps < 0 or self.max_env_steps < 0:
             raise ConfigError("step counts must be non-negative")
-        if not 0.0 <= self.terrain_amplitude < math.inf:
-            raise ConfigError("terrain_amplitude must be non-negative and finite")
+        if self.terrain_amplitude < 0.0:
+            raise ConfigError("terrain_amplitude must be non-negative")
         for name in ("terrain_cell_size", "terrain_extent"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be positive and finite")
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(f"{name} must be positive")
 
 
 _SECTIONS = {"robot": RobotConfig, "rl": RlHyperparams, "cem": CemHyperparams}

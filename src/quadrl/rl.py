@@ -10,8 +10,6 @@ through the actor.
 
 from __future__ import annotations
 
-import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +39,6 @@ class RlHyperparams:
 
     def __post_init__(self) -> None:
         check_field_types(self, ValueError)
-        for f in dataclasses.fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
         if not 0.0 < self.tau <= 1.0:
@@ -177,7 +172,7 @@ def _critic_gradient(critic: net.ParamVector, critic_input: np.ndarray,
     return net.backward(critic, outputs, upstream, wrt="params")
 
 
-def update_critic(learner: Learner, batch: Batch, targets: np.ndarray) -> Learner:
+def update_critic(learner: Learner, batch: Batch, targets: np.ndarray) -> None:
     """One Adam step on the squared-error loss of every critic."""
     x = _critic_input(batch.observations, batch.actions)
     grads = [_critic_gradient(c, x, targets) for c in learner.critics]
@@ -185,7 +180,6 @@ def update_critic(learner: Learner, batch: Batch, targets: np.ndarray) -> Learne
              for c, g, adam in zip(learner.critics, grads, learner.critic_adams)]
     learner.critics = tuple(critic for critic, _ in steps)
     learner.critic_adams = tuple(adam for _, adam in steps)
-    return learner
 
 
 def actor_gradient(actor: net.ParamVector, critic: net.ParamVector,
@@ -200,12 +194,11 @@ def actor_gradient(actor: net.ParamVector, critic: net.ParamVector,
     return net.backward(actor, actor_outputs, action_grad, wrt="params")
 
 
-def update_actor(learner: Learner, batch: Batch) -> Learner:
+def update_actor(learner: Learner, batch: Batch) -> None:
     """One Adam ascent step on mean Q under the first critic."""
     grad = actor_gradient(learner.actor, learner.critics[0], batch.observations)
     learner.actor, learner.actor_adam = net.adam_step(
         learner.actor, grad, learner.actor_adam, learner.hp.actor_lr)
-    return learner
 
 
 def _blend_targets(learner: Learner) -> None:
@@ -216,7 +209,7 @@ def _blend_targets(learner: Learner) -> None:
         for target, critic in zip(learner.target_critics, learner.critics))
 
 
-def train_step(learner: Learner, buffer: ReplayBuffer, seed: int) -> Learner:
+def train_step(learner: Learner, buffer: ReplayBuffer, seed: int) -> None:
     """One minibatch update.
 
     The critics update every call. The actor and all targets update on
@@ -232,4 +225,3 @@ def train_step(learner: Learner, buffer: ReplayBuffer, seed: int) -> Learner:
     if learner.update_counter % (hp.policy_delay if learner.twin else 1) == 0:
         update_actor(learner, batch)
         _blend_targets(learner)
-    return learner

@@ -94,6 +94,14 @@ def test_train_rejects_bad_config_with_exit_2(tmp_path, capsys):
     assert "error" in err
 
 
+def test_train_negative_seed_exit_2_without_directory(tmp_path, capsys):
+    # numpy once refused the seed only after the output directory existed.
+    out = tmp_path / "run"
+    assert run_cli(["train", "--seed", "-1", "--out", str(out)]) == 2
+    assert "master_seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_runs_and_writes_report(tmp_path, capsys):
     out = trained_dir(tmp_path)
     report = tmp_path / "eval.csv"
@@ -140,6 +148,19 @@ def actor_checkpoint(path, nan_index=None):
     save_checkpoint(Checkpoint({"actor": net.ParamVector(values, spec)},
                                parse_config("t_max = 30")), str(path))
     return path
+
+
+def record_episodes(monkeypatch) -> list:
+    """The argument tuples of every evaluation episode run from now on."""
+    episodes = []
+    run_episode = quadrl.evaluate.run_episode
+
+    def counted(*args):
+        episodes.append(args)
+        return run_episode(*args)
+
+    monkeypatch.setattr("quadrl.evaluate.run_episode", counted)
+    return episodes
 
 
 def test_eval_divergence_exit_2_without_report(tmp_path, monkeypatch, capsys):
@@ -211,19 +232,31 @@ def test_fixed_terrain_of_another_kind_exit_2_without_report(
     monkeypatch.chdir(tmp_path)
     ck = actor_checkpoint(tmp_path / "ck.json")
     save_terrain(make_terrain(kind, seed=5), "pinned.terrain")
-    episodes = []
-    run_episode = quadrl.evaluate.run_episode
-
-    def counted(*args):
-        episodes.append(args)
-        return run_episode(*args)
-
-    monkeypatch.setattr("quadrl.evaluate.run_episode", counted)
+    episodes = record_episodes(monkeypatch)
     code = run_cli([*argv, "--checkpoint", str(ck), "--trials", "2",
                     "--fixed-terrain", "pinned.terrain"])
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "reports").exists()
+    assert episodes == []
+
+
+@pytest.mark.parametrize("argv, report", [
+    (["eval", "--terrain", "rough", "--out", "eval.csv"], "eval.csv"),
+    (["transfer", "--out", "reports"], "reports"),
+])
+def test_negative_eval_seed_exit_2_before_any_trial(argv, report, tmp_path,
+                                                    monkeypatch, capsys):
+    # A transfer once ran every flat trial before the rough terrain's draw
+    # refused the seed.
+    monkeypatch.chdir(tmp_path)
+    ck = actor_checkpoint(tmp_path / "ck.json")
+    episodes = record_episodes(monkeypatch)
+    code = run_cli([*argv, "--checkpoint", str(ck), "--trials", "2",
+                    "--seed", "-3"])
+    assert code == 2
+    assert "eval_seed must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / report).exists()
     assert episodes == []
 
 

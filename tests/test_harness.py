@@ -160,7 +160,7 @@ def test_cem_hyperparams_validation():
     ("noise_floor_final", math.inf), ("noise_decay", math.nan)])
 def test_cem_hyperparams_reject_non_finite_values(name, value):
     # Built in Python, not through config_from_dict, which checks too.
-    with pytest.raises(ConfigError, match=f"cem.{name} must be finite"):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
         CemHyperparams(**{name: value})
 
 

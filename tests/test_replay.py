@@ -137,13 +137,13 @@ def test_growth_preserves_order_across_wrap():
 
 def test_lazy_allocation_under_large_capacity():
     buf = replay.ReplayBuffer(capacity=1_000_000, obs_size=48, action_size=8)
-    buf.push(*make_transition(0, obs_size=48, action_size=8))
+    transition = make_transition(0, obs_size=48, action_size=8)
+    buf.push(*transition)
     # A million-slot buffer must not preallocate its full footprint.
     assert buf._obs.shape[0] < 100_000
-    assert buf._end_row.shape[0] < 100_000
     # Only the newest transition's next observation is in the side store.
-    assert buf._ends.shape[0] < 100_000
-    assert buf._end_row[0] >= 0 and len(buf._free_rows) == buf._ends.shape[0] - 1
+    assert list(buf._ends) == [0]
+    assert np.array_equal(buf._ends[0], transition[3])
     assert len(buf) == 1
 
 
@@ -163,16 +163,15 @@ def test_rows_and_samples_survive_growth():
                                   np.array([rows[i][3] for i in idx]))
             assert np.array_equal(batch.dones, np.array([rows[i][4] for i in idx]))
     assert buf._obs.shape[0] == 4000
-    assert buf._end_row.shape[0] == 4000
     assert np.array_equal(buf._rew[:2500], np.arange(2500.0))
     assert np.array_equal(buf._obs[:2500], np.array([r[0] for r in rows]))
     assert np.array_equal(buf._done[:2500], np.array([r[4] for r in rows]))
     # No row continues its predecessor (observation i follows next
     # observation i - 0.5), so every transition keeps its own next
     # observation, and the slots past the stored rows keep none.
-    assert np.array_equal(buf._ends[buf._end_row[:2500]],
+    assert sorted(buf._ends) == list(range(2500))
+    assert np.array_equal(np.array([buf._ends[s] for s in range(2500)]),
                           np.array([r[3] for r in rows]))
-    assert np.array_equal(buf._end_row[2500:], np.full(1500, -1))
 
 
 class NaiveBuffer:
@@ -248,10 +247,10 @@ def test_samples_match_a_buffer_that_stores_everything(capacity, stream_seed):
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape,
                                                            b.tobytes()), (n, field)
         # Each observation is stored once: only the newest transition and
-        # the episode ends keep a row, and every other row is free.
-        kept = np.count_nonzero(buf._end_row[:len(buf)] >= 0)
-        assert kept == ref.own_next_count()
-        assert buf._ends.shape[0] - len(buf._free_rows) == kept
+        # the episode ends keep an entry, and it holds the pushed bytes.
+        assert len(buf._ends) == ref.own_next_count()
+        for slot, end in buf._ends.items():
+            assert end.tobytes() == ref.slots[slot][3].tobytes(), (n, slot)
 
 
 def test_continuing_pushes_keep_only_the_newest_next_observation():
@@ -262,6 +261,7 @@ def test_continuing_pushes_keep_only_the_newest_next_observation():
         buf.push(obs, np.zeros(2), 0.0, nxt, False)
         obs = nxt
     # Only the newest transition keeps its own next observation.
-    assert np.array_equal(np.flatnonzero(buf._end_row >= 0), [buf.write_index - 1])
+    assert list(buf._ends) == [buf.write_index - 1]
+    assert np.array_equal(buf._ends[buf.write_index - 1], np.full(3, 120.0))
     batch = buf.sample_batch(64, seed=0)
     assert np.array_equal(batch.next_observations, batch.observations + 1.0)

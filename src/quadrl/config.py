@@ -78,7 +78,8 @@ class RunConfig:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.master_seed < 0:
-            raise ConfigError("master_seed must be non-negative")
+            raise ConfigError("master_seed must be non-negative, "
+                              f"got {self.master_seed}")
         if self.episodes < 1 or self.generations < 1:
             raise ConfigError("training budget must be at least 1")
         if self.t_max < 1:

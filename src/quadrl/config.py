@@ -16,11 +16,10 @@ cannot silently fall back to defaults.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 
 from .env import RobotConfig
-from .records import check_field_types, takes_type
+from .records import check_field_types
 from .rl import RlHyperparams
 
 ALGORITHMS = ("ddpg", "td3", "cem_ddpg", "cem_td3")
@@ -43,16 +42,15 @@ class CemHyperparams:
     def __post_init__(self) -> None:
         check_field_types(self, ConfigError)
         if self.population_size < 2:
-            raise ConfigError("cem.population_size must be at least 2")
+            raise ConfigError("population_size must be at least 2")
         if not 1 <= self.elite_count <= self.population_size:
-            raise ConfigError("cem.elite_count must lie in [1, population_size]")
-        if (self.init_variance < 0.0 or self.noise_floor < 0.0
-                or self.noise_floor_final < 0.0):
-            raise ConfigError("cem variances must be non-negative")
+            raise ConfigError("elite_count must lie in [1, population_size]")
         if not 0.0 < self.noise_decay <= 1.0:
-            raise ConfigError("cem.noise_decay must lie in (0, 1]")
-        if self.grad_steps_cap < 0:
-            raise ConfigError("cem.grad_steps_cap must be non-negative")
+            raise ConfigError("noise_decay must lie in (0, 1]")
+        for name in ("noise_floor", "noise_floor_final", "init_variance",
+                     "grad_steps_cap"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -76,18 +74,16 @@ class RunConfig:
     def __post_init__(self) -> None:
         check_field_types(self, ConfigError)
         if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if self.master_seed < 0:
-            raise ConfigError("master_seed must be non-negative, "
-                              f"got {self.master_seed}")
-        if self.episodes < 1 or self.generations < 1:
-            raise ConfigError("training budget must be at least 1")
-        if self.t_max < 1:
-            raise ConfigError("t_max must be at least 1")
-        if self.warmup_steps < 0 or self.max_env_steps < 0:
-            raise ConfigError("step counts must be non-negative")
-        if self.terrain_amplitude < 0.0:
-            raise ConfigError("terrain_amplitude must be non-negative")
+            raise ConfigError(f"algorithm {self.algorithm!r} is not one of "
+                              f"{', '.join(ALGORITHMS)}")
+        for name in ("master_seed", "warmup_steps", "max_env_steps",
+                     "terrain_amplitude"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, "
+                                  f"got {getattr(self, name)}")
+        for name in ("episodes", "generations", "t_max"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
         for name in ("terrain_cell_size", "terrain_extent"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
@@ -166,21 +162,15 @@ def config_from_dict(data: dict) -> RunConfig:
     """Build a RunConfig from dotted keys; missing keys take their defaults.
 
     An algorithm may be spelled with dashes (cem-td3) or underscores.
-    A value whose type its field does not take, and a nan or infinite
-    number, are rejected here under their dotted key, before the records
-    check them again by field name. An int in a float field is kept as it
-    is.
+    Each record checks its own fields, and a check's message, which starts
+    with the field's name, is raised here under its dotted key. An int in a
+    float field is kept as it is.
     """
     top: dict = {}
     sections: dict[str, dict] = {name: {} for name in _SECTIONS}
     for key, value in data.items():
         if key not in _DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
-        if not takes_type(_DEFAULTS[key], value):
-            raise ConfigError(f"{key}: expected {type(_DEFAULTS[key]).__name__}, "
-                              f"got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{key}: expected a finite number, got {value!r}")
         section, dot, name = key.partition(".")
         if dot:
             sections[section][name] = value
@@ -188,8 +178,12 @@ def config_from_dict(data: dict) -> RunConfig:
             top[key] = value
     if isinstance(top.get("algorithm"), str):
         top["algorithm"] = top["algorithm"].replace("-", "_")
+    for name, cls in _SECTIONS.items():
+        try:
+            top[name] = cls(**sections[name])
+        except ValueError as exc:
+            raise ConfigError(f"{name}.{exc}") from None
     try:
-        return RunConfig(**top, **{name: cls(**sections[name])
-                                   for name, cls in _SECTIONS.items()})
+        return RunConfig(**top)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

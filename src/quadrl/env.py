@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .records import check_field_types
-from .terrain import Terrain, height_at
+from .terrain import AnyTerrain, height_at
 
 N_LEGS = 4
 N_JOINTS = 8
@@ -266,7 +266,7 @@ def contact_forces(depth: float, vx: float, vy: float, vz: float,
     return -magnitude * (vx / safe_speed), -magnitude * (vy / safe_speed), normal
 
 
-def integrate(state: RobotState, torques, terrain: Terrain,
+def integrate(state: RobotState, torques, terrain: AnyTerrain,
               config: RobotConfig) -> RobotState:
     """Advance one control step with semi-implicit Euler substeps.
 
@@ -387,7 +387,7 @@ def observe(state: RobotState) -> np.ndarray:
     return state.values / OBS_SCALES
 
 
-def reset(terrain: Terrain, config: RobotConfig,
+def reset(terrain: AnyTerrain, config: RobotConfig,
           seed: int = 0) -> tuple[RobotState, np.ndarray]:
     """Place the robot at the origin in its nominal stance, at rest.
 
@@ -408,7 +408,7 @@ def reset(terrain: Terrain, config: RobotConfig,
     return state, observe(state)
 
 
-def _done_reason(state: RobotState, terrain: Terrain, config: RobotConfig,
+def _done_reason(state: RobotState, terrain: AnyTerrain, config: RobotConfig,
                  t_max: int) -> str:
     x, y, z, roll, pitch = state.values[:5].tolist()
     if z - height_at(terrain, x, y) < 0.4 * config.stand_height:
@@ -420,7 +420,7 @@ def _done_reason(state: RobotState, terrain: Terrain, config: RobotConfig,
     return "none"
 
 
-def step(state: RobotState, action, terrain: Terrain, config: RobotConfig,
+def step(state: RobotState, action, terrain: AnyTerrain, config: RobotConfig,
          t_max: int) -> tuple[RobotState, StepResult]:
     """Apply one control step: clamp action, PD torques, integrate, score."""
     if state.timestep >= t_max:
@@ -438,7 +438,7 @@ def step(state: RobotState, action, terrain: Terrain, config: RobotConfig,
 class QuadrupedEnv:
     """Stateful convenience wrapper over the pure simulator functions."""
 
-    terrain: Terrain
+    terrain: AnyTerrain
     config: RobotConfig = field(default_factory=RobotConfig)
     t_max: int = 1000
 

@@ -17,7 +17,7 @@ from . import net
 from .checkpoint import Checkpoint
 from .env import QuadrupedEnv
 from .rollout import run_episode
-from .terrain import Terrain, make_terrain
+from .terrain import AnyTerrain, make_terrain
 
 
 def summarize(returns) -> tuple[float, float, float, float]:
@@ -60,13 +60,13 @@ class EvalReport:
             object.__setattr__(self, name, value)
 
 
-def _check_fixed_kind(fixed_terrain: Terrain | None, terrain_kind: str) -> None:
+def _check_fixed_kind(fixed_terrain: AnyTerrain | None, terrain_kind: str) -> None:
     if fixed_terrain is not None and fixed_terrain.kind != terrain_kind:
         raise ValueError(f"fixed terrain is {fixed_terrain.kind}, not {terrain_kind}")
 
 
 def _trial_terrain(ck: Checkpoint, kind: str, seed: int,
-                   fixed: Terrain | None) -> Terrain:
+                   fixed: AnyTerrain | None) -> AnyTerrain:
     if fixed is not None:
         return fixed
     cfg = ck.config
@@ -76,7 +76,7 @@ def _trial_terrain(ck: Checkpoint, kind: str, seed: int,
 
 
 def evaluate(ck: Checkpoint, terrain_kind: str, trials: int = 10,
-             eval_seed: int = 0, fixed_terrain: Terrain | None = None) -> EvalReport:
+             eval_seed: int = 0, fixed_terrain: AnyTerrain | None = None) -> EvalReport:
     """Run noise-free rollouts of the checkpoint's actor and summarize.
 
     A fixed terrain must be of terrain_kind, the label the report carries.
@@ -101,7 +101,7 @@ def evaluate(ck: Checkpoint, terrain_kind: str, trials: int = 10,
 
 
 def transfer_experiment(ck: Checkpoint, eval_seed: int = 0, trials: int = 10,
-                        fixed_terrain: Terrain | None = None
+                        fixed_terrain: AnyTerrain | None = None
                         ) -> tuple[EvalReport, EvalReport, float]:
     """Evaluate flat then rough; degradation = flat mean - rough mean.
 

@@ -15,22 +15,15 @@ import math
 _ACCEPTED = {bool: (bool,), int: (int,), float: (int, float)}
 
 
-def takes_type(default, value) -> bool:
-    """Whether a field whose default is `default` takes `value`."""
-    kind = type(default)
-    return (isinstance(value, bool) == (kind is bool)
-            and isinstance(value, _ACCEPTED.get(kind, kind)))
-
-
 def check_field_types(record, error: type[Exception]) -> None:
     """Raise `error` naming the first field of a settings record whose value
     its default's type does not take, or that is a nan or infinite float."""
     for f in dataclasses.fields(record):
         default = (f.default_factory() if f.default is dataclasses.MISSING
                    else f.default)
-        value = getattr(record, f.name)
-        if not takes_type(default, value):
-            raise error(f"{f.name}: expected {type(default).__name__}, "
-                        f"got {value!r}")
+        value, kind = getattr(record, f.name), type(default)
+        if (isinstance(value, bool) != (kind is bool)
+                or not isinstance(value, _ACCEPTED.get(kind, kind))):
+            raise error(f"{f.name}: expected {kind.__name__}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise error(f"{f.name} must be finite, got {value!r}")

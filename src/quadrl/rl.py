@@ -43,15 +43,13 @@ class RlHyperparams:
             raise ValueError("gamma must lie in [0, 1)")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must lie in (0, 1]")
-        if self.policy_delay < 1:
-            raise ValueError("policy_delay must be at least 1")
-        if self.target_noise_clip < 0.0 or self.target_noise_sigma < 0.0:
-            raise ValueError("target noise parameters must be non-negative")
-        if min(self.actor_lr, self.critic_lr, self.exploration_sigma) < 0.0:
-            raise ValueError("learning rates and exploration_sigma must be "
-                             "non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        for name in ("batch_size", "policy_delay"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("actor_lr", "critic_lr", "exploration_sigma",
+                     "target_noise_sigma", "target_noise_clip"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be non-negative")
         if self.action_bound <= 0.0:
             raise ValueError("action_bound must be positive")
 

@@ -44,8 +44,7 @@ def _polyline(points: list[tuple[float, float]], color: str) -> str:
             f'points="{coords}"/>')
 
 
-def render_curve(xs: list[float], ys: list[float], bests: list[float],
-                 title: str = "training return") -> str:
+def render_curve(xs: list[float], ys: list[float], bests: list[float]) -> str:
     x_map, x_lo, x_hi = _scale(xs, MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
     all_y = ys + bests
     y_map, y_lo, y_hi = _scale(all_y, HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
@@ -70,7 +69,7 @@ def render_curve(xs: list[float], ys: list[float], bests: list[float],
         f'<text x="{(MARGIN_LEFT + WIDTH) / 2}" y="{HEIGHT - 8}" font-size="12" '
         f'text-anchor="middle">episode / generation</text>',
         f'<text x="{WIDTH - MARGIN_RIGHT}" y="{MARGIN_TOP + 12}" font-size="12" '
-        f'text-anchor="end" fill="#4682b4">{title}</text>',
+        f'text-anchor="end" fill="#4682b4">training return</text>',
         f'<text x="{WIDTH - MARGIN_RIGHT}" y="{MARGIN_TOP + 28}" font-size="12" '
         f'text-anchor="end" fill="#b44646">best so far</text>',
         "</svg>",

@@ -7,12 +7,13 @@ Height queries interpolate bilinearly between fine-grid nodes and clamp
 to the edge values outside the grid, so the ground function is continuous
 everywhere. The grid is centered on the origin.
 
-A generated rough terrain holds only its lattice: each fine-grid node is
-computed by one node rule the first time a height query reads it, and
-kept, so a short rollout pays for the few hundred nodes under its feet
-rather than the whole grid. Its ``height_grid`` is built through the same
-rule when first asked for, so saving it writes the same file as before.
-Flat, loaded and hand-built terrains hold their grid.
+A generated rough terrain, `_LatticeTerrain`, is the record of
+`make_terrain`'s arguments: it draws its seeded lattice from them and
+computes each fine-grid node by one node rule the first time a height
+query reads it, and keeps it, so a short rollout pays for the few hundred
+nodes under its feet rather than the whole grid. Its ``height_grid`` is
+built through the same rule when first asked for. Flat, loaded and
+hand-built terrains are a `Terrain`, which holds its grid.
 """
 
 from __future__ import annotations
@@ -27,12 +28,23 @@ KINDS = ("flat", "rough")
 LATTICE_STEP = 4
 
 
+def _check_args(seed: int, **sizes: float) -> None:
+    """Raise a ValueError naming the seed unless it is a non-negative int,
+    or the first size that is not finite and positive (an amplitude may be
+    zero)."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
+    for name, value in sizes.items():
+        sign = "non-negative" if name == "amplitude" else "positive"
+        if not 0.0 <= value < math.inf or (value == 0.0 and sign == "positive"):
+            raise ValueError(f"{name} must be {sign} and finite")
+
+
 @dataclass(frozen=True, eq=False)
 class Terrain:
     """A grid of heights ``cell_size`` apart; `height_at` reads its nodes
     through ``_node(row, col)`` and its shape and origin from ``_grid_frame``.
-
-    Its repr leaves the grid out, which a generated terrain would build.
+    Its repr leaves the grid out.
     """
 
     kind: str
@@ -44,51 +56,43 @@ class Terrain:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown terrain kind {self.kind!r}")
-        if not 0.0 < self.cell_size < math.inf:
-            raise ValueError("cell_size must be positive and finite")
-        if not 0.0 <= self.amplitude < math.inf:
-            raise ValueError("amplitude must be non-negative and finite")
+        _check_args(self.seed, cell_size=self.cell_size, amplitude=self.amplitude)
         grid = np.array(self.height_grid, dtype=np.float64)
         if grid.ndim != 2:
             raise ValueError("height_grid must be 2-D")
         if not np.isfinite(grid).all():
             raise ValueError("height_grid must be finite")
         grid.setflags(write=False)
-        object.__setattr__(self, "height_grid", grid)
-        self._set_nodes(*grid.shape, grid.item)
-
-    def _set_nodes(self, rows: int, cols: int, node) -> None:
-        """Install the node accessor and the grid's rows, columns and the
-        grid coordinates of the origin."""
-        object.__setattr__(self, "_grid_frame",
-                           (rows, cols, (cols - 1) / 2.0, (rows - 1) / 2.0))
-        object.__setattr__(self, "_node", node)
+        rows, cols = grid.shape
+        for name, value in (("height_grid", grid), ("_node", grid.item),
+                            ("_grid_frame", (rows, cols, (cols - 1) / 2.0,
+                                             (rows - 1) / 2.0))):
+            object.__setattr__(self, name, value)
 
 
-class _LatticeTerrain(Terrain):
-    """A generated rough terrain: its seeded lattice, and in ``_nodes`` the
-    fine-grid nodes read so far, each computed by `_lattice_node`.
-
-    It is made by `make_terrain` alone: its heights follow from its seed's
-    lattice, so `dataclasses.replace` cannot give it other fields.
+@dataclass(frozen=True, eq=False)
+class _LatticeTerrain:
+    """A generated rough terrain covering [-extent, extent] in x and y: its
+    seeded lattice, and in ``_nodes`` the fine-grid nodes read so far, each
+    computed by `_lattice_node`. It reads like a `Terrain` of kind rough.
     """
 
-    def __init__(self, **fields) -> None:
-        raise TypeError(
-            f"{type(self).__name__}, a generated rough terrain, cannot be rebuilt "
-            f"from the fields {sorted(fields)}: its heights follow from its "
-            "seed's lattice, so call make_terrain('rough', seed, amplitude, ...) "
-            "for another one")
+    kind = "rough"
+    seed: int
+    amplitude: float
+    cell_size: float
+    extent: float
 
-    @classmethod
-    def _from_lattice(cls, seed: int, amplitude: float, cell_size: float,
-                      lattice: np.ndarray, size: int) -> _LatticeTerrain:
-        self = object.__new__(cls)
+    def __post_init__(self) -> None:
+        # Checked before the draw, which overflows on an infinite extent or amplitude.
+        _check_args(self.seed, cell_size=self.cell_size, amplitude=self.amplitude,
+                    extent=self.extent)
+        n = 2 * int(round(self.extent / self.cell_size)) + 1
+        n_coarse = (n - 1 + LATTICE_STEP - 1) // LATTICE_STEP + 1
+        amplitude = self.amplitude
+        lattice = np.random.default_rng(self.seed).uniform(
+            -amplitude, amplitude, size=(n_coarse, n_coarse))
         lattice.setflags(write=False)
-        for name, value in (("kind", "rough"), ("seed", seed),
-                            ("amplitude", amplitude), ("cell_size", cell_size),
-                            ("_lattice", lattice)):
-            object.__setattr__(self, name, value)
         nodes: dict[tuple[int, int], float] = {}
 
         def node(i: int, j: int) -> float:
@@ -98,9 +102,9 @@ class _LatticeTerrain(Terrain):
                 value = nodes[i, j] = _lattice_node(lattice, amplitude, i, j)
                 return value
 
-        object.__setattr__(self, "_nodes", nodes)
-        self._set_nodes(size, size, node)
-        return self
+        for name, value in (("_lattice", lattice), ("_nodes", nodes), ("_node", node),
+                            ("_grid_frame", (n, n, (n - 1) / 2.0, (n - 1) / 2.0))):
+            object.__setattr__(self, name, value)
 
     @functools.cached_property
     def height_grid(self) -> np.ndarray:
@@ -110,6 +114,10 @@ class _LatticeTerrain(Terrain):
                           for j in range(size)] for i in range(size)])
         grid.setflags(write=False)
         return grid
+
+
+# What `height_at` and the simulator read: a grid or a generated rough terrain.
+AnyTerrain = Terrain | _LatticeTerrain
 
 
 def _lattice_cell(index: int, last: int) -> tuple[int, float, float]:
@@ -144,7 +152,7 @@ def _lattice_node(lattice: np.ndarray, amplitude: float, i: int, j: int) -> floa
 
 
 def make_terrain(kind: str, seed: int, amplitude: float = 0.03,
-                 cell_size: float = 0.05, extent: float = 8.0) -> Terrain:
+                 cell_size: float = 0.05, extent: float = 8.0) -> AnyTerrain:
     """Build a terrain covering [-extent, extent] in x and y.
 
     Flat terrain ignores seed and amplitude and is height 0 everywhere.
@@ -153,25 +161,14 @@ def make_terrain(kind: str, seed: int, amplitude: float = 0.03,
     """
     if kind not in KINDS:
         raise ValueError(f"unknown terrain kind {kind!r}")
-    # Checked before the draw, which overflows on an infinite extent or amplitude.
-    if not 0.0 < cell_size < math.inf:
-        raise ValueError("cell_size must be positive and finite")
-    if not 0.0 <= amplitude < math.inf:
-        raise ValueError("amplitude must be non-negative and finite")
-    if not 0.0 < extent < math.inf:
-        raise ValueError("extent must be positive and finite")
-    if kind == "flat":
-        # A 1x1 zero grid plus edge clamping gives height 0 everywhere.
-        return Terrain("flat", seed, 0.0, cell_size, np.zeros((1, 1)))
-
-    n = 2 * int(round(extent / cell_size)) + 1
-    n_coarse = (n - 1 + LATTICE_STEP - 1) // LATTICE_STEP + 1
-    rng = np.random.default_rng(seed)
-    lattice = rng.uniform(-amplitude, amplitude, size=(n_coarse, n_coarse))
-    return _LatticeTerrain._from_lattice(seed, amplitude, cell_size, lattice, n)
+    if kind == "rough":
+        return _LatticeTerrain(seed, amplitude, cell_size, extent)
+    _check_args(seed, cell_size=cell_size, amplitude=amplitude, extent=extent)
+    # A 1x1 zero grid plus edge clamping gives height 0 everywhere.
+    return Terrain("flat", seed, 0.0, cell_size, np.zeros((1, 1)))
 
 
-def height_at(terrain: Terrain, x: float, y: float) -> float:
+def height_at(terrain: AnyTerrain, x: float, y: float) -> float:
     """Ground height at one world point, as a Python float.
 
     This is the one bilinear rule: the simulator calls it once per foot
@@ -205,7 +202,7 @@ def height_at(terrain: Terrain, x: float, y: float) -> float:
             + fy * wx * node(i1, j0) + fy * fx * node(i1, j1))
 
 
-def save_terrain(terrain: Terrain, path: str) -> None:
+def save_terrain(terrain: AnyTerrain, path: str) -> None:
     """Write a terrain as plain text: 6 header lines, then row-major heights."""
     rows, cols = terrain.height_grid.shape
     lines = [

@@ -32,7 +32,8 @@ def test_config_defaults_and_validation():
     ("mass", math.inf), ("contact_stiffness", math.inf), ("dt", math.nan),
     ("stance_hip", math.nan), ("stance_knee", -math.inf)])
 def test_config_rejects_non_finite_values(name, value):
-    # Built in Python, not through config_from_dict, which checks too.
+    # Built in Python: the record's own check, which config_from_dict
+    # raises under the dotted key.
     with pytest.raises(ValueError, match=f"{name} must be .*finite"):
         env.RobotConfig(**{name: value})
 

@@ -2,6 +2,7 @@ import base64
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -159,7 +160,8 @@ def test_cem_hyperparams_validation():
     ("init_variance", math.inf), ("noise_floor", math.nan),
     ("noise_floor_final", math.inf), ("noise_decay", math.nan)])
 def test_cem_hyperparams_reject_non_finite_values(name, value):
-    # Built in Python, not through config_from_dict, which checks too.
+    # Built in Python: the record's own check, which config_from_dict
+    # raises under the dotted key.
     with pytest.raises(ConfigError, match=f"{name} must be finite"):
         CemHyperparams(**{name: value})
 
@@ -168,7 +170,8 @@ def test_cem_hyperparams_reject_non_finite_values(name, value):
     ("terrain_extent", math.inf), ("terrain_amplitude", math.nan),
     ("terrain_amplitude", math.inf), ("terrain_cell_size", math.nan)])
 def test_run_config_rejects_non_finite_values(name, value):
-    # Built in Python, not through config_from_dict, which checks too.
+    # Built in Python: the record's own check, which config_from_dict
+    # raises under the dotted key.
     with pytest.raises(ConfigError, match=f"{name} must be .*finite"):
         RunConfig(**{name: value})
 
@@ -234,6 +237,14 @@ def test_settings_records_check_their_field_types(record, error, name, value):
         record(**{name: value})
     mass = RobotConfig(mass=5).mass
     assert type(mass) is int and mass == 5
+
+
+@pytest.mark.parametrize("key, value", [("rl.gamma", 1.5), ("robot.mass", -1),
+                                        ("rl.actor_lr", -1), ("cem.init_variance", -1)])
+def test_config_range_errors_name_their_dotted_key(key, value):
+    # The record's message starts with its field name; the parser adds the section.
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} "):
+        parse_config(f"{key} = {value}")
 
 
 def test_keyword_overrides_reject_non_finite_numbers():

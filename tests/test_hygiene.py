@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,8 @@ import quadrl
 
 PACKAGE = Path(quadrl.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
-SPANS = TESTS.parent / "perfbench" / "spans.py"
+PERFBENCH = TESTS.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -82,6 +84,68 @@ def test_unused_parameter_check_sees_unread_names():
                      "    return lambda x, y: a + x\n")
     assert _unused_parameters(tree) == ["line 1: f(c)", "line 1: f(rest)",
                                         "line 1: f(kw)", "line 3: lambda(y)"]
+
+
+def _defaults_never_passed(sources: dict[str, ast.Module],
+                           callers: list[ast.Module]) -> list[str]:
+    """Parameters with a default, of the functions in `sources`, that no
+    call in `callers` passes, by keyword or by position.
+
+    A call counts for every function of its name, a bare name or an
+    attribute, and a class's name calls its ``__init__``; ``*args`` passes
+    every position and ``**kwargs`` every keyword. A method's first
+    parameter is bound, so its positions count from the second.
+    """
+    positions, keywords = {}, {}
+    for tree in callers:
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                count = (math.inf if any(isinstance(a, ast.Starred) for a in call.args)
+                         else len(call.args))
+                positions[name] = max(positions.get(name, 0), count)
+                keywords.setdefault(name, set()).update(k.arg for k in call.keywords)
+    classes = {id(node): cls.name for tree in sources.values()
+               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body}
+    found = []
+    for module, tree in sorted(sources.items()):
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args, bound = node.args, int(id(node) in classes)
+            name = classes[id(node)] if node.name == "__init__" else node.name
+            positional = [*args.posonlyargs, *args.args]
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i - bound, arg.arg) for i, arg in enumerate(positional)
+                         if i >= first]
+            defaulted += [(math.inf, arg.arg) for arg, default
+                          in zip(args.kwonlyargs, args.kw_defaults) if default]
+            passed = keywords.get(name, set())
+            found += [f"{module}: {name}({param})" for index, param in defaulted
+                      if param not in passed and None not in passed
+                      and positions.get(name, 0) <= index]
+    return found
+
+
+def test_every_default_is_overridden_somewhere():
+    sources = {path.name: ast.parse(path.read_text(), str(path))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    callers = [ast.parse(path.read_text(), str(path))
+               for folder in (PACKAGE, TESTS, PERFBENCH)
+               for path in sorted(folder.glob("*.py"))]
+    assert _defaults_never_passed(sources, callers) == []
+
+
+def test_default_check_sees_defaults_no_call_passes():
+    sources = {"a.py": ast.parse(
+        "def f(a, b=1, *, c=2, d=3):\n    pass\n\n"
+        "class K:\n    def __init__(self, x=0):\n        pass\n\n"
+        "    def m(self, y=0, z=1):\n        pass\n\n"
+        "def g(p=0, q=1):\n    pass\n\ndef h(r=0):\n    pass\n")}
+    callers = [ast.parse("f(1, 2)\nf(0, d=4)\nK(5)\nk.m(z=1)\ng(*rest)\n"
+                         "h(**options)\n")]
+    assert _defaults_never_passed(sources, callers) == ["a.py: f(c)", "a.py: m(y)"]
 
 
 def _unnamed_public_functions(trees: dict[str, ast.Module],

@@ -53,7 +53,8 @@ def test_hyperparams_validation():
     ("actor_lr", math.inf), ("actor_lr", math.nan), ("action_bound", math.nan),
     ("target_noise_sigma", math.inf), ("gamma", -math.inf)])
 def test_hyperparams_reject_non_finite_values(name, value):
-    # Built in Python, not through config_from_dict, which checks too.
+    # Built in Python: the record's own check, which config_from_dict
+    # raises under the dotted key.
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         rl.RlHyperparams(**{name: value})
 

@@ -258,22 +258,49 @@ def test_terrain_immutable():
     rough = terrain.make_terrain("rough", seed=0)
     with pytest.raises(ValueError):
         rough.height_grid[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        rough._lattice[0, 0] = 1.0
 
 
 def test_repr_leaves_the_grid_out():
     rough = terrain.make_terrain("rough", seed=1)
-    assert repr(rough) == ("_LatticeTerrain(kind='rough', seed=1, "
-                           "amplitude=0.03, cell_size=0.05)")
+    assert repr(rough) == ("_LatticeTerrain(seed=1, amplitude=0.03, "
+                           "cell_size=0.05, extent=8.0)")
     # No node was computed and no grid was built.
     assert rough._nodes == {} and "height_grid" not in vars(rough)
     flat = terrain.make_terrain("flat", seed=0)
     assert repr(flat) == "Terrain(kind='flat', seed=0, amplitude=0.0, cell_size=0.05)"
 
 
-def test_replace_on_a_generated_terrain_says_why_it_cannot():
+def test_replace_on_a_generated_terrain_draws_the_new_seed(tmp_path):
     rough = terrain.make_terrain("rough", seed=1)
-    with pytest.raises(TypeError, match="follow from its seed's lattice"):
-        dataclasses.replace(rough, seed=2)
+    replaced = dataclasses.replace(rough, seed=2)
+    assert "height_grid" not in vars(rough) and "height_grid" not in vars(replaced)
+    assert replaced._nodes == {}
+    terrain.save_terrain(replaced, tmp_path / "replaced.terrain")
+    terrain.save_terrain(terrain.make_terrain("rough", 2), tmp_path / "made.terrain")
+    assert ((tmp_path / "replaced.terrain").read_bytes()
+            == (tmp_path / "made.terrain").read_bytes())
     # A grid-backed terrain still takes new fields.
     flat = dataclasses.replace(terrain.make_terrain("flat", seed=0), seed=4)
     assert flat.seed == 4 and terrain.height_at(flat, 0.5, 0.5) == 0.0
+
+
+@pytest.mark.parametrize("seed", [-1, True, False, 1.5, 2.0, "3", None, np.int64(3)])
+def test_terrains_reject_a_seed_that_is_not_a_non_negative_int(seed):
+    # Each is a ValueError naming the seed, raised before the lattice draw.
+    for kind in terrain.KINDS:
+        with pytest.raises(ValueError, match="^seed must be a non-negative int"):
+            terrain.make_terrain(kind, seed)
+    with pytest.raises(ValueError, match="^seed must be a non-negative int"):
+        terrain.Terrain("rough", seed, 0.03, 0.05, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**63 - 1, 2**64 + 5, 10**40])
+def test_every_accepted_seed_survives_save_and_load(tmp_path, seed):
+    for kind in terrain.KINDS:
+        made = terrain.make_terrain(kind, seed, extent=0.5)
+        terrain.save_terrain(made, tmp_path / f"{kind}.terrain")
+        loaded = terrain.load_terrain(tmp_path / f"{kind}.terrain")
+        assert type(loaded.seed) is int and loaded.seed == seed
+        assert loaded.height_grid.tobytes() == made.height_grid.tobytes()

@@ -57,11 +57,18 @@ class CemState:
 
 
 def sample_population(state: CemState, seed: int) -> np.ndarray:
-    """Draw hp.population_size members from the current Gaussian, one per row."""
+    """Draw hp.population_size members from the current Gaussian, one per row.
+
+    The standard normal draws are scaled and shifted in place, so the
+    population is the only population-sized array built; each entry is
+    the same product and sum as ``mean + std * draws``.
+    """
     rng = np.random.default_rng(seed)
     std = np.sqrt(state.variance + state.noise_floor)
     draws = rng.standard_normal((state.hp.population_size, state.mean.size))
-    return state.mean + std * draws
+    draws *= std
+    draws += state.mean
+    return draws
 
 
 def elite_weights(elite_count: int) -> np.ndarray:
@@ -91,7 +98,8 @@ def cem_update(state: CemState, population: np.ndarray,
     weights = elite_weights(state.hp.elite_count)
     new_mean = weights @ elites
     centered = elites - state.mean
-    new_variance = weights @ (centered * centered) + state.noise_floor
+    centered *= centered  # squared in place: the same operand for the gemv
+    new_variance = weights @ centered + state.noise_floor
     return replace(state, mean=new_mean, variance=new_variance)
 
 

@@ -81,6 +81,9 @@ class RunConfig:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, "
                                   f"got {getattr(self, name)}")
+        if self.master_seed >= 2**64:
+            # Not shown: a seed of more than 4300 digits has no str.
+            raise ConfigError("master_seed must be below 2**64")
         for name in ("episodes", "generations", "t_max"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")

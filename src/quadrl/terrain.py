@@ -29,11 +29,19 @@ LATTICE_STEP = 4
 
 
 def _check_args(seed: int, **sizes: float) -> None:
-    """Raise a ValueError naming the seed unless it is a non-negative int,
-    or the first size that is not finite and positive (an amplitude may be
-    zero)."""
+    """Raise a ValueError naming the seed unless it is a non-negative int
+    below 2**64, then check the sizes as `_check_sizes` does."""
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValueError(f"seed must be a non-negative int, got {seed!r}")
+    if seed >= 2**64:
+        # Not shown: a seed of more than 4300 digits has no str.
+        raise ValueError("seed must be below 2**64")
+    _check_sizes(**sizes)
+
+
+def _check_sizes(**sizes: float) -> None:
+    """Raise a ValueError naming the first size that is not finite and
+    positive (an amplitude may be zero)."""
     for name, value in sizes.items():
         sign = "non-negative" if name == "amplitude" else "positive"
         if not 0.0 <= value < math.inf or (value == 0.0 and sign == "positive"):
@@ -163,9 +171,11 @@ def make_terrain(kind: str, seed: int, amplitude: float = 0.03,
         raise ValueError(f"unknown terrain kind {kind!r}")
     if kind == "rough":
         return _LatticeTerrain(seed, amplitude, cell_size, extent)
-    _check_args(seed, cell_size=cell_size, amplitude=amplitude, extent=extent)
-    # A 1x1 zero grid plus edge clamping gives height 0 everywhere.
-    return Terrain("flat", seed, 0.0, cell_size, np.zeros((1, 1)))
+    # A 1x1 zero grid plus edge clamping gives height 0 everywhere. Terrain
+    # checks the seed and cell size it stores; then the sizes it does not.
+    flat = Terrain("flat", seed, 0.0, cell_size, np.zeros((1, 1)))
+    _check_sizes(amplitude=amplitude, extent=extent)
+    return flat
 
 
 def height_at(terrain: AnyTerrain, x: float, y: float) -> float:

@@ -116,8 +116,12 @@ def _generations(config: RunConfig, stream: SeedStream, env, buffer, progress):
             # The median is summarize's: np.median would import numpy.ma.
             fit, coached = log.fitnesses, log.coached
             best = int(np.argmax(fit))
+            candidate = ParamVector(log.population[best], a_spec)
+            # The candidate is a copy, so the population is freed before the
+            # next generation samples its own.
+            del log
             rl_mean = fit[:coached].mean() if coached else float("nan")
-            yield fit[best], ParamVector(log.population[best], a_spec), [
+            yield fit[best], candidate, [
                 fit.mean(), summarize(fit)[2], state.noise_floor, len(buffer),
                 rl_mean, fit[coached:].mean()]
 

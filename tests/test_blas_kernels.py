@@ -1,11 +1,13 @@
-"""The simulator kernel tests under each OpenBLAS kernel this CPU can run.
+"""Byte-identity tests under each OpenBLAS kernel this CPU can run.
 
 The pinned bytes come from the OpenBLAS kernel numpy's wheel selects for
 the CPU (SkylakeX on an AVX-512 machine), and the simulator's one
-rotation product per substep goes through BLAS. ``OPENBLAS_CORETYPE``
-selects another kernel for one process, so each run below reruns
-`tests/test_env_kernel.py` in a subprocess under that kernel: the scalar
-kernel must match its numpy reference byte for byte there too.
+rotation product per substep goes through BLAS, as does the CEM variance
+refit's gemv. ``OPENBLAS_CORETYPE`` selects another kernel for one
+process, so each run below reruns a test file in a subprocess under that
+kernel: the scalar simulator kernel must match its numpy reference byte
+for byte there too, and CEM's in-place sampling and refit must match the
+expressions they replaced.
 """
 
 import os
@@ -34,8 +36,9 @@ def _cpu_flags() -> set:
     return set()
 
 
-@pytest.mark.parametrize("kernel", sorted(KERNELS))
-def test_env_kernel_matches_reference_under_openblas_kernel(kernel):
+def _pytest_under(kernel: str, *args: str) -> None:
+    """Run pytest on args in a subprocess under the named OpenBLAS kernel,
+    skipping when the CPU or the BLAS cannot run that kernel."""
     missing = [f for f in KERNELS[kernel] if f not in _cpu_flags()]
     if missing:
         pytest.skip(f"CPU lacks {', '.join(missing)} for the {kernel} kernel")
@@ -47,7 +50,16 @@ def test_env_kernel_matches_reference_under_openblas_kernel(kernel):
         pytest.skip(f"OpenBLAS reports kernel {corename or 'unknown'!r}, "
                     f"not {kernel!r}")
     run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_env_kernel.py"],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_env_kernel_matches_reference_under_openblas_kernel(kernel):
+    _pytest_under(kernel, "tests/test_env_kernel.py")
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_cem_matches_old_expressions_under_openblas_kernel(kernel):
+    _pytest_under(kernel, "tests/test_cem.py", "-k", "matches_old_expression_bytewise")

@@ -1,8 +1,12 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
+import quadrl.train
 from quadrl import cem
-from quadrl.config import CemHyperparams
+from quadrl.config import CemHyperparams, parse_config
 from quadrl.env import OBS_SIZE, QuadrupedEnv
 from quadrl.replay import ReplayBuffer
 from quadrl.rl import RlHyperparams, init_learner
@@ -275,3 +279,109 @@ def test_generation_coaching_schedule(monkeypatch, pop, cap, previous,
     assert log.coached == (half if steps else 0)
     # Each coached member starts from a fresh actor, update_counter 0.
     assert counters == list(range(steps // half)) * half
+
+
+# The benchmark's CEM-TD3 population: 8 actors of the default 48-64-64-8
+# architecture's 7816 parameters, 4 of them elites.
+BENCH_POP, BENCH_ELITES, ACTOR_PARAMS = 8, 4, 7816
+
+
+def random_state(rng, dim, pop, elites):
+    # Variances span several decades, and the mean has both signs.
+    return cem.CemState(rng.normal(scale=3.0, size=dim),
+                        10.0 ** rng.uniform(-8, 1, size=dim),
+                        float(rng.choice([0.0, 1e-5, 1e-3])), cem_hp(pop, elites))
+
+
+STATE_SHAPES = [(1, 2, 1), (3, 4, 2), (17, 5, 2), (1001, 10, 5),
+                (ACTOR_PARAMS, BENCH_POP, BENCH_ELITES)]
+
+
+@pytest.mark.parametrize("dim, pop, elites", STATE_SHAPES)
+def test_sample_population_matches_old_expression_bytewise(dim, pop, elites):
+    rng = np.random.default_rng(dim)
+    for _ in range(3):
+        state = random_state(rng, dim, pop, elites)
+        seed = int(rng.integers(0, 2**63))
+        # The broadcast the in-place scaling replaced.
+        std = np.sqrt(state.variance + state.noise_floor)
+        draws = np.random.default_rng(seed).standard_normal((pop, dim))
+        expected = state.mean + std * draws
+        assert cem.sample_population(state, seed).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dim, pop, elites", STATE_SHAPES)
+def test_cem_update_matches_old_expression_bytewise(dim, pop, elites):
+    rng = np.random.default_rng(dim)
+    for _ in range(3):
+        state = random_state(rng, dim, pop, elites)
+        population = cem.sample_population(state, int(rng.integers(0, 2**63)))
+        fitnesses = rng.normal(size=pop)
+        # The refit with the squared deviations built as a new array.
+        elites_rows = population[np.argsort(-fitnesses, kind="stable")[:elites]]
+        weights = cem.elite_weights(elites)
+        centered = elites_rows - state.mean
+        variance = weights @ (centered * centered) + state.noise_floor
+        new = cem.cem_update(state, population, fitnesses)
+        assert new.mean.tobytes() == (weights @ elites_rows).tobytes()
+        assert new.variance.tobytes() == variance.tobytes()
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes tracemalloc sees during one call of fn(*args), after one
+    untraced warm-up call; the result counts while it is still held."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def bench_state():
+    return random_state(np.random.default_rng(0), ACTOR_PARAMS, BENCH_POP,
+                        BENCH_ELITES)
+
+
+def test_sampling_builds_one_population_sized_array():
+    # The population itself plus a few parameter-sized vectors; the
+    # broadcast form peaked at about 3.1 population sizes.
+    population_bytes = BENCH_POP * ACTOR_PARAMS * 8
+    peak = traced_peak(cem.sample_population, bench_state(), 1)
+    assert peak < 1.5 * population_bytes
+
+
+def test_refit_holds_two_elite_blocks():
+    # The elite rows and their deviations, squared in place, plus a few
+    # parameter-sized vectors; a separate square peaked at about 3.5 blocks.
+    state = bench_state()
+    population = cem.sample_population(state, 1)
+    fitnesses = np.random.default_rng(2).normal(size=BENCH_POP)
+    elite_bytes = BENCH_ELITES * ACTOR_PARAMS * 8
+    peak = traced_peak(cem.cem_update, state, population, fitnesses)
+    assert peak < 3 * elite_bytes
+
+
+def test_train_frees_a_generation_before_sampling_the_next(monkeypatch, tmp_path):
+    populations = []  # weakrefs to each generation's population
+    alive_at_sampling = []  # how many earlier populations each draw saw alive
+    run_generation, sample = quadrl.train.cem_rl_generation, cem.sample_population
+
+    def generation(*args):
+        state, log = run_generation(*args)
+        populations.append(weakref.ref(log.population))
+        return state, log
+
+    def sampling(*args):
+        alive_at_sampling.append(sum(ref() is not None for ref in populations))
+        return sample(*args)
+
+    monkeypatch.setattr("quadrl.train.cem_rl_generation", generation)
+    monkeypatch.setattr("quadrl.cem.sample_population", sampling)
+    config = parse_config("t_max = 20\ngenerations = 2\ncem.population_size = 4\n"
+                          "cem.elite_count = 2", algorithm="cem_td3",
+                          out_dir=str(tmp_path))
+    quadrl.train.train(config)
+    assert len(populations) == 2
+    assert alive_at_sampling == [0, 0]

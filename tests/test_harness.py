@@ -247,6 +247,18 @@ def test_config_range_errors_name_their_dotted_key(key, value):
         parse_config(f"{key} = {value}")
 
 
+@pytest.mark.parametrize("seed", [2**64, 10**5000], ids=["2_64", "10_5000"])
+def test_master_seed_of_2_64_or_more_is_rejected(seed, tmp_path):
+    # Before training, where the checkpoint's config snapshot could not
+    # write a seed of more than 4300 digits after the whole budget ran.
+    with pytest.raises(ConfigError, match=r"^master_seed must be below 2\*\*64$"):
+        RunConfig(master_seed=seed)
+    with pytest.raises(ConfigError, match=r"^master_seed must be below 2\*\*64$"):
+        parse_config("t_max = 5\nepisodes = 2", algorithm="ddpg", master_seed=seed,
+                     out_dir=str(tmp_path / "run"))
+    assert not (tmp_path / "run").exists()
+
+
 def test_keyword_overrides_reject_non_finite_numbers():
     with pytest.raises(ConfigError, match="finite"):
         parse_config("", terrain_extent=math.inf)
@@ -280,6 +292,15 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     obs = np.zeros(OBS_SIZE)
     assert np.array_equal(net.forward(loaded.networks["actor"], obs),
                           net.forward(ck.networks["actor"], obs))
+
+
+def test_largest_master_seed_survives_the_config_snapshot(tmp_path):
+    ck = sample_checkpoint()
+    ck = Checkpoint(ck.networks, parse_config("", master_seed=2**64 - 1), {})
+    path = str(tmp_path / "ck.json")
+    save_checkpoint(ck, path)
+    seed = load_checkpoint(path).config.master_seed
+    assert type(seed) is int and seed == 2**64 - 1
 
 
 def test_checkpoint_save_is_byte_stable(tmp_path):

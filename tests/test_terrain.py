@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -296,7 +297,46 @@ def test_terrains_reject_a_seed_that_is_not_a_non_negative_int(seed):
         terrain.Terrain("rough", seed, 0.03, 0.05, np.zeros((3, 3)))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**63 - 1, 2**64 + 5, 10**40])
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 5, 10**40, 10**5000],
+                         ids=["2_64", "2_64_plus_5", "10_40", "10_5000"])
+def test_terrains_reject_a_seed_of_2_64_or_more(seed):
+    # Checked where the seed is stored, so save_terrain never meets a seed
+    # it cannot write; the message leaves out a seed that may have no str.
+    for kind in terrain.KINDS:
+        with pytest.raises(ValueError, match=r"^seed must be below 2\*\*64$"):
+            terrain.make_terrain(kind, seed)
+    with pytest.raises(ValueError, match=r"^seed must be below 2\*\*64$"):
+        terrain.Terrain("rough", seed, 0.03, 0.05, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seed": -1, "cell_size": 0.0}, "^seed must be a non-negative int"),
+    ({"cell_size": 0.0, "amplitude": -1.0}, "^cell_size must be positive"),
+    ({"amplitude": -1.0, "extent": 0.0}, "^amplitude must be non-negative"),
+    ({"extent": math.inf}, "^extent must be positive and finite"),
+])
+def test_flat_terrain_reports_the_first_bad_argument(kwargs, message):
+    # Terrain checks the seed and cell size it stores; make_terrain checks
+    # the amplitude and extent, which a flat terrain does not store.
+    args = dict({"seed": 0}, **kwargs)
+    with pytest.raises(ValueError, match=message):
+        terrain.make_terrain("flat", **args)
+
+
+def test_flat_terrain_checks_the_seed_and_cell_size_once(monkeypatch):
+    checked = []
+    check = terrain._check_args
+
+    def recording_check(seed, **sizes):
+        checked.append((seed, sorted(sizes)))
+        check(seed, **sizes)
+
+    monkeypatch.setattr(terrain, "_check_args", recording_check)
+    terrain.make_terrain("flat", 3, cell_size=0.1)
+    assert checked == [(3, ["amplitude", "cell_size"])]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**63 - 1, 2**64 - 1])
 def test_every_accepted_seed_survives_save_and_load(tmp_path, seed):
     for kind in terrain.KINDS:
         made = terrain.make_terrain(kind, seed, extent=0.5)

@@ -19,77 +19,51 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from .env import RobotConfig
-from .records import check_field_types
+from .records import ConfigError, Settings, positive, setting
 from .rl import RlHyperparams
 
 ALGORITHMS = ("ddpg", "td3", "cem_ddpg", "cem_td3")
 
 
-class ConfigError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
-class CemHyperparams:
-    population_size: int = 10
-    elite_count: int = 5
-    noise_floor: float = 1e-3
-    noise_floor_final: float = 1e-5
-    noise_decay: float = 0.999
-    init_variance: float = 0.01
-    grad_steps_cap: int = 100
+class CemHyperparams(Settings):
+    population_size: int = setting(10, 2)
+    elite_count: int = setting(5, 1)
+    noise_floor: float = setting(1e-3, 0)
+    noise_floor_final: float = setting(1e-5, 0)
+    noise_decay: float = setting(0.999, 0, 1, open_low=True)
+    init_variance: float = setting(0.01, 0)
+    grad_steps_cap: int = setting(100, 0)
 
     def __post_init__(self) -> None:
-        check_field_types(self, ConfigError)
-        if self.population_size < 2:
-            raise ConfigError("population_size must be at least 2")
-        if not 1 <= self.elite_count <= self.population_size:
-            raise ConfigError("elite_count must lie in [1, population_size]")
-        if not 0.0 < self.noise_decay <= 1.0:
-            raise ConfigError("noise_decay must lie in (0, 1]")
-        for name in ("noise_floor", "noise_floor_final", "init_variance",
-                     "grad_steps_cap"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
+        super().__post_init__()
+        if self.elite_count > self.population_size:
+            raise ConfigError("elite_count must not exceed population_size")
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Settings):
     algorithm: str = "ddpg"
-    master_seed: int = 0
-    episodes: int = 100
-    generations: int = 50
-    warmup_steps: int = 1000
-    max_env_steps: int = 0
-    t_max: int = 1000
+    master_seed: int = setting(0, 0)
+    episodes: int = setting(100, 1)
+    generations: int = setting(50, 1)
+    warmup_steps: int = setting(1000, 0)
+    max_env_steps: int = setting(0, 0)
+    t_max: int = setting(1000, 1)
     record_wall_time: bool = False
     out_dir: str = "run_output"
-    terrain_amplitude: float = 0.03
-    terrain_cell_size: float = 0.05
-    terrain_extent: float = 8.0
+    terrain_amplitude: float = setting(0.03, 0)
+    terrain_cell_size: float = positive(0.05)
+    terrain_extent: float = positive(8.0)
     robot: RobotConfig = field(default_factory=RobotConfig)
     rl: RlHyperparams = field(default_factory=RlHyperparams)
     cem: CemHyperparams = field(default_factory=CemHyperparams)
 
     def __post_init__(self) -> None:
-        check_field_types(self, ConfigError)
+        super().__post_init__()
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm {self.algorithm!r} is not one of "
                               f"{', '.join(ALGORITHMS)}")
-        for name in ("master_seed", "warmup_steps", "max_env_steps",
-                     "terrain_amplitude"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, "
-                                  f"got {getattr(self, name)}")
-        if self.master_seed >= 2**64:
-            # Not shown: a seed of more than 4300 digits has no str.
-            raise ConfigError("master_seed must be below 2**64")
-        for name in ("episodes", "generations", "t_max"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
-        for name in ("terrain_cell_size", "terrain_extent"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be positive")
 
 
 _SECTIONS = {"robot": RobotConfig, "rl": RlHyperparams, "cem": CemHyperparams}
@@ -165,9 +139,9 @@ def config_from_dict(data: dict) -> RunConfig:
     """Build a RunConfig from dotted keys; missing keys take their defaults.
 
     An algorithm may be spelled with dashes (cem-td3) or underscores.
-    Each record checks its own fields, and a check's message, which starts
-    with the field's name, is raised here under its dotted key. An int in a
-    float field is kept as it is.
+    Each record checks the rules its fields declare, and a section's
+    message, which starts with the field's name, is raised here under its
+    dotted key. An int in a float field is kept as it is.
     """
     top: dict = {}
     sections: dict[str, dict] = {name: {} for name in _SECTIONS}
@@ -184,9 +158,6 @@ def config_from_dict(data: dict) -> RunConfig:
     for name, cls in _SECTIONS.items():
         try:
             top[name] = cls(**sections[name])
-        except ValueError as exc:
+        except ConfigError as exc:
             raise ConfigError(f"{name}.{exc}") from None
-    try:
-        return RunConfig(**top)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return RunConfig(**top)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .records import check_field_types
+from .records import Settings, positive
 from .terrain import AnyTerrain, height_at
 
 N_LEGS = 4
@@ -58,37 +58,26 @@ class ProtocolError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RobotConfig:
-    body_length: float = 0.40
-    body_width: float = 0.20
-    mass: float = 5.0
-    torque_limit: float = 5.0
-    upper_leg_length: float = 0.12
-    lower_leg_length: float = 0.12
-    pd_kp: float = 40.0
-    pd_kd: float = 1.0
-    dt: float = 0.01
-    substeps: int = 4
-    gravity: float = 9.81
-    leg_inertia: float = 0.02
-    contact_stiffness: float = 5000.0
-    contact_damping: float = 50.0
-    friction_mu: float = 0.8
-    slip_velocity: float = 0.05
-    action_bound: float = 0.7
+class RobotConfig(Settings):
+    body_length: float = positive(0.40)
+    body_width: float = positive(0.20)
+    mass: float = positive(5.0)
+    torque_limit: float = positive(5.0)
+    upper_leg_length: float = positive(0.12)
+    lower_leg_length: float = positive(0.12)
+    pd_kp: float = positive(40.0)
+    pd_kd: float = positive(1.0)
+    dt: float = positive(0.01)
+    substeps: int = positive(4)
+    gravity: float = positive(9.81)
+    leg_inertia: float = positive(0.02)
+    contact_stiffness: float = positive(5000.0)
+    contact_damping: float = positive(50.0)
+    friction_mu: float = positive(0.8)
+    slip_velocity: float = positive(0.05)
+    action_bound: float = positive(0.7)
     stance_hip: float = 0.3
     stance_knee: float = -0.6
-
-    def __post_init__(self) -> None:
-        check_field_types(self, ValueError)
-        positive = ("body_length", "body_width", "mass", "torque_limit",
-                    "upper_leg_length", "lower_leg_length", "pd_kp", "pd_kd",
-                    "dt", "substeps", "gravity", "leg_inertia",
-                    "contact_stiffness", "contact_damping", "friction_mu",
-                    "slip_velocity", "action_bound")
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
     @functools.cached_property
     def stand_height(self) -> float:

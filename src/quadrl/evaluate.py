@@ -86,7 +86,7 @@ def evaluate(ck: Checkpoint, terrain_kind: str, trials: int = 10,
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if eval_seed < 0:
-        raise ValueError(f"eval_seed must be non-negative, got {eval_seed}")
+        raise ValueError("eval_seed must be non-negative")
     _check_fixed_kind(fixed_terrain, terrain_kind)
     actor = ck.networks["actor"]
     cfg = ck.config

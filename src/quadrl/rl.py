@@ -16,7 +16,7 @@ import numpy as np
 
 from . import net
 from .net import TrainingDiverged
-from .records import check_field_types
+from .records import Settings, positive, setting
 from .replay import Batch, ReplayBuffer
 from .seeds import SeedStream
 
@@ -25,33 +25,17 @@ HIDDEN = (64, 64)
 
 
 @dataclass(frozen=True)
-class RlHyperparams:
-    gamma: float = 0.99
-    tau: float = 0.005
-    actor_lr: float = 1e-3
-    critic_lr: float = 1e-3
-    batch_size: int = 128
-    exploration_sigma: float = 0.07
-    policy_delay: int = 2
-    target_noise_sigma: float = 0.14
-    target_noise_clip: float = 0.35
-    action_bound: float = 0.7
-
-    def __post_init__(self) -> None:
-        check_field_types(self, ValueError)
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError("tau must lie in (0, 1]")
-        for name in ("batch_size", "policy_delay"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        for name in ("actor_lr", "critic_lr", "exploration_sigma",
-                     "target_noise_sigma", "target_noise_clip"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.action_bound <= 0.0:
-            raise ValueError("action_bound must be positive")
+class RlHyperparams(Settings):
+    gamma: float = setting(0.99, 0, 1, open_high=True)
+    tau: float = setting(0.005, 0, 1, open_low=True)
+    actor_lr: float = setting(1e-3, 0)
+    critic_lr: float = setting(1e-3, 0)
+    batch_size: int = setting(128, 1)
+    exploration_sigma: float = setting(0.07, 0)
+    policy_delay: int = setting(2, 1)
+    target_noise_sigma: float = setting(0.14, 0)
+    target_noise_clip: float = setting(0.35, 0)
+    action_bound: float = positive(0.7)
 
 
 def actor_spec(obs_size: int, action_size: int, bound: float,

@@ -30,22 +30,28 @@ LATTICE_STEP = 4
 
 def _check_args(seed: int, **sizes: float) -> None:
     """Raise a ValueError naming the seed unless it is a non-negative int
-    below 2**64, then check the sizes as `_check_sizes` does."""
+    below 2**64, then check the sizes as `_check_sizes` does. No message
+    shows the seed, which, as an int of more than 4300 digits, has no str."""
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
+        raise ValueError("seed must be a non-negative int")
     if seed >= 2**64:
-        # Not shown: a seed of more than 4300 digits has no str.
         raise ValueError("seed must be below 2**64")
     _check_sizes(**sizes)
 
 
 def _check_sizes(**sizes: float) -> None:
     """Raise a ValueError naming the first size that is not finite and
-    positive (an amplitude may be zero)."""
+    positive (an amplitude may be zero), or not below 2**64, or a cell size
+    below 2**-64. So the lattice draw's span 2 * amplitude and a grid's
+    cell count extent / cell_size are finite floats."""
     for name, value in sizes.items():
         sign = "non-negative" if name == "amplitude" else "positive"
         if not 0.0 <= value < math.inf or (value == 0.0 and sign == "positive"):
             raise ValueError(f"{name} must be {sign} and finite")
+        if value >= 2**64:
+            raise ValueError(f"{name} must be below 2**64")
+        if name == "cell_size" and value < 2**-64:
+            raise ValueError("cell_size must be at least 2**-64")
 
 
 @dataclass(frozen=True, eq=False)

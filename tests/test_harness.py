@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import math
 import os
@@ -264,6 +265,64 @@ def test_keyword_overrides_reject_non_finite_numbers():
         parse_config("", terrain_extent=math.inf)
     with pytest.raises(ConfigError, match="finite"):
         config_from_dict({"robot.stance_knee": math.nan})
+
+
+SETTINGS_RECORDS = (RobotConfig, RlHyperparams, CemHyperparams, RunConfig)
+
+
+def _number_fields():
+    return [(record, f) for record in SETTINGS_RECORDS
+            for f in dataclasses.fields(record) if type(f.default) in (int, float)]
+
+
+def _past(edge, kind, direction):
+    """The nearest value of the field's kind beyond `edge` in `direction`."""
+    if kind is int:
+        return edge + direction
+    return math.nextafter(float(edge), direction * math.inf)
+
+
+def test_every_declared_range_holds_at_its_edges():
+    # elite_count = 1 keeps the one cross-field rule, elite_count <=
+    # population_size, true at population_size's lower edge.
+    base = {CemHyperparams: {"elite_count": 1}}
+    unbounded = [f"{record.__name__}.{f.name}" for record, f in _number_fields()
+                 if "range" not in f.metadata]
+    assert unbounded == ["RobotConfig.stance_hip", "RobotConfig.stance_knee"]
+    for record, f in _number_fields():
+        if "range" not in f.metadata:
+            continue
+        kind = type(f.default)
+        low, high, open_low, open_high = f.metadata["range"]
+        edges = [(low, open_low, -1)]
+        if high is not None:
+            edges.append((high, open_high, 1))
+        for edge, is_open, direction in edges:
+            edge = kind(edge)
+            inside, outside = ((_past(edge, kind, -direction), edge) if is_open
+                               else (edge, _past(edge, kind, direction)))
+            record(**{**base.get(record, {}), f.name: inside})
+            with pytest.raises(ConfigError, match=f"^{f.name} must "):
+                record(**{**base.get(record, {}), f.name: outside})
+
+
+def test_every_number_setting_refuses_an_int_of_2_64_or_more():
+    # The message leaves out the value: an int of more than 4300 digits
+    # has no str. A float field takes an int, so it is capped too.
+    for record, f in _number_fields():
+        for value in (2**64, 10**5000, -10**5000):
+            with pytest.raises(ConfigError, match=f"^{f.name} must "):
+                record(**{f.name: value})
+
+
+def test_an_episode_count_of_2_64_or_more_is_refused_before_training(tmp_path):
+    # Once accepted: train ran its whole budget and then failed writing the
+    # count into the config snapshot, leaving a truncated checkpoint.
+    with pytest.raises(ConfigError, match=r"^episodes must be below 2\*\*64$"):
+        parse_config("t_max = 5\nwarmup_steps = 5\nmax_env_steps = 20",
+                     algorithm="ddpg", episodes=10**5000,
+                     out_dir=str(tmp_path / "run"))
+    assert not (tmp_path / "run").exists()
 
 
 # --- checkpoint ----------------------------------------------------------
@@ -695,6 +754,11 @@ def test_eval_report_from_returns():
 
 def eval_checkpoint():
     return sample_checkpoint(seed=3)
+
+
+def test_evaluate_refuses_a_negative_eval_seed_that_has_no_str():
+    with pytest.raises(ValueError, match="^eval_seed must be non-negative$"):
+        evaluate(eval_checkpoint(), "flat", 1, -10**5000)
 
 
 def test_evaluate_runs_requested_trials():

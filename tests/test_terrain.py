@@ -309,6 +309,28 @@ def test_terrains_reject_a_seed_of_2_64_or_more(seed):
         terrain.Terrain("rough", seed, 0.03, 0.05, np.zeros((3, 3)))
 
 
+def test_seed_messages_leave_out_a_seed_that_has_no_str():
+    # An int of more than 4300 digits has no str, so the message omits it.
+    for kind in terrain.KINDS:
+        with pytest.raises(ValueError, match="^seed must be a non-negative int$"):
+            terrain.make_terrain(kind, -10**5000)
+    with pytest.raises(ValueError, match="^seed must be a non-negative int$"):
+        terrain.Terrain("flat", -10**5000, 0.0, 0.05, [[0.0]])
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"amplitude": 1e308}, r"^amplitude must be below 2\*\*64$"),
+    ({"extent": 10**5000}, r"^extent must be below 2\*\*64$"),
+    ({"cell_size": 1e-320}, r"^cell_size must be at least 2\*\*-64$"),
+], ids=["amplitude_1e308", "extent_10_5000", "cell_size_1e-320"])
+def test_make_terrain_refuses_sizes_the_draw_cannot_take(kwargs, message):
+    # A ValueError before the draw, not the OverflowError numpy or Python
+    # raised from a span, a float conversion or a cell count too large.
+    for kind in terrain.KINDS:
+        with pytest.raises(ValueError, match=message):
+            terrain.make_terrain(kind, 1, **kwargs)
+
+
 @pytest.mark.parametrize("kwargs, message", [
     ({"seed": -1, "cell_size": 0.0}, "^seed must be a non-negative int"),
     ({"cell_size": 0.0, "amplitude": -1.0}, "^cell_size must be positive"),

@@ -12,12 +12,12 @@ import os
 import sys
 
 from .checkpoint import CheckpointError, load_checkpoint
-from .config import ConfigError, load_config, parse_config
+from .config import ALGORITHMS, ConfigError, load_config, parse_config
 from .env import ProtocolError, SimulationDiverged
 from .evaluate import evaluate, report_csv, transfer_experiment, transfer_table
 from .net import TrainingDiverged
 from .svgplot import plot_metrics
-from .terrain import load_terrain
+from .terrain import KINDS, load_terrain
 from .train import train
 
 _RUNTIME_ERRORS = (ConfigError, CheckpointError, SimulationDiverged,
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 parser_class=_Parser)
 
     p_train = sub.add_parser("train", help="run one training job")
-    p_train.add_argument("--algo", choices=["ddpg", "td3", "cem-ddpg", "cem-td3"],
+    p_train.add_argument("--algo", choices=[a.replace("_", "-") for a in ALGORITHMS],
                          help="algorithm (overrides the config file)")
     p_train.add_argument("--config", metavar="FILE",
                          help="key-value config file; defaults apply if omitted")
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on one terrain")
     p_eval.add_argument("--checkpoint", required=True, metavar="FILE")
-    p_eval.add_argument("--terrain", required=True, choices=["flat", "rough"])
+    p_eval.add_argument("--terrain", required=True, choices=KINDS)
     p_eval.add_argument("--trials", type=_trial_count, default=10, metavar="N")
     p_eval.add_argument("--seed", type=int, default=0, metavar="N")
     p_eval.add_argument("--fixed-terrain", metavar="FILE",

@@ -19,8 +19,9 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from .env import RobotConfig
-from .records import ConfigError, Settings, positive, setting
+from .records import ConfigError, Settings, setting
 from .rl import RlHyperparams
+from .terrain import SIZE_LIMIT, AnyTerrain, grid_side, make_terrain
 
 ALGORITHMS = ("ddpg", "td3", "cem_ddpg", "cem_td3")
 
@@ -52,9 +53,10 @@ class RunConfig(Settings):
     t_max: int = setting(1000, 1)
     record_wall_time: bool = False
     out_dir: str = "run_output"
-    terrain_amplitude: float = setting(0.03, 0)
-    terrain_cell_size: float = positive(0.05)
-    terrain_extent: float = positive(8.0)
+    # The terrain's own ranges, so a config holds only ground it can make.
+    terrain_amplitude: float = setting(0.03, 0, SIZE_LIMIT, open_high=True)
+    terrain_cell_size: float = setting(0.05, 1 / SIZE_LIMIT, SIZE_LIMIT, open_high=True)
+    terrain_extent: float = setting(8.0, 0, SIZE_LIMIT, open_low=True, open_high=True)
     robot: RobotConfig = field(default_factory=RobotConfig)
     rl: RlHyperparams = field(default_factory=RlHyperparams)
     cem: CemHyperparams = field(default_factory=CemHyperparams)
@@ -64,6 +66,16 @@ class RunConfig(Settings):
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm {self.algorithm!r} is not one of "
                               f"{', '.join(ALGORITHMS)}")
+        try:
+            grid_side(self.terrain_cell_size, self.terrain_extent)
+        except ValueError as exc:
+            raise ConfigError(f"terrain_{exc}") from None
+
+    def terrain(self, kind: str, seed: int) -> AnyTerrain:
+        """The ground of `kind` from `seed` under this run's terrain settings;
+        the one place they become `make_terrain` arguments."""
+        return make_terrain(kind, seed, self.terrain_amplitude,
+                            self.terrain_cell_size, self.terrain_extent)
 
 
 _SECTIONS = {"robot": RobotConfig, "rl": RlHyperparams, "cem": CemHyperparams}

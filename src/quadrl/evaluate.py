@@ -17,20 +17,30 @@ from . import net
 from .checkpoint import Checkpoint
 from .env import QuadrupedEnv
 from .rollout import run_episode
-from .terrain import AnyTerrain, make_terrain
+from .terrain import KINDS, AnyTerrain
 
 
 def summarize(returns) -> tuple[float, float, float, float]:
-    """(mean, sample std, median, best); std is 0 for a single value."""
+    """(mean, sample std, median, best); std is 0 for a single value.
+
+    Sums run left to right from 0.0, not through `sum`, whose float
+    summation is compensated from Python 3.12 on, so the statistics have
+    the same bits on every Python version."""
     values = [float(v) for v in returns]
     if not values:
         raise ValueError("cannot summarize an empty list of returns")
     n = len(values)
-    mean = sum(values) / n
+    total = 0.0
+    for v in values:
+        total += v
+    mean = total / n
     if n == 1:
         std = 0.0
     else:
-        std = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
+        squares = 0.0
+        for v in values:
+            squares += (v - mean) ** 2
+        std = math.sqrt(squares / (n - 1))
     ordered = sorted(values)
     mid = n // 2
     median = ordered[mid] if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
@@ -65,35 +75,28 @@ def _check_fixed_kind(fixed_terrain: AnyTerrain | None, terrain_kind: str) -> No
         raise ValueError(f"fixed terrain is {fixed_terrain.kind}, not {terrain_kind}")
 
 
-def _trial_terrain(ck: Checkpoint, kind: str, seed: int,
-                   fixed: AnyTerrain | None) -> AnyTerrain:
-    if fixed is not None:
-        return fixed
-    cfg = ck.config
-    # Flat terrain ignores the amplitude.
-    return make_terrain(kind, seed, cfg.terrain_amplitude, cfg.terrain_cell_size,
-                        cfg.terrain_extent)
-
-
 def evaluate(ck: Checkpoint, terrain_kind: str, trials: int = 10,
              eval_seed: int = 0, fixed_terrain: AnyTerrain | None = None) -> EvalReport:
     """Run noise-free rollouts of the checkpoint's actor and summarize.
 
     A fixed terrain must be of terrain_kind, the label the report carries.
     A simulation divergence in any trial propagates: no report is made."""
-    if terrain_kind not in ("flat", "rough"):
+    if terrain_kind not in KINDS:
         raise ValueError(f"unknown terrain kind {terrain_kind!r}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if eval_seed < 0:
         raise ValueError("eval_seed must be non-negative")
+    if eval_seed + trials > 2**64:
+        raise ValueError("the last trial seed, eval_seed + trials - 1, must be "
+                         "below 2**64")
     _check_fixed_kind(fixed_terrain, terrain_kind)
     actor = ck.networks["actor"]
     cfg = ck.config
     returns = []
     for t in range(trials):
         seed = eval_seed + t
-        terrain = _trial_terrain(ck, terrain_kind, seed, fixed_terrain)
+        terrain = fixed_terrain or cfg.terrain(terrain_kind, seed)
         env = QuadrupedEnv(terrain, cfg.robot, cfg.t_max)
         result = run_episode(env, lambda obs: net.forward(actor, obs), seed)
         returns.append(result.episode_return)

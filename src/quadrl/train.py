@@ -38,7 +38,6 @@ from .replay import ReplayBuffer
 from .rl import actor_spec, exploration_action, init_learner, train_step
 from .rollout import episode_steps
 from .seeds import SeedStream
-from .terrain import make_terrain
 
 REPLAY_CAPACITY = 1_000_000
 
@@ -146,9 +145,7 @@ def train(config: RunConfig) -> tuple[Checkpoint, str]:
     progress = {unit_name: 0, "env_steps": 0, "best_return": float("-inf"),
                 "diverged": False}
     stream = SeedStream(config.master_seed)
-    terrain = make_terrain("flat", 0, 0.0, config.terrain_cell_size,
-                           config.terrain_extent)
-    env = QuadrupedEnv(terrain, config.robot, config.t_max)
+    env = QuadrupedEnv(config.terrain("flat", 0), config.robot, config.t_max)
     buffer = ReplayBuffer(REPLAY_CAPACITY, OBS_SIZE, N_JOINTS)
     learner, units, final_actor = family(config, stream, env, buffer, progress)
 

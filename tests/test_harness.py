@@ -260,6 +260,23 @@ def test_master_seed_of_2_64_or_more_is_rejected(seed, tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("settings, name", [
+    ({"terrain_amplitude": 1e300}, "terrain_amplitude"),
+    ({"terrain_cell_size": 1e-30}, "terrain_cell_size"),
+    ({"terrain_extent": 1e20, "terrain_cell_size": 1e18}, "terrain_extent"),
+    ({"terrain_cell_size": 1e-4}, "terrain_cell_size"),
+], ids=["amplitude_1e300", "cell_size_1e-30", "extent_1e20", "grid_over_cap"])
+def test_terrain_settings_the_ground_refuses_are_refused_at_parse(settings, name,
+                                                                  tmp_path):
+    # Once accepted: train made its output directory, or trained its whole
+    # budget on flat ground, before the terrain refused them. The grid cap is
+    # a plain check: nothing is drawn or allocated.
+    with pytest.raises(ConfigError, match=f"^{name} must "):
+        parse_config("t_max = 5\nepisodes = 2", algorithm="ddpg",
+                     out_dir=str(tmp_path / "run"), **settings)
+    assert not (tmp_path / "run").exists()
+
+
 def test_keyword_overrides_reject_non_finite_numbers():
     with pytest.raises(ConfigError, match="finite"):
         parse_config("", terrain_extent=math.inf)
@@ -283,9 +300,12 @@ def _past(edge, kind, direction):
 
 
 def test_every_declared_range_holds_at_its_edges():
-    # elite_count = 1 keeps the one cross-field rule, elite_count <=
-    # population_size, true at population_size's lower edge.
-    base = {CemHyperparams: {"elite_count": 1}}
+    # elite_count = 1 keeps the rule elite_count <= population_size true at
+    # population_size's lower edge. A tiny terrain_extent and a wide
+    # terrain_cell_size keep the generated grid under its cap at every edge
+    # of either.
+    base = {CemHyperparams: {"elite_count": 1},
+            RunConfig: {"terrain_extent": 2.0**-64, "terrain_cell_size": 2.0**53}}
     unbounded = [f"{record.__name__}.{f.name}" for record, f in _number_fields()
                  if "range" not in f.metadata]
     assert unbounded == ["RobotConfig.stance_hip", "RobotConfig.stance_knee"]
@@ -733,6 +753,8 @@ def test_summarize_hand_values():
     assert median == 2.5
     assert best == 4.0
     assert summarize([7.0]) == (7.0, 0.0, 7.0, 7.0)
+    # Left to right: Python 3.12's compensated float sum gives a mean of 1/3.
+    assert summarize([1e16, 1.0, -1e16])[0] == 0.0
     mean, std, median, best = summarize([3.0, 1.0, 2.0])
     assert (mean, median, best) == (2.0, 2.0, 3.0)
     assert std == pytest.approx(1.0, abs=1e-15)
@@ -759,6 +781,29 @@ def eval_checkpoint():
 def test_evaluate_refuses_a_negative_eval_seed_that_has_no_str():
     with pytest.raises(ValueError, match="^eval_seed must be non-negative$"):
         evaluate(eval_checkpoint(), "flat", 1, -10**5000)
+
+
+def test_evaluate_refuses_trial_seeds_of_2_64_or_more_before_any_trial(
+        monkeypatch):
+    # A transfer once ran its flat trials before a rough terrain refused the
+    # seed. The message leaves out a seed that may have no str.
+    ck, seeds = eval_checkpoint(), []
+
+    def recorded(env, policy, seed):
+        seeds.append(seed)
+        return run_episode(env, policy, seed)
+
+    monkeypatch.setattr("quadrl.evaluate.run_episode", recorded)
+    message = r"^the last trial seed, eval_seed \+ trials - 1, must be below 2\*\*64$"
+    with pytest.raises(ValueError, match=message):
+        transfer_experiment(ck, eval_seed=2**64 - 3, trials=10)
+    with pytest.raises(ValueError, match=message):
+        evaluate(ck, "rough", 2, 2**64 - 1, make_terrain("rough", 5))
+    with pytest.raises(ValueError, match=message):
+        evaluate(ck, "flat", 1, 10**5000)
+    assert seeds == []
+    evaluate(ck, "flat", 2, 2**64 - 2)
+    assert seeds == [2**64 - 2, 2**64 - 1]
 
 
 def test_evaluate_runs_requested_trials():
@@ -804,7 +849,7 @@ def test_evaluate_rough_trial_computes_only_the_nodes_it_reads(monkeypatch):
         built.append(terrain)
         return terrain
 
-    monkeypatch.setattr("quadrl.evaluate.make_terrain", recording_terrain)
+    monkeypatch.setattr("quadrl.config.make_terrain", recording_terrain)
     evaluate(eval_checkpoint(), "rough", trials=1)
     [terrain] = built
     rows, cols = terrain._grid_frame[:2]

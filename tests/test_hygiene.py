@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import quadrl
+from quadrl.config import ALGORITHMS
+from quadrl.terrain import KINDS
 
 PACKAGE = Path(quadrl.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -84,6 +86,38 @@ def test_unused_parameter_check_sees_unread_names():
                      "    return lambda x, y: a + x\n")
     assert _unused_parameters(tree) == ["line 1: f(c)", "line 1: f(rest)",
                                         "line 1: f(kw)", "line 3: lambda(y)"]
+
+
+def _restated_names(tree: ast.Module, names: tuple[str, ...]) -> list[str]:
+    """Lines of the tuple, list and set literals that spell every one of
+    `names`, a dash read as an underscore."""
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set))
+            and set(names) <= {elt.value.replace("-", "_") for elt in node.elts
+                               if isinstance(elt, ast.Constant)
+                               and isinstance(elt.value, str)}]
+
+
+def test_no_module_restates_the_terrain_kinds_or_algorithm_names():
+    # Each list of names has one owner, which the CLI's choices and
+    # evaluate's checks read, so a new kind or algorithm is added once.
+    owners = {"terrain.py": KINDS, "config.py": ALGORITHMS}
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for owner, names in owners.items():
+            restated = _restated_names(tree, names) if path.name != owner else []
+            if restated:
+                found[f"{path.name}: {owner}"] = restated
+    assert found == {}
+
+
+def test_restated_name_check_sees_either_spelling():
+    tree = ast.parse('a = ["ddpg", "td3", "cem-ddpg", "cem-td3"]\n'
+                     'b = {"td3", "cem_td3", "ddpg", "x", "cem_ddpg"}\n'
+                     'c = ("ddpg", "td3")\nd = ("flat", "rough")\n')
+    assert _restated_names(tree, ALGORITHMS) == ["line 1", "line 2"]
+    assert _restated_names(tree, KINDS) == ["line 4"]
 
 
 def _defaults_never_passed(sources: dict[str, ast.Module],

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,6 +333,31 @@ def test_make_terrain_refuses_sizes_the_draw_cannot_take(kwargs, message):
     for kind in terrain.KINDS:
         with pytest.raises(ValueError, match=message):
             terrain.make_terrain(kind, 1, **kwargs)
+
+
+def test_grid_side_is_capped():
+    assert terrain.grid_side(0.05, 8.0) == 321
+    assert terrain.grid_side(8.0 / 2048, 8.0) == terrain.MAX_GRID_SIDE == 4097
+    with pytest.raises(ValueError, match="^cell_size must leave at most 4097 "
+                                         "grid nodes on a side$"):
+        terrain.grid_side(8.0 / 2049, 8.0)
+
+
+def test_rough_terrain_refuses_a_grid_over_the_cap_before_it_draws():
+    # Without the cap this asks numpy for a 40001 x 40001 lattice, 12.8 GB,
+    # so it runs in a process whose address space is capped at 1.5 GB.
+    code = ("import resource\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1500000 * 1024, hard))\n"
+            "from quadrl.terrain import make_terrain\n"
+            "try:\n"
+            "    make_terrain('rough', 0, cell_size=1e-4)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(terrain.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                         capture_output=True, text=True)
+    assert out.stdout == "cell_size must leave at most 4097 grid nodes on a side\n"
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -19,6 +19,8 @@ import dataclasses
 import math
 
 _ACCEPTED = {bool: (bool,), int: (int,), float: (int, float)}
+# Range edges a rule writes as the terrain's messages and the README do.
+_EDGE_TEXT = {2**64: "2**64", 2**-64: "2**-64"}
 
 
 class ConfigError(ValueError):
@@ -30,7 +32,8 @@ def setting(default, low, high=None, *, open_low: bool = False,
     """A field with `default` whose value lies in [low, high], an edge left
     out where its `open_` flag is set; no `high` means no upper edge."""
     if high is not None:
-        rule = f"lie in {'[('[open_low]}{low}, {high}{'])'[open_high]}"
+        low_text, high_text = (_EDGE_TEXT.get(edge, edge) for edge in (low, high))
+        rule = f"lie in {'[('[open_low]}{low_text}, {high_text}{'])'[open_high]}"
     elif low == 0:
         rule = "be positive" if open_low else "be non-negative"
     else:

@@ -1,7 +1,7 @@
 """Fixed-capacity transition store with seeded uniform sampling.
 
 A transition is pushed as its five fields (observation, action, reward,
-next observation, done); rollout.run_episode pushes each step of an
+next observation, done); rollout.episode_steps pushes each step of an
 episode as it happens.
 
 Storage is column-major numpy arrays grown by doubling up to the

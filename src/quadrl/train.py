@@ -79,16 +79,12 @@ def _episodes(config: RunConfig, stream: SeedStream, env, buffer, progress):
 
     def units():
         while True:
-            ep_return = 0.0
-            for obs, action, result in episode_steps(env, policy, stream.next()):
-                buffer.push(obs, action, result.reward, result.observation,
-                            result.done)
-                ep_return += result.reward
+            for episode in episode_steps(env, policy, stream.next(), buffer):
                 progress["env_steps"] += 1
                 if (progress["env_steps"] > config.warmup_steps
                         and len(buffer) >= hp.batch_size):
                     train_step(learner, buffer, stream.next())
-            yield ep_return, learner.actor, []
+            yield episode.episode_return, learner.actor, []
 
     return learner, units(), lambda: learner.actor
 

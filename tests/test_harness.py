@@ -277,6 +277,21 @@ def test_terrain_settings_the_ground_refuses_are_refused_at_parse(settings, name
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("record, settings, message", [
+    (RunConfig, {"terrain_amplitude": 1e300},
+     "terrain_amplitude must lie in [0, 2**64)"),
+    (RunConfig, {"terrain_cell_size": 1e-30},
+     "terrain_cell_size must lie in [2**-64, 2**64)"),
+    (RunConfig, {"terrain_extent": 1e20}, "terrain_extent must lie in (0, 2**64)"),
+    (RlHyperparams, {"gamma": 1.0}, "gamma must lie in [0, 1)"),
+], ids=["amplitude", "cell_size", "extent", "gamma"])
+def test_range_messages_write_2_64_as_the_terrain_does(record, settings, message):
+    # Not 18446744073709551616 and 5.421010862427522e-20; other edges as written.
+    with pytest.raises(ValueError) as error:
+        record(**settings)
+    assert str(error.value) == message
+
+
 def test_keyword_overrides_reject_non_finite_numbers():
     with pytest.raises(ConfigError, match="finite"):
         parse_config("", terrain_extent=math.inf)
@@ -533,16 +548,17 @@ def test_episode_steps_and_run_episode_raise_divergence():
     stance = RobotConfig().nominal_stance
     seen = []
     with pytest.raises(SimulationDiverged):
-        for step in episode_steps(DivergesOnThirdStep(), lambda obs: stance, 0):
-            seen.append(step)
+        # The record is updated in place, so each yield is read as it comes.
+        for episode in episode_steps(DivergesOnThirdStep(), lambda obs: stance, 0):
+            seen.append((episode.steps, episode.episode_return))
     assert len(seen) == 2
     # The two steps completed before the divergence stay in the buffer.
     buffer = ReplayBuffer(100, OBS_SIZE, 8)
     with pytest.raises(SimulationDiverged):
         run_episode(DivergesOnThirdStep(), lambda obs: stance, 0, buffer)
     assert len(buffer) == 2
-    assert np.array_equal(stored_rows(buffer).rewards,
-                          [r.reward for _, _, r in seen])
+    rewards = stored_rows(buffer).rewards
+    assert seen == [(1, 0.0 + rewards[0]), (2, 0.0 + rewards[0] + rewards[1])]
 
 # --- train ---------------------------------------------------------------
 

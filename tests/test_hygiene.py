@@ -120,6 +120,41 @@ def test_restated_name_check_sees_either_spelling():
     assert _restated_names(tree, KINDS) == ["line 4"]
 
 
+def _step_bookkeeping(tree: ast.Module) -> list[str]:
+    """Lines that push into a buffer (a call of a `push` attribute) or add a
+    `.reward` into a running total (an augmented assignment reading one)."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "push"):
+            found.append((node.lineno, "push"))
+        elif isinstance(node, ast.AugAssign) and any(
+                isinstance(n, ast.Attribute) and n.attr == "reward"
+                for n in ast.walk(node.value)):
+            found.append((node.lineno, "reward sum"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_only_the_step_loop_pushes_steps_or_sums_rewards():
+    # rollout.episode_steps owns what a step adds to its episode, so training,
+    # CEM fitness and evaluation push and sum an episode by one rule.
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "rollout.py":
+            lines = _step_bookkeeping(ast.parse(path.read_text(), str(path)))
+            if lines:
+                found[path.name] = lines
+    assert found == {}
+
+
+def test_step_bookkeeping_check_sees_pushes_and_reward_sums():
+    tree = ast.parse("buffer.push(o, a, r.reward, n, d)\ntotal += r.reward\n"
+                     "total -= 0.5 * step.reward\nsteps += 1\npush(x)\n"
+                     "rewards = batch.rewards\nreturn_ += r.rewards\n")
+    assert _step_bookkeeping(tree) == ["line 1: push", "line 2: reward sum",
+                                       "line 3: reward sum"]
+
+
 def _defaults_never_passed(sources: dict[str, ast.Module],
                            callers: list[ast.Module]) -> list[str]:
     """Parameters with a default, of the functions in `sources`, that no

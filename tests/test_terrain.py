@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,21 @@ def test_saved_file_is_plain_text(tmp_path):
     assert lines[1].startswith("seed ")
     rows, cols = rough.height_grid.shape
     assert len(lines) == 6 + rows
+
+
+def test_saving_a_generated_grid_holds_it_about_once(tmp_path):
+    # Imports and first-use allocations of numpy's generator are paid first.
+    terrain.make_terrain("rough", seed=0, extent=0.1)
+    tracemalloc.start()
+    try:
+        rough = terrain.make_terrain("rough", seed=1)
+        terrain.save_terrain(rough, tmp_path / "t.terrain")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The grid, its lattice and one row's text; not a nested list of floats.
+    assert rough.height_grid.shape == (321, 321)
+    assert peak < 2 * rough.height_grid.nbytes
 
 
 def test_load_rejects_garbage(tmp_path):

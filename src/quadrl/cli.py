@@ -14,7 +14,8 @@ import sys
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import ALGORITHMS, ConfigError, load_config, parse_config
 from .env import ProtocolError, SimulationDiverged
-from .evaluate import evaluate, report_csv, transfer_experiment, transfer_table
+from .evaluate import (EVAL_SEED, EVAL_TRIALS, evaluate, report_csv,
+                       transfer_experiment, transfer_table)
 from .net import TrainingDiverged
 from .svgplot import plot_metrics
 from .terrain import KINDS, load_terrain
@@ -60,22 +61,18 @@ def build_parser() -> argparse.ArgumentParser:
                          help="output directory (overrides the config file)")
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on one terrain")
-    p_eval.add_argument("--checkpoint", required=True, metavar="FILE")
+    p_transfer = sub.add_parser(
+        "transfer", help="evaluate a checkpoint on flat then rough terrain")
+    for p in (p_eval, p_transfer):  # the evaluation protocol's flags
+        p.add_argument("--checkpoint", required=True, metavar="FILE")
+        p.add_argument("--trials", type=_trial_count, default=EVAL_TRIALS, metavar="N")
+        p.add_argument("--seed", type=int, default=EVAL_SEED, metavar="N")
     p_eval.add_argument("--terrain", required=True, choices=KINDS)
-    p_eval.add_argument("--trials", type=_trial_count, default=10, metavar="N")
-    p_eval.add_argument("--seed", type=int, default=0, metavar="N")
     p_eval.add_argument("--fixed-terrain", metavar="FILE",
                         help="pin evaluation to a terrain file instead of "
                              "reseeding per trial")
     p_eval.add_argument("--out", metavar="FILE",
                         help="report CSV path (default: next to the checkpoint)")
-
-    p_transfer = sub.add_parser(
-        "transfer", help="evaluate a checkpoint on flat then rough terrain")
-    p_transfer.add_argument("--checkpoint", required=True, metavar="FILE")
-    p_transfer.add_argument("--seed", type=int, default=0, metavar="N")
-    p_transfer.add_argument("--trials", type=_trial_count, default=10,
-                            metavar="N")
     p_transfer.add_argument("--fixed-terrain", metavar="FILE",
                             help="pin the rough terrain to a terrain file")
     p_transfer.add_argument("--out", metavar="DIR",

@@ -1,7 +1,7 @@
 """Two-terrain evaluation protocol and its reports.
 
 A policy is evaluated with its deterministic actor (no exploration
-noise) for a number of trials, default 10. Trial t uses seed
+noise) for `EVAL_TRIALS` trials by default. Trial t uses seed
 eval_seed + t; on rough terrain that seed also regenerates the terrain,
 so the statistics average over ground maps rather than measuring one
 map's quirks. A transfer experiment evaluates flat then rough and
@@ -18,6 +18,9 @@ from .checkpoint import Checkpoint
 from .env import QuadrupedEnv
 from .rollout import run_episode
 from .terrain import KINDS, AnyTerrain
+
+EVAL_TRIALS = 10
+EVAL_SEED = 0
 
 
 def summarize(returns) -> tuple[float, float, float, float]:
@@ -75,8 +78,9 @@ def _check_fixed_kind(fixed_terrain: AnyTerrain | None, terrain_kind: str) -> No
         raise ValueError(f"fixed terrain is {fixed_terrain.kind}, not {terrain_kind}")
 
 
-def evaluate(ck: Checkpoint, terrain_kind: str, trials: int = 10,
-             eval_seed: int = 0, fixed_terrain: AnyTerrain | None = None) -> EvalReport:
+def evaluate(ck: Checkpoint, terrain_kind: str, trials: int = EVAL_TRIALS,
+             eval_seed: int = EVAL_SEED,
+             fixed_terrain: AnyTerrain | None = None) -> EvalReport:
     """Run noise-free rollouts of the checkpoint's actor and summarize.
 
     A fixed terrain must be of terrain_kind, the label the report carries.
@@ -103,7 +107,8 @@ def evaluate(ck: Checkpoint, terrain_kind: str, trials: int = 10,
     return EvalReport(terrain_kind, returns)
 
 
-def transfer_experiment(ck: Checkpoint, eval_seed: int = 0, trials: int = 10,
+def transfer_experiment(ck: Checkpoint, eval_seed: int = EVAL_SEED,
+                        trials: int = EVAL_TRIALS,
                         fixed_terrain: AnyTerrain | None = None
                         ) -> tuple[EvalReport, EvalReport, float]:
     """Evaluate flat then rough; degradation = flat mean - rough mean.

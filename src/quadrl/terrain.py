@@ -9,17 +9,19 @@ everywhere. The grid is centered on the origin.
 
 A generated rough terrain, `_LatticeTerrain`, is the record of
 `make_terrain`'s arguments: it draws its seeded lattice from them and
-computes each fine-grid node by one node rule the first time a height
-query reads it, and keeps it, so a short rollout pays for the few hundred
-nodes under its feet rather than the whole grid. Its ``height_grid`` is
-built through the same rule when first asked for. Flat, loaded and
-hand-built terrains are a `Terrain`, which holds its grid.
+computes each fine-grid row by one row rule the first time a height
+query reads a node in it, and keeps it, so a short rollout pays for the
+few rows under its feet rather than the whole grid. Its ``height_grid``
+is filled row by row through the same rule when first asked for. Flat,
+loaded and hand-built terrains are a `Terrain`, which holds its grid.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +35,7 @@ SIZE_LIMIT = 2**64
 # The most nodes a generated grid has on a side, so no setting asks numpy for
 # a lattice it cannot allocate. At the cap the lattice, drawn whole, is
 # 1025**2 float64s (8.4 MB); `save_terrain`, which writes every node, took
-# 60 s and peaked at 171 MB for its 134 MB grid on a 2-core x86 machine.
+# 19 s and peaked at 172 MB for its 134 MB grid on a 2-core x86 machine.
 MAX_GRID_SIDE = 4097
 
 
@@ -107,8 +109,8 @@ class Terrain:
 @dataclass(frozen=True, eq=False)
 class _LatticeTerrain:
     """A generated rough terrain covering [-extent, extent] in x and y: its
-    seeded lattice, and in ``_nodes`` the fine-grid nodes read so far, each
-    computed by `_lattice_node`. It reads like a `Terrain` of kind rough.
+    seeded lattice, and in ``_rows`` each fine-grid row read so far as a list
+    of floats (None if unread). It reads like a `Terrain` of kind rough.
     """
 
     kind = "rough"
@@ -128,26 +130,25 @@ class _LatticeTerrain:
         lattice = np.random.default_rng(self.seed).uniform(
             -amplitude, amplitude, size=(n_coarse, n_coarse))
         lattice.setflags(write=False)
-        nodes: dict[tuple[int, int], float] = {}
+        rows: list[list[float] | None] = [None] * n
 
         def node(i: int, j: int) -> float:
-            try:
-                return nodes[i, j]
-            except KeyError:
-                value = nodes[i, j] = _lattice_node(lattice, amplitude, i, j)
-                return value
+            row = rows[i]
+            if row is None:
+                row = rows[i] = _lattice_row(lattice, amplitude, n, i).tolist()
+            return row[j]
 
-        for name, value in (("_lattice", lattice), ("_nodes", nodes), ("_node", node),
+        for name, value in (("_lattice", lattice), ("_rows", rows), ("_node", node),
                             ("_grid_frame", (n, n, (n - 1) / 2.0, (n - 1) / 2.0))):
             object.__setattr__(self, name, value)
 
     @functools.cached_property
     def height_grid(self) -> np.ndarray:
-        """The whole fine grid, computed node by node without keeping them."""
+        """The whole fine grid, filled row by row without keeping the rows."""
         size = self._grid_frame[0]
-        grid = np.fromiter((_lattice_node(self._lattice, self.amplitude, i, j)
-                            for i in range(size) for j in range(size)),
-                           np.float64, count=size * size).reshape(size, size)
+        grid = np.empty((size, size))
+        for i in range(size):
+            grid[i] = _lattice_row(self._lattice, self.amplitude, size, i)
         grid.setflags(write=False)
         return grid
 
@@ -156,35 +157,23 @@ class _LatticeTerrain:
 AnyTerrain = Terrain | _LatticeTerrain
 
 
-def _lattice_cell(index: int, last: int) -> tuple[int, float, float]:
-    """Along one axis: the lattice cell of a fine-grid index, and the
-    index's fraction f across it and 1 - f."""
-    pos = index / LATTICE_STEP
-    cell = min(int(pos), last)
-    frac = pos - cell
-    return cell, frac, 1 - frac
-
-
-def _lattice_node(lattice: np.ndarray, amplitude: float, i: int, j: int) -> float:
-    """Fine-grid node (i, j) of a rough terrain: the bilinear mix of its
-    lattice cell's four corners, summed left to right, clamped to
-    [-amplitude, amplitude].
-
-    A lattice of one node has no cell; index -1 wraps to that node, as
-    numpy's ``take`` does.
-    """
+def _lattice_row(lattice: np.ndarray, amplitude: float, size: int,
+                 i: int) -> np.ndarray:
+    """Fine-grid row i of a rough terrain, ``size`` nodes long: each node the
+    bilinear mix of its lattice cell's four corners, summed left to right,
+    clamped to [-amplitude, amplitude] by np.clip. A lattice of one node has
+    no cell; cell index -1 wraps to that node, as numpy's ``take`` does."""
     last = lattice.shape[0] - 2
-    r, fy, gy = _lattice_cell(i, last)
-    k, fx, gx = _lattice_cell(j, last)
-    c = lattice.item
-    value = (gy * gx * c(r, k) + gy * fx * c(r, k + 1)
-             + fy * gx * c(r + 1, k) + fy * fx * c(r + 1, k + 1))
-    # Clamped as np.clip clamps: NaN passes through, a zero keeps its sign.
-    if value > amplitude:
-        return amplitude
-    if value < -amplitude:
-        return -amplitude
-    return value
+    pos = np.arange(size) / LATTICE_STEP
+    k = np.minimum(pos.astype(np.int64), last)
+    fx = pos - k
+    gx = 1 - fx
+    r = min(i // LATTICE_STEP, last)
+    fy = i / LATTICE_STEP - r
+    gy = 1 - fy
+    row = (gy * gx * lattice[r, k] + gy * fx * lattice[r, k + 1]
+           + fy * gx * lattice[r + 1, k] + fy * fx * lattice[r + 1, k + 1])
+    return np.clip(row, -amplitude, amplitude, out=row)
 
 
 def make_terrain(kind: str, seed: int, amplitude: float = 0.03,
@@ -212,7 +201,7 @@ def height_at(terrain: AnyTerrain, x: float, y: float) -> float:
     This is the one bilinear rule: the simulator calls it once per foot
     and substep, and `reset` and the done rule once per torso. It reads
     the four corner nodes through the terrain's node accessor, so a grid
-    is read in place and a lattice terrain computes only the nodes read.
+    is read in place and a lattice terrain computes only the rows read.
     """
     rows, cols, x_origin, y_origin = terrain._grid_frame
     node = terrain._node
@@ -242,13 +231,14 @@ def height_at(terrain: AnyTerrain, x: float, y: float) -> float:
 
 def save_terrain(terrain: AnyTerrain, path: str) -> None:
     """Write a terrain as plain text: 6 header lines, then row-major heights,
-    one row at a time, so only the grid and one row's text are held."""
+    one row at a time, so only the grid and one row's text are held. The
+    amplitude and cell size are written as the floats `load_terrain` reads."""
     rows, cols = terrain.height_grid.shape
     lines = [
         f"kind {terrain.kind}",
         f"seed {terrain.seed}",
-        f"amplitude {terrain.amplitude!r}",
-        f"cell_size {terrain.cell_size!r}",
+        f"amplitude {float(terrain.amplitude)!r}",
+        f"cell_size {float(terrain.cell_size)!r}",
         f"rows {rows}",
         f"cols {cols}",
     ]
@@ -259,25 +249,32 @@ def save_terrain(terrain: AnyTerrain, path: str) -> None:
 
 
 def load_terrain(path: str) -> Terrain:
+    """Read a `save_terrain` file one height row at a time into a preallocated
+    grid; a ValueError refuses a truncated, malformed or ragged file."""
     with open(path, encoding="ascii") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if len(lines) < 6:
-        raise ValueError(f"terrain file {path!r} is truncated")
-    header = {}
-    for line in lines[:6]:
-        key, _, value = line.partition(" ")
-        header[key] = value
-    expected = ("kind", "seed", "amplitude", "cell_size", "rows", "cols")
-    if sorted(header) != sorted(expected):
-        raise ValueError(f"terrain file {path!r} has a malformed header")
-    rows, cols = int(header["rows"]), int(header["cols"])
-    body = lines[6:]
-    if len(body) != rows:
-        raise ValueError(
-            f"terrain file {path!r}: expected {rows} height rows, found {len(body)}"
-        )
-    grid = np.array([[float(v) for v in line.split()] for line in body])
-    if grid.shape != (rows, cols):
+        lines = filter(None, map(str.strip, fh))
+        head = list(itertools.islice(lines, 6))
+        if len(head) < 6:
+            raise ValueError(f"terrain file {path!r} is truncated")
+        header = dict(line.partition(" ")[::2] for line in head)
+        expected = ("kind", "seed", "amplitude", "cell_size", "rows", "cols")
+        if sorted(header) != sorted(expected):
+            raise ValueError(f"terrain file {path!r} has a malformed header")
+        rows, cols = int(header["rows"]), int(header["cols"])
+        # A height takes two bytes or more, so a header asking for more
+        # heights than the file holds allocates no grid and is refused below.
+        fits = 0 < rows and 0 < cols and 2 * rows * cols <= os.path.getsize(path)
+        grid = np.empty((rows, cols) if fits else (0, 0))
+        found = 0
+        for found, line in enumerate(lines, 1):
+            values = line.split()
+            fits = fits and found <= rows and len(values) == cols
+            if fits:
+                grid[found - 1] = [float(v) for v in values]
+    if found != rows:
+        raise ValueError(f"terrain file {path!r}: expected {rows} height rows, "
+                         f"found {found}")
+    if not fits:
         raise ValueError(f"terrain file {path!r}: ragged or mis-sized height rows")
     return Terrain(header["kind"], int(header["seed"]), float(header["amplitude"]),
                    float(header["cell_size"]), grid)

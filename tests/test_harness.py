@@ -850,7 +850,7 @@ def test_evaluate_fixed_terrain_pins_every_trial():
     assert report.std == 0.0
 
 
-def test_evaluate_rough_trial_computes_only_the_nodes_it_reads(monkeypatch):
+def test_evaluate_rough_trial_computes_only_the_rows_it_reads(monkeypatch):
     built, read = [], set()
 
     def recording_terrain(*args):
@@ -858,7 +858,7 @@ def test_evaluate_rough_trial_computes_only_the_nodes_it_reads(monkeypatch):
         node = terrain._node
 
         def recorded(i, j):
-            read.add((i, j))
+            read.add(i)
             return node(i, j)
 
         object.__setattr__(terrain, "_node", recorded)
@@ -868,9 +868,9 @@ def test_evaluate_rough_trial_computes_only_the_nodes_it_reads(monkeypatch):
     monkeypatch.setattr("quadrl.config.make_terrain", recording_terrain)
     evaluate(eval_checkpoint(), "rough", trials=1)
     [terrain] = built
-    rows, cols = terrain._grid_frame[:2]
-    assert 0 < len(terrain._nodes) <= len(read) < rows * cols // 100
-    assert set(terrain._nodes) == read
+    computed = {i for i, row in enumerate(terrain._rows) if row is not None}
+    assert computed == read
+    assert 0 < len(computed) < terrain._grid_frame[0] // 10
     assert "height_grid" not in vars(terrain)
 
 

@@ -81,6 +81,22 @@ def test_lattice_nodes_match_reference_grid(amplitude, cell_size, extent):
         assert "height_grid" not in vars(rough)
 
 
+def test_lattice_rows_and_grid_match_the_reference_on_a_1601_node_grid():
+    seed, amplitude, cell_size, extent = 3, 0.03, 0.01, 8.0
+    expected = rough_height_grid(seed, amplitude, cell_size, extent)
+    assert expected.shape == (1601, 1601)
+    rough = terrain.make_terrain("rough", seed, amplitude, cell_size, extent)
+    # One node read in each row computes that row, in a scattered order.
+    reads = [(i, (7 * i) % 1601) for i in range(1600, -1, -1)]
+    heights = [rough._node(i, j) for i, j in reads]
+    assert np.array(heights).tobytes() == expected[tuple(zip(*reads))].tobytes()
+    assert np.array(rough._rows).tobytes() == expected.tobytes()
+    assert "height_grid" not in vars(rough)
+    fresh = terrain.make_terrain("rough", seed, amplitude, cell_size, extent)
+    assert fresh.height_grid.tobytes() == expected.tobytes()
+    assert fresh._rows == [None] * 1601
+
+
 @pytest.mark.parametrize("cell_size, extent", [(0.05, 8.0), (0.05, 0.05), (0.05, 0.01)])
 def test_lattice_heights_match_a_grid_backed_terrain(cell_size, extent):
     for seed, amplitude in ((3, 0.03), (4, 0.0)):
@@ -243,6 +259,55 @@ def test_saving_a_generated_grid_holds_it_about_once(tmp_path):
     assert peak < 2 * rough.height_grid.nbytes
 
 
+def test_loading_a_grid_reads_it_one_row_at_a_time(tmp_path):
+    path = tmp_path / "t.terrain"
+    terrain.save_terrain(terrain.make_terrain("rough", seed=1), path)
+    terrain.load_terrain(path)  # first-use allocations are paid first
+    tracemalloc.start()
+    try:
+        loaded = terrain.load_terrain(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The grid, the copy `Terrain` keeps and one row's floats; not every line
+    # of the file and a nested list of floats.
+    assert loaded.height_grid.shape == (321, 321)
+    assert peak < 3 * loaded.height_grid.nbytes
+
+
+@pytest.mark.parametrize("cell_size", [0.25, 1])
+def test_a_loaded_terrain_saves_to_the_same_bytes(tmp_path, cell_size):
+    # An int amplitude or cell size is written as the float it loads as.
+    made = terrain.make_terrain("rough", 5, amplitude=1, cell_size=cell_size, extent=2)
+    terrain.save_terrain(made, tmp_path / "made.terrain")
+    loaded = terrain.load_terrain(tmp_path / "made.terrain")
+    terrain.save_terrain(loaded, tmp_path / "loaded.terrain")
+    text = (tmp_path / "made.terrain").read_text()
+    assert text.splitlines()[2] == "amplitude 1.0"
+    assert text == (tmp_path / "loaded.terrain").read_text()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:-1] + lines[-1:] * 2, "expected 321 height rows, found 322"),
+    (lambda lines: lines[:-1] + [lines[-1].rsplit(" ", 1)[0]], "ragged or mis-sized"),
+    (lambda lines: lines[:5] + ["cols 322"] + lines[6:], "ragged or mis-sized"),
+    (lambda lines: lines[:4] + ["rows 0"] + lines[5:6], "ragged or mis-sized"),
+    (lambda lines: lines[:4] + ["rows -1"] + lines[5:], "expected -1 height rows"),
+    (lambda lines: lines[:4] + ["rows 10000000000"] + lines[5:],
+     "expected 10000000000 height rows, found 321"),
+    (lambda lines: lines[:5] + ["cols 10000000000"] + lines[6:], "ragged or mis-sized"),
+    (lambda lines: lines[:5] + ["rows 321"] + lines[6:], "malformed header"),
+], ids=["extra_row", "short_row", "long_header_cols", "zero_rows", "negative_rows",
+        "huge_rows", "huge_cols", "duplicate_key"])
+def test_load_refuses_a_grid_that_does_not_match_its_header(tmp_path, edit, message):
+    # A header asking for more heights than the file holds allocates no grid.
+    path = tmp_path / "t.terrain"
+    terrain.save_terrain(terrain.make_terrain("rough", seed=4), path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=message):
+        terrain.load_terrain(path)
+
+
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.terrain"
     path.write_text("not a terrain file\n")
@@ -287,8 +352,8 @@ def test_repr_leaves_the_grid_out():
     rough = terrain.make_terrain("rough", seed=1)
     assert repr(rough) == ("_LatticeTerrain(seed=1, amplitude=0.03, "
                            "cell_size=0.05, extent=8.0)")
-    # No node was computed and no grid was built.
-    assert rough._nodes == {} and "height_grid" not in vars(rough)
+    # No row was computed and no grid was built.
+    assert rough._rows == [None] * 321 and "height_grid" not in vars(rough)
     flat = terrain.make_terrain("flat", seed=0)
     assert repr(flat) == "Terrain(kind='flat', seed=0, amplitude=0.0, cell_size=0.05)"
 
@@ -297,7 +362,7 @@ def test_replace_on_a_generated_terrain_draws_the_new_seed(tmp_path):
     rough = terrain.make_terrain("rough", seed=1)
     replaced = dataclasses.replace(rough, seed=2)
     assert "height_grid" not in vars(rough) and "height_grid" not in vars(replaced)
-    assert replaced._nodes == {}
+    assert replaced._rows == [None] * 321
     terrain.save_terrain(replaced, tmp_path / "replaced.terrain")
     terrain.save_terrain(terrain.make_terrain("rough", 2), tmp_path / "made.terrain")
     assert ((tmp_path / "replaced.terrain").read_bytes()

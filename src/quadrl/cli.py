@@ -11,8 +11,8 @@ import argparse
 import os
 import sys
 
-from .checkpoint import CheckpointError, load_checkpoint
-from .config import ALGORITHMS, ConfigError, load_config, parse_config
+from .checkpoint import load_checkpoint
+from .config import ALGORITHMS, load_config, parse_config
 from .env import ProtocolError, SimulationDiverged
 from .evaluate import (EVAL_SEED, EVAL_TRIALS, evaluate, report_csv,
                        transfer_experiment, transfer_table)
@@ -21,8 +21,8 @@ from .svgplot import plot_metrics
 from .terrain import KINDS, load_terrain
 from .train import train
 
-_RUNTIME_ERRORS = (ConfigError, CheckpointError, SimulationDiverged,
-                   TrainingDiverged, ProtocolError, OSError, ValueError)
+_RUNTIME_ERRORS = (SimulationDiverged, TrainingDiverged, ProtocolError, OSError,
+                   ValueError)  # ConfigError and CheckpointError among them
 
 
 class _Parser(argparse.ArgumentParser):

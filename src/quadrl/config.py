@@ -23,7 +23,10 @@ from .records import ConfigError, Settings, setting
 from .rl import RlHyperparams
 from .terrain import SIZE_LIMIT, AnyTerrain, grid_side, make_terrain
 
-ALGORITHMS = ("ddpg", "td3", "cem_ddpg", "cem_td3")
+# Each algorithm's two traits, declared here only: (does it search a
+# population, as CEM-RL does; does it back up twin critics, as TD3 does).
+ALGORITHMS = {"ddpg": (False, False), "td3": (False, True),
+              "cem_ddpg": (True, False), "cem_td3": (True, True)}
 
 
 @dataclass(frozen=True)
@@ -90,16 +93,12 @@ def _coerce(key: str, raw: str, default):
         if lowered in ("false", "0"):
             return False
         raise ConfigError(f"{key}: expected true/false, got {raw!r}")
-    if kind is int:
+    if kind in (int, float):
         try:
-            return int(raw)
+            return kind(raw)
         except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-    if kind is float:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+            expected = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
     return raw
 
 

@@ -93,7 +93,12 @@ class Terrain:
         if self.kind not in KINDS:
             raise ValueError(f"unknown terrain kind {self.kind!r}")
         _check_args(self.seed, cell_size=self.cell_size, amplitude=self.amplitude)
-        grid = np.array(self.height_grid, dtype=np.float64)
+        grid = self.height_grid
+        # A read-only float64 grid that owns its data, as `load_terrain` makes,
+        # is kept; any other is copied, so no writeable array backs a terrain.
+        if not (type(grid) is np.ndarray and grid.dtype == np.float64
+                and grid.flags.owndata and not grid.flags.writeable):
+            grid = np.array(grid, dtype=np.float64)
         if grid.ndim != 2:
             raise ValueError("height_grid must be 2-D")
         if not np.isfinite(grid).all():
@@ -184,13 +189,11 @@ def make_terrain(kind: str, seed: int, amplitude: float = 0.03,
     Rough terrain is deterministic for a given (seed, amplitude,
     cell_size, extent) and its heights stay within [-amplitude, amplitude].
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown terrain kind {kind!r}")
     if kind == "rough":
         return _LatticeTerrain(seed, amplitude, cell_size, extent)
     # A 1x1 zero grid plus edge clamping gives height 0 everywhere. Terrain
-    # checks the seed and cell size it stores; then the sizes it does not.
-    flat = Terrain("flat", seed, 0.0, cell_size, np.zeros((1, 1)))
+    # checks the kind, seed and cell size it stores; then the sizes it does not.
+    flat = Terrain(kind, seed, 0.0, cell_size, np.zeros((1, 1)))
     _check_sizes(amplitude=amplitude, extent=extent)
     return flat
 
@@ -276,5 +279,6 @@ def load_terrain(path: str) -> Terrain:
                          f"found {found}")
     if not fits:
         raise ValueError(f"terrain file {path!r}: ragged or mis-sized height rows")
+    grid.setflags(write=False)  # so the Terrain keeps the grid, not a copy
     return Terrain(header["kind"], int(header["seed"]), float(header["amplitude"]),
                    float(header["cell_size"]), grid)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .cem import CemState, cem_rl_generation
 from .checkpoint import Checkpoint, save_checkpoint
-from .config import RunConfig
+from .config import ALGORITHMS, RunConfig
 from .env import OBS_SIZE, N_JOINTS, QuadrupedEnv, SimulationDiverged
 from .evaluate import summarize
 from .net import ParamVector, TrainingDiverged, init_network
@@ -58,15 +58,14 @@ def _write_rows(path: str, header: str, rows: list[list]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _episodes(config: RunConfig, stream: SeedStream, env, buffer, progress):
+def _episodes(config: RunConfig, stream: SeedStream, env, buffer, progress, twin):
     """Gradient family: (learner, episode units, final actor getter).
 
     env_steps counts live, so a divergence mid-episode keeps its steps.
     """
     hp = config.rl
     bound = hp.action_bound
-    learner = init_learner(OBS_SIZE, N_JOINTS, hp, stream.next(),
-                           twin=config.algorithm == "td3")
+    learner = init_learner(OBS_SIZE, N_JOINTS, hp, stream.next(), twin=twin)
 
     def policy(obs):
         # Uniform warmup actions, then the actor plus exploration noise.
@@ -89,13 +88,12 @@ def _episodes(config: RunConfig, stream: SeedStream, env, buffer, progress):
     return learner, units(), lambda: learner.actor
 
 
-def _generations(config: RunConfig, stream: SeedStream, env, buffer, progress):
+def _generations(config: RunConfig, stream: SeedStream, env, buffer, progress, twin):
     """CEM family: (learner, generation units, distribution-mean getter)."""
     hp, ch = config.rl, config.cem
     a_spec = actor_spec(OBS_SIZE, N_JOINTS, hp.action_bound)
     mean = init_network(a_spec, stream.next())
-    learner = init_learner(OBS_SIZE, N_JOINTS, hp, stream.next(),
-                           twin=config.algorithm == "cem_td3")
+    learner = init_learner(OBS_SIZE, N_JOINTS, hp, stream.next(), twin=twin)
     state = CemState(mean.values, np.full(a_spec.param_count, ch.init_variance),
                      ch.noise_floor, ch)
 
@@ -134,16 +132,16 @@ def train(config: RunConfig) -> tuple[Checkpoint, str]:
     divergence is re-raised.
     """
     os.makedirs(config.out_dir, exist_ok=True)
-    gradient = config.algorithm in ("ddpg", "td3")
-    unit_name, header, family = (("episodes", GRADIENT_HEADER, _episodes)
-                                 if gradient else
-                                 ("generations", CEM_HEADER, _generations))
+    population, twin = ALGORITHMS[config.algorithm]
+    unit_name, header, family = (("generations", CEM_HEADER, _generations)
+                                 if population else
+                                 ("episodes", GRADIENT_HEADER, _episodes))
     progress = {unit_name: 0, "env_steps": 0, "best_return": float("-inf"),
                 "diverged": False}
     stream = SeedStream(config.master_seed)
     env = QuadrupedEnv(config.terrain("flat", 0), config.robot, config.t_max)
     buffer = ReplayBuffer(REPLAY_CAPACITY, OBS_SIZE, N_JOINTS)
-    learner, units, final_actor = family(config, stream, env, buffer, progress)
+    learner, units, final_actor = family(config, stream, env, buffer, progress, twin)
 
     rows: list[list] = []
     best_actor = final_actor()

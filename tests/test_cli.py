@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import quadrl
 from quadrl import net
 from quadrl.checkpoint import (Checkpoint, CheckpointError, load_checkpoint,
                                save_checkpoint)
-from quadrl.cli import main
+from quadrl.cli import build_parser, main
 from quadrl.config import parse_config
 from quadrl.env import OBS_SIZE, SimulationDiverged
 from quadrl.rl import actor_spec
@@ -63,6 +64,13 @@ def test_usage_errors_exit_1(capsys):
             run_cli([*argv, "--checkpoint", "missing.json"])
         assert exc.value.code == 1
     capsys.readouterr()
+
+
+def test_train_offers_each_algorithm_dashed():
+    [commands] = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    [algo] = [a for a in commands.choices["train"]._actions if a.dest == "algo"]
+    assert algo.choices == ["ddpg", "td3", "cem-ddpg", "cem-td3"]
 
 
 def test_help_exits_0(capsys):

@@ -87,15 +87,19 @@ def test_parse_rejects_unknown_keys_and_bad_values():
         parse_config("not_a_key = 3")
     with pytest.raises(ConfigError):
         parse_config("rl.momentum = 3")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError,
+                       match=r"^rl\.gamma: expected a number, got 'fast'$"):
         parse_config("rl.gamma = fast")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError,
+                       match=r"^episodes: expected an integer, got '3\.5'$"):
         parse_config("episodes = 3.5")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError,
+                       match="^record_wall_time: expected true/false, got 'yes'$"):
         parse_config("record_wall_time = yes")
     with pytest.raises(ConfigError):
         parse_config("just a line")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^algorithm 'sarsa' is not one of ddpg, "
+                                          "td3, cem_ddpg, cem_td3$"):
         parse_config("algorithm = sarsa")
     with pytest.raises(ConfigError):
         parse_config("t_max = 0")
@@ -885,9 +889,17 @@ def test_evaluate_raises_on_a_diverged_trial():
         evaluate(ck, "flat", trials=2)
 
 
-def test_evaluate_validates_inputs():
-    with pytest.raises(ValueError):
+def test_evaluate_validates_inputs(monkeypatch):
+    # Each is refused before any trial runs. The first trial's terrain checks
+    # the kind; a fixed terrain, already of a known kind, must match it.
+    def never(*args):
+        raise AssertionError("run_episode ran")
+
+    monkeypatch.setattr("quadrl.evaluate.run_episode", never)
+    with pytest.raises(ValueError, match="^unknown terrain kind 'hilly'$"):
         evaluate(eval_checkpoint(), "hilly")
+    with pytest.raises(ValueError, match="^fixed terrain is rough, not hilly$"):
+        evaluate(eval_checkpoint(), "hilly", fixed_terrain=make_terrain("rough", 5))
     with pytest.raises(ValueError):
         evaluate(eval_checkpoint(), "flat", trials=0)
 

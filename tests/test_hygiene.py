@@ -120,6 +120,34 @@ def test_restated_name_check_sees_either_spelling():
     assert _restated_names(tree, KINDS) == ["line 4"]
 
 
+def _spelled_names(tree: ast.Module, names) -> list[str]:
+    """Lines of the string constants that spell one of `names`, a dash read
+    as an underscore."""
+    return [f"line {line}" for line in sorted({
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.replace("-", "_") in names})]
+
+
+def test_no_module_but_config_spells_an_algorithm_name():
+    # config.ALGORITHMS states each algorithm's traits beside its name, so
+    # no other module picks a code path by comparing names.
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "config.py":
+            lines = _spelled_names(ast.parse(path.read_text(), str(path)), ALGORITHMS)
+            if lines:
+                found[path.name] = lines
+    assert found == {}
+
+
+def test_spelled_name_check_sees_either_spelling_of_one_name():
+    tree = ast.parse('twin = algo == "td3"\nif algo in ("cem-ddpg", "x"):\n'
+                     '    pass\n"""ddpg and td3 in a docstring"""\n'
+                     'f(algorithm="cem_td3", td3=1)\n')
+    assert _spelled_names(tree, ALGORITHMS) == ["line 1", "line 2", "line 5"]
+
+
 def _step_bookkeeping(tree: ast.Module) -> list[str]:
     """Lines that push into a buffer (a call of a `push` attribute) or add a
     `.reward` into a running total (an augmented assignment reading one)."""

@@ -190,7 +190,7 @@ def test_height_continuity_across_cells():
 
 
 def test_make_terrain_rejects_unknown_kind():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown terrain kind 'lava'$"):
         terrain.make_terrain("lava", seed=0)
 
 
@@ -217,6 +217,23 @@ def test_terrain_rejects_non_finite_heights(bad):
     grid[1, 2] = bad
     with pytest.raises(ValueError, match="finite"):
         terrain.Terrain("rough", 0, 0.03, 0.05, grid)
+
+
+def test_terrain_copies_a_grid_its_caller_can_still_write():
+    grid = np.zeros((3, 3))
+    hand_built = terrain.Terrain("rough", 0, 0.03, 0.05, grid)
+    base = np.zeros((3, 3))
+    view = base[:]
+    view.setflags(write=False)
+    from_view = terrain.Terrain("rough", 0, 0.03, 0.05, view)
+    grid[1, 1] = base[1, 1] = 0.01
+    for t in (hand_built, from_view):
+        assert t.height_grid[1, 1] == 0.0
+        assert terrain.height_at(t, 0.0, 0.0) == 0.0
+    # Only a read-only grid that owns its data, as a loaded one does, is kept.
+    owned = np.zeros((3, 3))
+    owned.setflags(write=False)
+    assert terrain.Terrain("rough", 0, 0.03, 0.05, owned).height_grid is owned
 
 
 def test_save_load_round_trip(tmp_path):
@@ -269,10 +286,11 @@ def test_loading_a_grid_reads_it_one_row_at_a_time(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The grid, the copy `Terrain` keeps and one row's floats; not every line
-    # of the file and a nested list of floats.
+    # The grid, which `Terrain` keeps rather than copies, one row's floats and
+    # the finiteness check's mask; not every line of the file, a nested list
+    # of floats or a second grid.
     assert loaded.height_grid.shape == (321, 321)
-    assert peak < 3 * loaded.height_grid.nbytes
+    assert peak < 1.5 * loaded.height_grid.nbytes
 
 
 @pytest.mark.parametrize("cell_size", [0.25, 1])

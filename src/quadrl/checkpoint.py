@@ -20,6 +20,9 @@ from .config import RunConfig, config_from_dict, config_to_dict
 from .net import LayerSpec, NetworkSpec, ParamVector
 
 FORMAT_VERSION = 1
+# Settings a snapshot may hold from before they were retired. No evaluation
+# reads either, and an actor's spec keeps the bound it was built with.
+_RETIRED_KEYS = ("record_wall_time", "rl.action_bound")
 
 
 class CheckpointError(ValueError):
@@ -49,7 +52,7 @@ def _decode_spec(rows, name: str) -> NetworkSpec:
         layers = tuple(LayerSpec(int(r[0]), int(r[1]), str(r[2]), float(r[3]))
                        for r in rows)
         return NetworkSpec(layers)
-    except (ValueError, TypeError, IndexError) as exc:
+    except (ValueError, TypeError, IndexError, KeyError) as exc:
         raise CheckpointError(f"invalid network spec for {name!r}: {exc}") from None
 
 
@@ -106,7 +109,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(
             f"unsupported format_version {doc['format_version']!r}")
     try:
-        config = config_from_dict(doc["config"])
+        config = config_from_dict({k: v for k, v in doc["config"].items()
+                                   if k not in _RETIRED_KEYS})
     except ValueError as exc:
         raise CheckpointError(f"invalid config snapshot: {exc}") from None
     if doc["algorithm"] != config.algorithm:

@@ -8,9 +8,9 @@ Grammar, one setting per line:
 
 Sections are ``robot`` (simulator constants), ``rl`` (gradient-learner
 hyperparameters), ``cem`` (evolutionary hyperparameters); bare keys are
-run-level settings. Value types follow the field being set: int, float,
-bool (true/false/1/0), or string. Unknown keys are errors so typos
-cannot silently fall back to defaults.
+run-level settings. Value types follow the field being set: int, float
+or string. Unknown keys are errors so typos cannot silently fall back to
+defaults.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ class RunConfig(Settings):
     warmup_steps: int = setting(1000, 0)
     max_env_steps: int = setting(0, 0)
     t_max: int = setting(1000, 1)
-    record_wall_time: bool = False
     out_dir: str = "run_output"
     # The terrain's own ranges, so a config holds only ground it can make.
     terrain_amplitude: float = setting(0.03, 0, SIZE_LIMIT, open_high=True)
@@ -86,13 +85,6 @@ _SECTIONS = {"robot": RobotConfig, "rl": RlHyperparams, "cem": CemHyperparams}
 
 def _coerce(key: str, raw: str, default):
     kind = type(default)
-    if kind is bool:
-        lowered = raw.lower()
-        if lowered in ("true", "1"):
-            return True
-        if lowered in ("false", "0"):
-            return False
-        raise ConfigError(f"{key}: expected true/false, got {raw!r}")
     if kind in (int, float):
         try:
             return kind(raw)

@@ -2,12 +2,12 @@
 enforced by one check.
 
 A field takes values of its default's type, or of its `default_factory`
-class for a nested record: a bool only where a bool is due, an int but not
-a bool where an int is, and an int or a float where a float is. An int in
-a float field stays an int, so a config snapshot keeps its bytes. A field
-made by `setting` or `positive` also declares the range its value must lie
-in. `Settings.__post_init__` checks each field in turn: its type, that a
-float is finite (no record has a use for nan or an infinity), its declared
+class for a nested record, but never a bool: an int where an int is, and
+an int or a float where a float is. An int in a float field stays an int,
+so a config snapshot keeps its bytes. A field made by `setting` or
+`positive` also declares the range its value must lie in.
+`Settings.__post_init__` checks each field in turn: its type, that a float
+is finite (no record has a use for nan or an infinity), its declared
 range, and that an int is below 2**64 in magnitude, so a snapshot can
 write it. A message starts with the field's name and never shows the
 value, which, as an int of more than 4300 digits, may have no str.
@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import math
 
-_ACCEPTED = {bool: (bool,), int: (int,), float: (int, float)}
 # Range edges a rule writes as the terrain's messages and the README do.
 _EDGE_TEXT = {2**64: "2**64", 2**-64: "2**-64"}
 
@@ -61,8 +60,8 @@ class Settings:
             kind = (f.default_factory if f.default is dataclasses.MISSING
                     else type(f.default))
             value = getattr(self, f.name)
-            if (isinstance(value, bool) != (kind is bool)
-                    or not isinstance(value, _ACCEPTED.get(kind, kind))):
+            if (isinstance(value, bool) or not isinstance(
+                    value, (int, float) if kind is float else kind)):
                 raise ConfigError(f"{f.name}: expected {kind.__name__}, "
                                   f"got {type(value).__name__}")
             if isinstance(value, float) and not math.isfinite(value):

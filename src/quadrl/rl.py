@@ -16,7 +16,7 @@ import numpy as np
 
 from . import net
 from .net import TrainingDiverged
-from .records import Settings, positive, setting
+from .records import Settings, setting
 from .replay import Batch, ReplayBuffer
 from .seeds import SeedStream
 
@@ -35,7 +35,6 @@ class RlHyperparams(Settings):
     policy_delay: int = setting(2, 1)
     target_noise_sigma: float = setting(0.14, 0)
     target_noise_clip: float = setting(0.35, 0)
-    action_bound: float = positive(0.7)
 
 
 def actor_spec(obs_size: int, action_size: int, bound: float,
@@ -73,11 +72,12 @@ class Learner:
         return len(self.critics) == 2
 
 
-def init_learner(obs_size: int, action_size: int, hp: RlHyperparams, seed: int,
-                 *, twin: bool, hidden: tuple[int, ...] = HIDDEN) -> Learner:
+def init_learner(obs_size: int, action_size: int, bound: float,
+                 hp: RlHyperparams, seed: int, *, twin: bool,
+                 hidden: tuple[int, ...] = HIDDEN) -> Learner:
     """Seed draw order: the actor, then one seed per critic."""
     stream = SeedStream(seed)
-    a_spec = actor_spec(obs_size, action_size, hp.action_bound, hidden)
+    a_spec = actor_spec(obs_size, action_size, bound, hidden)
     c_spec = critic_spec(obs_size, action_size, hidden)
     actor = net.init_network(a_spec, stream.next())
     critics = tuple(net.init_network(c_spec, stream.next())
@@ -101,12 +101,13 @@ def reset_actor(learner: Learner, params) -> None:
 
 
 def exploration_action(actor: net.ParamVector, observation, sigma: float,
-                       seed: int, bound: float) -> np.ndarray:
-    """Deterministic policy action plus clamped seeded Gaussian noise."""
+                       seed: int) -> np.ndarray:
+    """Policy action plus seeded Gaussian noise, within the actor's bound."""
     if sigma < 0.0:
         raise ValueError("sigma must be non-negative")
     action = net.forward(actor, observation)
     noise = np.random.default_rng(seed).normal(0.0, sigma, size=action.shape)
+    bound = actor.spec.layers[-1].bound  # its scaled_tanh output layer's
     return np.clip(action + noise, -bound, bound)
 
 
@@ -121,7 +122,8 @@ def smoothed_target_action(target_actor: net.ParamVector, next_observations,
     rng = np.random.default_rng(seed)
     noise = np.clip(rng.normal(0.0, hp.target_noise_sigma, size=actions.shape),
                     -hp.target_noise_clip, hp.target_noise_clip)
-    return np.clip(actions + noise, -hp.action_bound, hp.action_bound)
+    bound = target_actor.spec.layers[-1].bound
+    return np.clip(actions + noise, -bound, bound)
 
 
 def critic_target(batch: Batch, learner: Learner, seed: int) -> np.ndarray:

@@ -15,16 +15,11 @@ where a gradient update actually runs, one train-step seed.
 
 Evolutionary runs (cem_ddpg, cem_td3) draw: distribution-mean init
 seed; learner init seed; then one seed per generation.
-
-Metrics rows are one per episode or generation. The wall_ms column is 0
-unless record_wall_time is set, because wall-clock numbers would break
-byte-identical reproducibility of the metrics file.
 """
 
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 
@@ -41,7 +36,7 @@ from .seeds import SeedStream
 
 REPLAY_CAPACITY = 1_000_000
 
-GRADIENT_HEADER = "step_or_generation,return,best_return,wall_ms"
+GRADIENT_HEADER = "step_or_generation,return,best_return"
 CEM_HEADER = (GRADIENT_HEADER + ",mean_fitness,median_fitness,noise_floor,"
               "buffer_size,rl_mean_fitness,evo_mean_fitness")
 
@@ -63,9 +58,8 @@ def _episodes(config: RunConfig, stream: SeedStream, env, buffer, progress, twin
 
     env_steps counts live, so a divergence mid-episode keeps its steps.
     """
-    hp = config.rl
-    bound = hp.action_bound
-    learner = init_learner(OBS_SIZE, N_JOINTS, hp, stream.next(), twin=twin)
+    hp, bound = config.rl, config.robot.action_bound
+    learner = init_learner(OBS_SIZE, N_JOINTS, bound, hp, stream.next(), twin=twin)
 
     def policy(obs):
         # Uniform warmup actions, then the actor plus exploration noise.
@@ -74,7 +68,7 @@ def _episodes(config: RunConfig, stream: SeedStream, env, buffer, progress, twin
             return np.random.default_rng(action_seed).uniform(-bound, bound,
                                                               N_JOINTS)
         return exploration_action(learner.actor, obs, hp.exploration_sigma,
-                                  action_seed, bound)
+                                  action_seed)
 
     def units():
         while True:
@@ -90,10 +84,11 @@ def _episodes(config: RunConfig, stream: SeedStream, env, buffer, progress, twin
 
 def _generations(config: RunConfig, stream: SeedStream, env, buffer, progress, twin):
     """CEM family: (learner, generation units, distribution-mean getter)."""
-    hp, ch = config.rl, config.cem
-    a_spec = actor_spec(OBS_SIZE, N_JOINTS, hp.action_bound)
+    ch, bound = config.cem, config.robot.action_bound
+    a_spec = actor_spec(OBS_SIZE, N_JOINTS, bound)
     mean = init_network(a_spec, stream.next())
-    learner = init_learner(OBS_SIZE, N_JOINTS, hp, stream.next(), twin=twin)
+    learner = init_learner(OBS_SIZE, N_JOINTS, bound, config.rl, stream.next(),
+                           twin=twin)
     state = CemState(mean.values, np.full(a_spec.param_count, ch.init_variance),
                      ch.noise_floor, ch)
 
@@ -145,7 +140,6 @@ def train(config: RunConfig) -> tuple[Checkpoint, str]:
 
     rows: list[list] = []
     best_actor = final_actor()
-    last = time.perf_counter()
     try:
         for unit in range(1, getattr(config, unit_name) + 1):
             if config.max_env_steps and progress["env_steps"] >= config.max_env_steps:
@@ -155,11 +149,7 @@ def train(config: RunConfig) -> tuple[Checkpoint, str]:
             if unit_return > progress["best_return"]:
                 progress["best_return"] = float(unit_return)
                 best_actor = candidate
-            now = time.perf_counter()
-            wall_ms = (now - last) * 1000.0 if config.record_wall_time else 0
-            last = now
-            rows.append([unit, unit_return, progress["best_return"], wall_ms,
-                         *extra])
+            rows.append([unit, unit_return, progress["best_return"], *extra])
     except (SimulationDiverged, TrainingDiverged):
         progress["diverged"] = True
         raise

@@ -169,7 +169,7 @@ def test_criterion_02_reward_oracle():
 
 def test_criterion_03_td3_target_properties():
     hp = RlHyperparams()
-    learner = init_learner(3, 2, hp, seed=1, twin=True, hidden=(8, 8))
+    learner = init_learner(3, 2, 0.7, hp, seed=1, twin=True, hidden=(8, 8))
     rng = np.random.default_rng(42)
     done_rows = 0
     min_holds = True
@@ -337,7 +337,7 @@ def test_criterion_07_toy_learning():
 
     start = time.time()
     hp = RlHyperparams(batch_size=64, exploration_sigma=0.14)
-    learner = init_learner(1, 1, hp, seed=5, twin=False, hidden=(32, 32))
+    learner = init_learner(1, 1, 0.7, hp, seed=5, twin=False, hidden=(32, 32))
     stream = SeedStream(99)
     buffer = ReplayBuffer(100_000, 1, 1)
     env = ToyEnv()
@@ -352,8 +352,7 @@ def test_criterion_07_toy_learning():
                 action = np.random.default_rng(seed).uniform(-0.7, 0.7, 1)
             else:
                 action = exploration_action(learner.actor, obs,
-                                            hp.exploration_sigma, seed,
-                                            hp.action_bound)
+                                            hp.exploration_sigma, seed)
             result = env.step(action)
             buffer.push(obs, action, result.reward, result.observation,
                         result.done)

@@ -35,35 +35,35 @@ KERNEL_NOTE = (f"digests pinned under OpenBLAS {PINNED_KERNEL}, "
 PINNED = {
     "ddpg": {
         "metrics.csv":
-            "9bf96eb89f7d3457ec90f579099ff7ffad37dbcfec8f43560693b6ba665c23f6",
+            "ad22800326c9ddb3722f99c0ea3de15582cc4f88ac1d1854192fc89463aba1a1",
         "checkpoint.json":
-            "da5ec9658b1f906335211a8260530db6a29ecddc8e679ad05b916042da63c49a",
+            "3a0fd1f6445403511a307b6d2e7df408a5f986c18d735f1a86aac35ac62b0bca",
         "checkpoint_best.json":
-            "e7f6b23e9f0c912b03e808ad712cbd3567fbd48ed0a7ba84bcb6366a6f0add2b",
+            "48cb00e78960ec61f1ee166974e6bbacc53f3e8fcb64115a9f1bb45c376770cc",
     },
     "td3": {
         "metrics.csv":
-            "0ecbf778e7dde52fd59a9b44c1a37dc9f6d68be209cd5da17054c5c50a77d049",
+            "dcf19083015c1373683e57c0a77fce7e8ca765e00db594e89865f07fe7fd484b",
         "checkpoint.json":
-            "55ba50fdac1c863464924f2bff5ec262a7f7fb163d7c67b49d0913d963c6ce9e",
+            "ac684b1abf6a576f6724694f134e981963a28d87f09f4fd9cdb31a0363ccc655",
         "checkpoint_best.json":
-            "82a97e1995900a690a9fadb6e046546eb367f748bab5655c4c04457cea910298",
+            "81ceea90eed1b3605f0ab87e21bf4116a4ad131e86fa6e2e219747356bdad697",
     },
     "cem_ddpg": {
         "metrics.csv":
-            "89f215c1e5ba888cf681795c87cb78cf3e7829f77f355ac18390c6284e5580d7",
+            "ef7924fafc974b424688f8d505fc8e31710fb2ce0126b38ec8f13758f9026a43",
         "checkpoint.json":
-            "995b995f743f9a5f0607acb6b01fb9716acf9559d173c27651e5e989443d5d18",
+            "1e10926ca2613a236a29a3c8c42b59f920c2291572ac3f1273b22645d324d578",
         "checkpoint_best.json":
-            "0047308e81000ce767ad8f668ee1ee80d928cd4cada97f6313be5d53a704a47c",
+            "ce6dfc377a9ed958f9dadede6629de1d5a2f88dbe03fd80b315e0e7d09e1b61e",
     },
     "cem_td3": {
         "metrics.csv":
-            "957a65a0850b152dfa420d71e07b4423a3b5c89fc3d4c3362361574bf731fe08",
+            "a8ec58e75aed62e7b2bdbdb236f0bbdf57eaa48b9c919285417ebc0428c0a7a4",
         "checkpoint.json":
-            "59378a926c80f4d44ffa3ee624f4556bc4297ba540134d00a6b9f901ab7a87a0",
+            "f055b7aa34479f47939e801860a708b48bf12c58a5139e1c5ff773dd43f76599",
         "checkpoint_best.json":
-            "280716bfa316f41a1ad4054660bff76e8653d6397a5fb9e2c95d9a3b8ff4a15d",
+            "40cad177b269f888b81394585daa8302adc933160ef76927a07a82a24e4ca7c8",
     },
 }
 

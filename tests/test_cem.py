@@ -186,7 +186,7 @@ def test_solve_toy_dimension_check():
 def make_generation_fixture(batch_size=8, pop=4, t_max=5, **cem_kwargs):
     terrain = make_terrain("flat", seed=0)
     hp = RlHyperparams(batch_size=batch_size)
-    learner = init_learner(OBS_SIZE, 8, hp, seed=0, twin=True, hidden=(8, 8))
+    learner = init_learner(OBS_SIZE, 8, 0.7, hp, seed=0, twin=True, hidden=(8, 8))
     dim = learner.actor.spec.param_count
     state = cem.CemState(learner.actor.values.copy(), np.full(dim, 1e-4),
                          1e-5, cem_hp(pop, 2, **cem_kwargs))

@@ -196,7 +196,7 @@ def test_transfer_nan_weight_checkpoint_exit_2_without_report(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("t_max", "250"), ("robot.substeps", 2.5), ("episodes", 1.5),
-    ("record_wall_time", "no"), ("master_seed", True)])
+    ("master_seed", True)])
 def test_transfer_mistyped_config_value_exit_2_without_report(key, value, tmp_path,
                                                               capsys):
     # Each once raised a TypeError outside ConfigError, or loaded silently.

@@ -1,9 +1,11 @@
 import base64
 import dataclasses
+import importlib.util
 import json
 import math
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from quadrl.seeds import SeedStream
 from quadrl.svgplot import plot_metrics, read_metrics, render_curve
 from quadrl.terrain import make_terrain
 from quadrl.train import CEM_HEADER, GRADIENT_HEADER, train
+from test_hygiene import PERFBENCH
 
 
 # --- seeds ---------------------------------------------------------------
@@ -60,7 +63,6 @@ def test_parse_sections_comments_and_types():
     algorithm = cem-td3
     master_seed = 9
     t_max = 250          # episode cap
-    record_wall_time = true
 
     rl.gamma = 0.95
     rl.batch_size = 32
@@ -72,7 +74,6 @@ def test_parse_sections_comments_and_types():
     assert cfg.algorithm == "cem_td3"
     assert cfg.master_seed == 9
     assert cfg.t_max == 250
-    assert cfg.record_wall_time is True
     assert cfg.rl.gamma == 0.95
     assert cfg.rl.batch_size == 32
     assert cfg.cem.population_size == 6
@@ -93,9 +94,10 @@ def test_parse_rejects_unknown_keys_and_bad_values():
     with pytest.raises(ConfigError,
                        match=r"^episodes: expected an integer, got '3\.5'$"):
         parse_config("episodes = 3.5")
-    with pytest.raises(ConfigError,
-                       match="^record_wall_time: expected true/false, got 'yes'$"):
-        parse_config("record_wall_time = yes")
+    # Retired settings are unknown keys, as any removed setting is.
+    for key in ("record_wall_time", "rl.action_bound"):
+        with pytest.raises(ConfigError, match=f"^line 1: unknown key '{key}'$"):
+            parse_config(f"{key} = 0")
     with pytest.raises(ConfigError):
         parse_config("just a line")
     with pytest.raises(ConfigError, match="^algorithm 'sarsa' is not one of ddpg, "
@@ -224,13 +226,18 @@ def test_config_values_must_have_their_field_type():
                        ("out_dir", 3), ("algorithm", None), ("cem.elite_count", [4])):
         with pytest.raises(ConfigError, match=key):
             config_from_dict({key: value})
+    # No field takes a bool, whatever type it is due.
+    for key, due in (("master_seed", "int"), ("rl.gamma", "float"),
+                     ("algorithm", "str")):
+        with pytest.raises(ConfigError,
+                           match=rf"^{re.escape(key)}: expected {due}, got bool$"):
+            config_from_dict({key: True})
 
 
 @pytest.mark.parametrize("record, error, name, value", [
     (RobotConfig, ValueError, "substeps", 2.5),
     (RobotConfig, ValueError, "mass", True),
     (RunConfig, ConfigError, "episodes", 1.5),
-    (RunConfig, ConfigError, "record_wall_time", "no"),
     (RunConfig, ConfigError, "t_max", "250"),
     (RunConfig, ConfigError, "robot", None),
     (RlHyperparams, ValueError, "batch_size", 128.0),
@@ -309,6 +316,15 @@ SETTINGS_RECORDS = (RobotConfig, RlHyperparams, CemHyperparams, RunConfig)
 def _number_fields():
     return [(record, f) for record in SETTINGS_RECORDS
             for f in dataclasses.fields(record) if type(f.default) in (int, float)]
+
+
+def test_no_two_settings_records_declare_one_name():
+    # One record owns each setting, so no two copies can drift apart.
+    owners = {}
+    for record in SETTINGS_RECORDS:
+        for f in dataclasses.fields(record):
+            owners.setdefault(f.name, []).append(record.__name__)
+    assert {name: who for name, who in owners.items() if len(who) > 1} == {}
 
 
 def _past(edge, kind, direction):
@@ -471,11 +487,46 @@ def test_load_rejects_tampered_fields(tmp_path):
         dict(doc, specs=dict(doc["specs"], critic=doc["specs"]["actor"])),
         dict(doc, params=dict(doc["params"], critic=doc["params"]["actor"])),
         dict(doc, params=dict(doc["params"], actor=nan_actor)),
+        # A spec row that is an object, once a bare KeyError.
+        dict(doc, specs=dict(doc["specs"],
+                             actor=[{"x": 1}, *doc["specs"]["actor"][1:]])),
     ]
     for bad in cases:
         tampered.write_text(json.dumps(bad))
         with pytest.raises(CheckpointError):
             load_checkpoint(str(tampered))
+
+
+def test_a_snapshot_with_retired_settings_loads_as_before(tmp_path):
+    # Checkpoints saved before record_wall_time and rl.action_bound were
+    # retired hold both keys in their config snapshot.
+    path = tmp_path / "ck.json"
+    ck = sample_checkpoint()
+    save_checkpoint(ck, str(path))
+    doc = json.loads(path.read_text())
+    doc["config"].update({"record_wall_time": False, "rl.action_bound": 0.7})
+    path.write_text(json.dumps(doc))
+    loaded = load_checkpoint(str(path))
+    assert loaded.config == ck.config
+    assert loaded.networks["actor"].spec == ck.networks["actor"].spec
+    assert np.array_equal(loaded.networks["actor"].values,
+                          ck.networks["actor"].values)
+
+
+def test_the_benchmark_transfer_checkpoint_loads(monkeypatch):
+    # The transfer workload checks this file's sha256 and loads it; its
+    # snapshot holds both retired keys.
+    path = PERFBENCH / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up while the module runs.
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    transfer = workloads.TransferWorkload()
+    transfer.prepare()
+    snapshot = json.loads(workloads.TRANSFER_CHECKPOINT.read_text())["config"]
+    assert {"record_wall_time", "rl.action_bound"} <= set(snapshot)
+    assert transfer.checkpoint.networks["actor"].spec.layers[-1].bound == 0.7
 
 
 @pytest.mark.parametrize("field", ["specs", "params", "config", "progress"])
@@ -595,7 +646,6 @@ def test_train_gradient_artifacts(tmp_path, algo):
     assert len(lines) == 1 + 3
     first = lines[1].split(",")
     assert first[0] == "1"
-    assert first[3] == "0"  # wall_ms suppressed by default
     assert ck.config.algorithm == algo
     assert ck.progress["episodes"] == 3
     # Episodes may end early (falls during random warmup), never late.
@@ -754,14 +804,6 @@ def test_train_env_step_cap(tmp_path):
     assert 25 <= ck.progress["env_steps"] < 25 + 20
     assert ck.progress["episodes"] < 50
     assert len(read_lines(metrics_path)) == 1 + ck.progress["episodes"]
-
-
-def test_train_wall_time_flag(tmp_path):
-    cfg = parse_config(TINY_GRADIENT + "record_wall_time = true\n",
-                       algorithm="ddpg", out_dir=str(tmp_path))
-    _, metrics_path = train(cfg)
-    walls = [float(l.split(",")[3]) for l in read_lines(metrics_path)[1:]]
-    assert all(w > 0.0 for w in walls)
 
 
 # --- evaluate ------------------------------------------------------------
@@ -941,8 +983,8 @@ def test_transfer_table_columns():
 
 def test_read_metrics_round_trip(tmp_path):
     path = tmp_path / "metrics.csv"
-    path.write_text("step_or_generation,return,best_return,wall_ms\n"
-                    "1,5.0,5.0,0\n2,-3.5,5.0,0\n")
+    path.write_text("step_or_generation,return,best_return\n"
+                    "1,5.0,5.0\n2,-3.5,5.0\n")
     xs, ys, bests = read_metrics(str(path))
     assert xs == [1.0, 2.0]
     assert ys == [5.0, -3.5]
@@ -973,8 +1015,8 @@ def test_render_curve_handles_constant_series():
 
 def test_plot_metrics_writes_svg(tmp_path):
     metrics = tmp_path / "metrics.csv"
-    metrics.write_text("step_or_generation,return,best_return,wall_ms\n"
-                       "1,1.0,1.0,0\n2,2.0,2.0,0\n")
+    metrics.write_text("step_or_generation,return,best_return\n"
+                       "1,1.0,1.0\n2,2.0,2.0\n")
     out = tmp_path / "curve.svg"
     plot_metrics(str(metrics), str(out))
     content = out.read_text()

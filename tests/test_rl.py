@@ -21,7 +21,8 @@ def filled_buffer(seed=0, n=200, reward_scale=1.0):
 
 
 def small_learner(kind, seed=0, hp=HP):
-    return rl.init_learner(OBS, ACT, hp, seed, twin=kind == "td3", hidden=(8, 8))
+    return rl.init_learner(OBS, ACT, 0.7, hp, seed, twin=kind == "td3",
+                           hidden=(8, 8))
 
 
 def test_hyperparams_defaults():
@@ -35,7 +36,6 @@ def test_hyperparams_defaults():
     assert hp.policy_delay == 2
     assert hp.target_noise_sigma == pytest.approx(0.2 * 0.7)
     assert hp.target_noise_clip == pytest.approx(0.5 * 0.7)
-    assert hp.action_bound == 0.7
 
 
 def test_hyperparams_validation():
@@ -50,7 +50,7 @@ def test_hyperparams_validation():
 
 
 @pytest.mark.parametrize("name, value", [
-    ("actor_lr", math.inf), ("actor_lr", math.nan), ("action_bound", math.nan),
+    ("actor_lr", math.inf), ("actor_lr", math.nan),
     ("target_noise_sigma", math.inf), ("gamma", -math.inf)])
 def test_hyperparams_reject_non_finite_values(name, value):
     # Built in Python: the record's own check, which config_from_dict
@@ -97,7 +97,7 @@ def test_exploration_action_noise_free_limit():
     learner = small_learner("ddpg")
     obs = np.random.default_rng(0).normal(size=OBS)
     clean = net.forward(learner.actor, obs)
-    assert np.array_equal(rl.exploration_action(learner.actor, obs, 0.0, 1, 0.7),
+    assert np.array_equal(rl.exploration_action(learner.actor, obs, 0.0, 1),
                           clean)
 
 
@@ -106,14 +106,27 @@ def test_exploration_action_bounded_and_seeded():
     rng = np.random.default_rng(2)
     for i in range(50):
         obs = rng.normal(size=OBS)
-        a1 = rl.exploration_action(learner.actor, obs, 0.5, seed=i, bound=0.7)
-        a2 = rl.exploration_action(learner.actor, obs, 0.5, seed=i, bound=0.7)
-        a3 = rl.exploration_action(learner.actor, obs, 0.5, seed=i + 1000, bound=0.7)
+        a1 = rl.exploration_action(learner.actor, obs, 0.5, seed=i)
+        a2 = rl.exploration_action(learner.actor, obs, 0.5, seed=i)
+        a3 = rl.exploration_action(learner.actor, obs, 0.5, seed=i + 1000)
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, a3)
         assert np.all(np.abs(a1) <= 0.7)
     with pytest.raises(ValueError):
-        rl.exploration_action(learner.actor, obs, -0.1, seed=0, bound=0.7)
+        rl.exploration_action(learner.actor, obs, -0.1, seed=0)
+
+
+def test_noise_is_clamped_to_the_actors_own_bound():
+    # Both noisy actions clip where the actor's scaled_tanh output does.
+    learner = rl.init_learner(OBS, ACT, 0.3, HP, 0, twin=True, hidden=(8, 8))
+    obs = np.random.default_rng(3).normal(size=(64, OBS))
+    explored = np.array([rl.exploration_action(learner.actor, o, 5.0, seed)
+                         for seed, o in enumerate(obs)])
+    smoothed = rl.smoothed_target_action(
+        learner.target_actor, obs,
+        rl.RlHyperparams(target_noise_sigma=5.0, target_noise_clip=5.0), 0)
+    for actions in (explored, smoothed):
+        assert np.abs(actions).max() == 0.3
 
 
 def test_ddpg_target_formula():
@@ -138,7 +151,7 @@ def test_smoothed_target_action_properties():
     clean = net.forward(learner.target_actor, obs)
     for seed in range(20):
         smoothed = rl.smoothed_target_action(learner.target_actor, obs, HP, seed)
-        assert np.all(np.abs(smoothed) <= HP.action_bound)
+        assert np.all(np.abs(smoothed) <= 0.7)
         assert np.all(np.abs(smoothed - clean) <= HP.target_noise_clip + 1e-12)
         again = rl.smoothed_target_action(learner.target_actor, obs, HP, seed)
         assert np.array_equal(smoothed, again)

@@ -19,9 +19,9 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from .env import RobotConfig
-from .records import ConfigError, Settings, setting
+from .records import ConfigError, Settings, copied, setting
 from .rl import RlHyperparams
-from .terrain import SIZE_LIMIT, AnyTerrain, grid_side, make_terrain
+from .terrain import AnyTerrain, Ground, grid_side, make_terrain
 
 # Each algorithm's two traits, declared here only: (does it search a
 # population, as CEM-RL does; does it back up twin critics, as TD3 does).
@@ -55,10 +55,11 @@ class RunConfig(Settings):
     max_env_steps: int = setting(0, 0)
     t_max: int = setting(1000, 1)
     out_dir: str = "run_output"
-    # The terrain's own ranges, so a config holds only ground it can make.
-    terrain_amplitude: float = setting(0.03, 0, SIZE_LIMIT, open_high=True)
-    terrain_cell_size: float = setting(0.05, 1 / SIZE_LIMIT, SIZE_LIMIT, open_high=True)
-    terrain_extent: float = setting(8.0, 0, SIZE_LIMIT, open_low=True, open_high=True)
+    # The ground's own defaults and ranges, so a config holds only ground it
+    # can make.
+    terrain_amplitude: float = copied(Ground, "amplitude")
+    terrain_cell_size: float = copied(Ground, "cell_size")
+    terrain_extent: float = copied(Ground, "extent")
     robot: RobotConfig = field(default_factory=RobotConfig)
     rl: RlHyperparams = field(default_factory=RlHyperparams)
     cem: CemHyperparams = field(default_factory=CemHyperparams)

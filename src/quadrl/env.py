@@ -429,7 +429,7 @@ class QuadrupedEnv:
 
     terrain: AnyTerrain
     config: RobotConfig = field(default_factory=RobotConfig)
-    t_max: int = 1000
+    t_max: int = field(kw_only=True)  # no default: a run setting, RunConfig.t_max
 
     def __post_init__(self) -> None:
         self.state: RobotState | None = None

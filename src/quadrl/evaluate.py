@@ -100,7 +100,7 @@ def evaluate(ck: Checkpoint, terrain_kind: str, trials: int = EVAL_TRIALS,
     for t in range(trials):
         seed = eval_seed + t
         terrain = fixed_terrain or cfg.terrain(terrain_kind, seed)
-        env = QuadrupedEnv(terrain, cfg.robot, cfg.t_max)
+        env = QuadrupedEnv(terrain, cfg.robot, t_max=cfg.t_max)
         result = run_episode(env, lambda obs: net.forward(actor, obs), seed)
         returns.append(result.episode_return)
     return EvalReport(terrain_kind, returns)

@@ -18,12 +18,13 @@ from __future__ import annotations
 import dataclasses
 import math
 
-# Range edges a rule writes as the terrain's messages and the README do.
+# Range edges a rule writes as the README does.
 _EDGE_TEXT = {2**64: "2**64", 2**-64: "2**-64"}
 
 
 class ConfigError(ValueError):
-    """A config's text, key or value that the program cannot take."""
+    """A config's text, key or value, or a terrain's seed or size, that the
+    program cannot take."""
 
 
 def setting(default, low, high=None, *, open_low: bool = False,
@@ -39,6 +40,12 @@ def setting(default, low, high=None, *, open_low: bool = False,
         rule = f"be {'above' if open_low else 'at least'} {low}"
     return dataclasses.field(default=default, metadata={
         "range": (low, high, open_low, open_high), "rule": rule})
+
+
+def copied(record, name: str):
+    """A field with the default and rule of `record`'s field `name`."""
+    f = record.__dataclass_fields__[name]
+    return dataclasses.field(default=f.default, metadata=f.metadata)
 
 
 def positive(default):

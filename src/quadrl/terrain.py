@@ -7,13 +7,14 @@ Height queries interpolate bilinearly between fine-grid nodes and clamp
 to the edge values outside the grid, so the ground function is continuous
 everywhere. The grid is centered on the origin.
 
-A generated rough terrain, `_LatticeTerrain`, is the record of
-`make_terrain`'s arguments: it draws its seeded lattice from them and
-computes each fine-grid row by one row rule the first time a height
-query reads a node in it, and keeps it, so a short rollout pays for the
-few rows under its feet rather than the whole grid. Its ``height_grid``
-is filled row by row through the same rule when first asked for. Flat,
-loaded and hand-built terrains are a `Terrain`, which holds its grid.
+A generated rough terrain, `_LatticeTerrain`, is the `Ground` record of
+`make_terrain`'s arguments, which checks them: it draws its seeded
+lattice from them and computes each fine-grid row by one row rule the
+first time a height query reads a node in it, and keeps it, so a short
+rollout pays for the few rows under its feet rather than the whole grid.
+Its ``height_grid`` is filled row by row through the same rule when first
+asked for. Flat, loaded and hand-built terrains are a `Terrain`, which
+holds its grid.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .records import Settings, setting
+
 KINDS = ("flat", "rough")
 LATTICE_STEP = 4
-# Sizes lie below SIZE_LIMIT and a cell size is at least 1 / SIZE_LIMIT, so
-# the lattice draw's span 2 * amplitude and a grid's cell count
-# extent / cell_size are finite floats.
+# Sizes lie below SIZE_LIMIT and a cell size is at least 1 / SIZE_LIMIT.
 SIZE_LIMIT = 2**64
 # The most nodes a generated grid has on a side, so no setting asks numpy for
 # a lattice it cannot allocate. At the cap the lattice, drawn whole, is
@@ -39,36 +40,25 @@ SIZE_LIMIT = 2**64
 MAX_GRID_SIDE = 4097
 
 
-def _check_args(seed: int, **sizes: float) -> None:
-    """Raise a ValueError naming the seed unless it is a non-negative int
-    below 2**64, then check the sizes as `_check_sizes` does. No message
-    shows the seed, which, as an int of more than 4300 digits, has no str."""
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValueError("seed must be a non-negative int")
-    if seed >= 2**64:
-        raise ValueError("seed must be below 2**64")
-    _check_sizes(**sizes)
+@dataclass(frozen=True, eq=False)
+class Ground(Settings):
+    """The seed and sizes of a generated ground, each with its default and
+    the range `Settings` checks: so `save_terrain` can write the seed, and
+    the lattice draw's span 2 * amplitude and a grid's cell count
+    extent / cell_size are finite floats. Equality is identity, as for a
+    terrain.
+    """
 
-
-def _check_sizes(**sizes: float) -> None:
-    """Raise a ValueError naming the first size that is not finite and
-    positive (an amplitude may be zero), or not below 2**64, or a cell size
-    below 2**-64. So the lattice draw's span 2 * amplitude and a grid's
-    cell count extent / cell_size are finite floats."""
-    for name, value in sizes.items():
-        sign = "non-negative" if name == "amplitude" else "positive"
-        if not 0.0 <= value < math.inf or (value == 0.0 and sign == "positive"):
-            raise ValueError(f"{name} must be {sign} and finite")
-        if value >= SIZE_LIMIT:
-            raise ValueError(f"{name} must be below 2**64")
-        if name == "cell_size" and value < 1 / SIZE_LIMIT:
-            raise ValueError("cell_size must be at least 2**-64")
+    seed: int = setting(0, 0)
+    amplitude: float = setting(0.03, 0, SIZE_LIMIT, open_high=True)
+    cell_size: float = setting(0.05, 1 / SIZE_LIMIT, SIZE_LIMIT, open_high=True)
+    extent: float = setting(8.0, 0, SIZE_LIMIT, open_low=True, open_high=True)
 
 
 def grid_side(cell_size: float, extent: float) -> int:
     """Nodes on a side of a generated grid covering [-extent, extent], or a
     ValueError naming the cell size if that is over MAX_GRID_SIDE. The sizes
-    have passed `_check_sizes`, so their ratio is finite."""
+    have passed a `Ground`'s checks, so their ratio is finite."""
     side = 2 * round(extent / cell_size) + 1
     if side > MAX_GRID_SIDE:
         raise ValueError(f"cell_size must leave at most {MAX_GRID_SIDE} grid nodes "
@@ -92,7 +82,7 @@ class Terrain:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown terrain kind {self.kind!r}")
-        _check_args(self.seed, cell_size=self.cell_size, amplitude=self.amplitude)
+        Ground(self.seed, self.amplitude, self.cell_size)
         grid = self.height_grid
         # A read-only float64 grid that owns its data, as `load_terrain` makes,
         # is kept; any other is copied, so no writeable array backs a terrain.
@@ -112,23 +102,18 @@ class Terrain:
 
 
 @dataclass(frozen=True, eq=False)
-class _LatticeTerrain:
+class _LatticeTerrain(Ground):
     """A generated rough terrain covering [-extent, extent] in x and y: its
     seeded lattice, and in ``_rows`` each fine-grid row read so far as a list
     of floats (None if unread). It reads like a `Terrain` of kind rough.
     """
 
     kind = "rough"
-    seed: int
-    amplitude: float
-    cell_size: float
-    extent: float
 
     def __post_init__(self) -> None:
         # Checked before the draw, which overflows on an infinite extent or
         # amplitude and cannot allocate a lattice for too fine a grid.
-        _check_args(self.seed, cell_size=self.cell_size, amplitude=self.amplitude,
-                    extent=self.extent)
+        super().__post_init__()
         n = grid_side(self.cell_size, self.extent)
         n_coarse = (n - 1 + LATTICE_STEP - 1) // LATTICE_STEP + 1
         amplitude = self.amplitude
@@ -181,8 +166,9 @@ def _lattice_row(lattice: np.ndarray, amplitude: float, size: int,
     return np.clip(row, -amplitude, amplitude, out=row)
 
 
-def make_terrain(kind: str, seed: int, amplitude: float = 0.03,
-                 cell_size: float = 0.05, extent: float = 8.0) -> AnyTerrain:
+def make_terrain(kind: str, seed: int, amplitude: float = Ground.amplitude,
+                 cell_size: float = Ground.cell_size,
+                 extent: float = Ground.extent) -> AnyTerrain:
     """Build a terrain covering [-extent, extent] in x and y.
 
     Flat terrain ignores seed and amplitude and is height 0 everywhere.
@@ -192,9 +178,10 @@ def make_terrain(kind: str, seed: int, amplitude: float = 0.03,
     if kind == "rough":
         return _LatticeTerrain(seed, amplitude, cell_size, extent)
     # A 1x1 zero grid plus edge clamping gives height 0 everywhere. Terrain
-    # checks the kind, seed and cell size it stores; then the sizes it does not.
+    # checks the kind, seed and cell size it stores; then a Ground the sizes
+    # it does not.
     flat = Terrain(kind, seed, 0.0, cell_size, np.zeros((1, 1)))
-    _check_sizes(amplitude=amplitude, extent=extent)
+    Ground(amplitude=amplitude, extent=extent)
     return flat
 
 

@@ -134,7 +134,7 @@ def train(config: RunConfig) -> tuple[Checkpoint, str]:
     progress = {unit_name: 0, "env_steps": 0, "best_return": float("-inf"),
                 "diverged": False}
     stream = SeedStream(config.master_seed)
-    env = QuadrupedEnv(config.terrain("flat", 0), config.robot, config.t_max)
+    env = QuadrupedEnv(config.terrain("flat", 0), config.robot, t_max=config.t_max)
     buffer = ReplayBuffer(REPLAY_CAPACITY, OBS_SIZE, N_JOINTS)
     learner, units, final_actor = family(config, stream, env, buffer, progress, twin)
 

@@ -6,7 +6,7 @@ import pytest
 
 import env_reference as ref
 from quadrl import env
-from quadrl.terrain import height_at, make_terrain
+from quadrl.terrain import Terrain, height_at, make_terrain
 
 FLAT = make_terrain("flat", seed=0)
 CONFIG = env.RobotConfig()
@@ -446,20 +446,47 @@ def test_contact_forces_mirror_exactly():
     assert env.contact_forces(0.004, 0.03, 0.02, -0.1, CONFIG) == (fx, -fy, fz)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_flat_ground_dynamics_are_mirror_symmetric(seed):
-    # Mirrored runs add the feet in another order, so they round apart. At
-    # these seeds and t_max they differed by at most 8e-14 in an
-    # observation entry and 3e-13 in a reward; the rounding grows with
-    # the episode (8e-7 after 221 steps of seed 1).
+def _assert_mirrored_episodes(ground, mirrored_ground, seed, atol):
+    """Step a robot on `ground` with seeded uniform random actions and one
+    on `mirrored_ground` with the legs swapped, for up to 50 steps: each
+    observation and reward mirrors within `atol`, and each done reason is
+    equal."""
     rng = np.random.default_rng(seed)
-    walker, mirrored = (env.QuadrupedEnv(FLAT, t_max=50) for _ in range(2))
+    walker = env.QuadrupedEnv(ground, t_max=50)
+    mirrored = env.QuadrupedEnv(mirrored_ground, t_max=50)
     assert np.array_equal(mirror_observation(walker.reset()), mirrored.reset())
     result = None
     while result is None or not result.done:
         action = rng.uniform(-1.0, 1.0, size=8)
         result, image = walker.step(action), mirrored.step(action[JOINT_SWAP])
         assert np.allclose(mirror_observation(result.observation),
-                           image.observation, rtol=0.0, atol=1e-11)
-        assert image.reward == pytest.approx(result.reward, rel=0.0, abs=1e-11)
+                           image.observation, rtol=0.0, atol=atol)
+        assert image.reward == pytest.approx(result.reward, rel=0.0, abs=atol)
         assert image.done_reason == result.done_reason
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_flat_ground_dynamics_are_mirror_symmetric(seed):
+    # Mirrored runs add the feet in another order, so they round apart. At
+    # these seeds and t_max they differed by at most 8e-14 in an
+    # observation entry and 3e-13 in a reward; the rounding grows with
+    # the episode (8e-7 after 221 steps of seed 1).
+    _assert_mirrored_episodes(FLAT, FLAT, seed, atol=1e-11)
+
+
+@pytest.mark.parametrize("seed", range(100, 106))
+def test_rough_ground_dynamics_mirror_on_the_grid_flipped_in_y(seed):
+    # The grid is centred on the origin, so its rows reversed are the ground
+    # mirrored in y; both sides hold their grid. Heights at mirrored points
+    # differed by at most 3.7e-16. The episodes (two tilted, four timed out)
+    # differed by at most 6.5e-11 in an observation entry and 6.7e-10 in a
+    # reward, both in seed 101, whose rounding grew from 1e-14 to 1e-11
+    # near its 40th step.
+    made = make_terrain("rough", seed)
+    ground, flipped = (Terrain("rough", seed, made.amplitude, made.cell_size, grid)
+                       for grid in (made.height_grid, made.height_grid[::-1].copy()))
+    points = np.random.default_rng(seed).uniform(-9.0, 9.0, size=(500, 2))
+    for x, y in points.tolist():
+        assert height_at(flipped, x, -y) == pytest.approx(
+            height_at(ground, x, y), rel=0.0, abs=1e-15)
+    _assert_mirrored_episodes(ground, flipped, seed, atol=5e-9)

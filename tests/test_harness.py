@@ -28,7 +28,7 @@ from quadrl.seeds import SeedStream
 from quadrl.svgplot import plot_metrics, read_metrics, render_curve
 from quadrl.terrain import make_terrain
 from quadrl.train import CEM_HEADER, GRADIENT_HEADER, train
-from test_hygiene import PERFBENCH
+from test_hygiene import PERFBENCH, SETTINGS_RECORDS
 
 
 # --- seeds ---------------------------------------------------------------
@@ -308,9 +308,6 @@ def test_keyword_overrides_reject_non_finite_numbers():
         parse_config("", terrain_extent=math.inf)
     with pytest.raises(ConfigError, match="finite"):
         config_from_dict({"robot.stance_knee": math.nan})
-
-
-SETTINGS_RECORDS = (RobotConfig, RlHyperparams, CemHyperparams, RunConfig)
 
 
 def _number_fields():

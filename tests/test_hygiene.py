@@ -1,6 +1,7 @@
 """Source hygiene checks on the quadrl package and its tests."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import math
@@ -10,13 +11,16 @@ import sys
 from pathlib import Path
 
 import quadrl
-from quadrl.config import ALGORITHMS
-from quadrl.terrain import KINDS
+from quadrl.config import ALGORITHMS, CemHyperparams, RunConfig
+from quadrl.env import RobotConfig
+from quadrl.rl import RlHyperparams
+from quadrl.terrain import KINDS, Ground
 
 PACKAGE = Path(quadrl.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 PERFBENCH = TESTS.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
+SETTINGS_RECORDS = (RobotConfig, RlHyperparams, CemHyperparams, RunConfig, Ground)
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -243,6 +247,63 @@ def test_default_check_sees_defaults_no_call_passes():
     callers = [ast.parse("f(1, 2)\nf(0, d=4)\nK(5)\nk.m(z=1)\ng(*rest)\n"
                          "h(**options)\n")]
     assert _defaults_never_passed(sources, callers) == ["a.py: f(c)", "a.py: m(y)"]
+
+
+def _number_literal(node: ast.expr) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def _restated_defaults(tree: ast.Module, names: set[str],
+                       owners: set[str]) -> list[str]:
+    """Parameters, and class fields outside the classes in `owners`, named
+    one of `names` whose default is a number literal."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name not in owners:
+            pairs = [(f"{node.name}.{stmt.target.id}", stmt.target.id, stmt.value)
+                     for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+                     and isinstance(stmt.target, ast.Name) and stmt.value]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args, name = node.args, getattr(node, "name", "lambda")
+            positional = [*args.posonlyargs, *args.args]
+            defaulted = [*zip(positional[len(positional) - len(args.defaults):],
+                              args.defaults), *zip(args.kwonlyargs, args.kw_defaults)]
+            pairs = [(f"{name}({arg.arg})", arg.arg, default)
+                     for arg, default in defaulted if default]
+        else:
+            continue
+        found += [f"line {value.lineno}: {where}" for where, name, value in pairs
+                  if name in names and _number_literal(value)]
+    return found
+
+
+def test_no_settings_default_is_written_twice():
+    # A settings record owns each default, so a parameter or a dataclass
+    # field of the same name reads it rather than restating it, and the two
+    # cannot drift apart. A zero default is too common a number to own.
+    names = {f.name for record in SETTINGS_RECORDS for f in dataclasses.fields(record)
+             if type(f.default) in (int, float) and f.default != 0}
+    owners = {record.__name__ for record in SETTINGS_RECORDS}
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        restated = _restated_defaults(ast.parse(path.read_text(), str(path)),
+                                      names, owners)
+        if restated:
+            found[path.name] = restated
+    assert found == {}
+
+
+def test_restated_default_check_sees_parameters_and_fields():
+    tree = ast.parse("def f(t_max=1000, gamma=0.5, *, tau=-0.005, seed=3, k=t_max):\n"
+                     "    return lambda t_max=5: t_max\n\n"
+                     "class Env:\n    t_max: int = 1000\n    tau: float = field(0.1)\n"
+                     "    gamma = 0.9\n\n"
+                     "class RunConfig:\n    t_max: int = 1000\n")
+    assert _restated_defaults(tree, {"t_max", "gamma", "tau"}, {"RunConfig"}) == [
+        "line 1: f(t_max)", "line 1: f(gamma)", "line 1: f(tau)",
+        "line 5: Env.t_max", "line 2: lambda(t_max)"]
 
 
 def _unnamed_public_functions(trees: dict[str, ast.Module],

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from quadrl import terrain
+from quadrl.records import ConfigError
 
 from env_reference import rough_height_grid
 
@@ -394,9 +395,9 @@ def test_replace_on_a_generated_terrain_draws_the_new_seed(tmp_path):
 def test_terrains_reject_a_seed_that_is_not_a_non_negative_int(seed):
     # Each is a ValueError naming the seed, raised before the lattice draw.
     for kind in terrain.KINDS:
-        with pytest.raises(ValueError, match="^seed must be a non-negative int"):
+        with pytest.raises(ValueError, match="^seed(: expected int| must be non-neg)"):
             terrain.make_terrain(kind, seed)
-    with pytest.raises(ValueError, match="^seed must be a non-negative int"):
+    with pytest.raises(ValueError, match="^seed(: expected int| must be non-neg)"):
         terrain.Terrain("rough", seed, 0.03, 0.05, np.zeros((3, 3)))
 
 
@@ -415,16 +416,16 @@ def test_terrains_reject_a_seed_of_2_64_or_more(seed):
 def test_seed_messages_leave_out_a_seed_that_has_no_str():
     # An int of more than 4300 digits has no str, so the message omits it.
     for kind in terrain.KINDS:
-        with pytest.raises(ValueError, match="^seed must be a non-negative int$"):
+        with pytest.raises(ValueError, match="^seed must be non-negative$"):
             terrain.make_terrain(kind, -10**5000)
-    with pytest.raises(ValueError, match="^seed must be a non-negative int$"):
+    with pytest.raises(ValueError, match="^seed must be non-negative$"):
         terrain.Terrain("flat", -10**5000, 0.0, 0.05, [[0.0]])
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"amplitude": 1e308}, r"^amplitude must be below 2\*\*64$"),
-    ({"extent": 10**5000}, r"^extent must be below 2\*\*64$"),
-    ({"cell_size": 1e-320}, r"^cell_size must be at least 2\*\*-64$"),
+    ({"amplitude": 1e308}, r"^amplitude must lie in \[0, 2\*\*64\)$"),
+    ({"extent": 10**5000}, r"^extent must lie in \(0, 2\*\*64\)$"),
+    ({"cell_size": 1e-320}, r"^cell_size must lie in \[2\*\*-64, 2\*\*64\)$"),
 ], ids=["amplitude_1e308", "extent_10_5000", "cell_size_1e-320"])
 def test_make_terrain_refuses_sizes_the_draw_cannot_take(kwargs, message):
     # A ValueError before the draw, not the OverflowError numpy or Python
@@ -460,11 +461,11 @@ def test_rough_terrain_refuses_a_grid_over_the_cap_before_it_draws():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"seed": -1, "cell_size": 0.0}, "^seed must be a non-negative int"),
-    ({"cell_size": 0.0, "amplitude": -1.0}, "^cell_size must be positive"),
-    ({"amplitude": -1.0, "extent": 0.0}, "^amplitude must be non-negative"),
-    ({"extent": math.inf}, "^extent must be positive and finite"),
-])
+    ({"seed": -1, "cell_size": 0.0}, "^seed must be non-negative"),
+    ({"cell_size": 0.0, "amplitude": -1.0}, r"^cell_size must lie in \[2\*\*-64"),
+    ({"amplitude": -1.0, "extent": 0.0}, r"^amplitude must lie in \[0, "),
+    ({"extent": math.inf}, "^extent must be finite"),
+], ids=["seed", "cell_size", "amplitude", "extent"])
 def test_flat_terrain_reports_the_first_bad_argument(kwargs, message):
     # Terrain checks the seed and cell size it stores; make_terrain checks
     # the amplitude and extent, which a flat terrain does not store.
@@ -474,16 +475,29 @@ def test_flat_terrain_reports_the_first_bad_argument(kwargs, message):
 
 
 def test_flat_terrain_checks_the_seed_and_cell_size_once(monkeypatch):
+    # Terrain's Ground holds the seed and cell size, and make_terrain's the
+    # amplitude and extent; each other field is at its default.
     checked = []
-    check = terrain._check_args
+    check = terrain.Ground.__post_init__
 
-    def recording_check(seed, **sizes):
-        checked.append((seed, sorted(sizes)))
-        check(seed, **sizes)
+    def recording_check(ground):
+        checked.append(dataclasses.astuple(ground))
+        check(ground)
 
-    monkeypatch.setattr(terrain, "_check_args", recording_check)
-    terrain.make_terrain("flat", 3, cell_size=0.1)
-    assert checked == [(3, ["amplitude", "cell_size"])]
+    monkeypatch.setattr(terrain.Ground, "__post_init__", recording_check)
+    terrain.make_terrain("flat", 3, amplitude=0.5, cell_size=0.1, extent=2.0)
+    assert checked == [(3, 0.0, 0.1, 8.0), (0, 0.5, 0.05, 2.0)]
+
+
+@pytest.mark.parametrize("bad", ["0.03", None, [0.5]], ids=["str", "none", "list"])
+def test_terrains_refuse_a_size_that_is_not_a_number(bad):
+    # Once a bare TypeError from comparing the size with 0.0.
+    for kind in terrain.KINDS:
+        for name in ("amplitude", "cell_size", "extent"):
+            with pytest.raises(ConfigError, match=f"^{name}: expected float, got "):
+                terrain.make_terrain(kind, 0, **{name: bad})
+    with pytest.raises(ConfigError, match="^cell_size: expected float, got "):
+        terrain.Terrain("rough", 0, 0.03, bad, np.zeros((3, 3)))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**63 - 1, 2**64 - 1])

@@ -12,8 +12,8 @@ half of each sampled population critic-guided gradient steps before
 fitness evaluation; the critic persists across generations while actors
 are transient population members. Each of the population_size // 2
 coached members takes min(grad_steps_cap, previous // (population_size // 2))
-steps, previous being the transitions the previous generation collected
-(Pourchot & Sigaud 2019).
+steps, previous being the env steps the previous generation ran, which the
+caller reads from the env's own count (Pourchot & Sigaud 2019).
 """
 
 from __future__ import annotations
@@ -120,7 +120,6 @@ class GenerationLog:
     population: np.ndarray
     fitnesses: np.ndarray
     coached: int
-    transitions_collected: int
 
 
 def cem_rl_generation(state: CemState, learner: Learner, env, buffer: ReplayBuffer,
@@ -130,7 +129,7 @@ def cem_rl_generation(state: CemState, learner: Learner, env, buffer: ReplayBuff
     The learner and the buffer are updated in place. Every member is
     rolled out in env, whose reset rebuilds all episode state, and each
     step of its episode is pushed into the buffer as it happens.
-    previous is the previous generation's transition count (0 for the
+    previous is the previous generation's env step count (0 for the
     first); it sets the gradient steps per coached member.
 
     Seed draw order (fixed): one population seed; then one seed per
@@ -154,13 +153,10 @@ def cem_rl_generation(state: CemState, learner: Learner, env, buffer: ReplayBuff
     eval_seeds = [stream.next() for _ in population]
     actor_spec = learner.actor.spec
     fitnesses = np.empty(len(population))
-    collected = 0
     for i, eval_seed in enumerate(eval_seeds):
         actor = net.ParamVector(population[i], actor_spec)
-        result = run_episode(env, lambda obs: net.forward(actor, obs), eval_seed,
-                             buffer)
-        fitnesses[i] = result.episode_return
-        collected += result.steps
+        fitnesses[i] = run_episode(env, lambda obs: net.forward(actor, obs),
+                                   eval_seed, buffer).episode_return
 
     new_state = decay_noise(cem_update(state, population, fitnesses))
-    return new_state, GenerationLog(population, fitnesses, coached, collected)
+    return new_state, GenerationLog(population, fitnesses, coached)

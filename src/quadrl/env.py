@@ -434,6 +434,7 @@ class QuadrupedEnv:
     def __post_init__(self) -> None:
         self.state: RobotState | None = None
         self.done = False
+        self.total_steps = 0  # steps completed (not raised) over all episodes
 
     def reset(self, seed: int = 0) -> np.ndarray:
         self.state, obs = reset(self.terrain, self.config, seed)
@@ -448,4 +449,5 @@ class QuadrupedEnv:
         self.state, result = step(self.state, action, self.terrain, self.config,
                                   self.t_max)
         self.done = result.done
+        self.total_steps += 1
         return result

@@ -8,23 +8,26 @@ curves can be inspected without any plotting stack.
 from __future__ import annotations
 
 import csv
+import math
 
 WIDTH, HEIGHT = 800, 480
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 70, 20, 20, 45
 
 
 def read_metrics(path: str) -> tuple[list[float], list[float], list[float]]:
-    """Read (step_or_generation, return, best_return) columns."""
+    """Read (step_or_generation, return, best_return), each cell finite."""
     with open(path, encoding="ascii", newline="") as fh:
         reader = csv.DictReader(fh)
-        required = {"step_or_generation", "return", "best_return"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
+        required = ("step_or_generation", "return", "best_return")
+        if reader.fieldnames is None or not set(required) <= set(reader.fieldnames):
             raise ValueError(f"{path!r} is not a metrics CSV")
-        xs, ys, bests = [], [], []
+        xs, ys, bests = columns = [], [], []
         for row in reader:
-            xs.append(float(row["step_or_generation"]))
-            ys.append(float(row["return"]))
-            bests.append(float(row["best_return"]))
+            for name, column in zip(required, columns):
+                column.append(float(row[name] or "nan"))  # a missing cell is None
+                if not math.isfinite(column[-1]):
+                    raise ValueError(f"{path!r} line {reader.line_num}: {name} is "
+                                     f"{row[name]!r}, not a finite number")
     if not xs:
         raise ValueError(f"{path!r} has no metric rows")
     return xs, ys, bests

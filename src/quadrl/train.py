@@ -3,7 +3,7 @@
 A run is a sequence of units, episodes (ddpg, td3) or generations
 (cem_ddpg, cem_td3), drawn from a generator per family. train owns the
 budget check before each unit, the best actor, the metrics rows and the
-artifact write.
+artifact write. Every step count of a run is its env's total_steps.
 
 Seed discipline: one SeedStream per run, seeded by master_seed, drawn in
 a fixed documented order so any run segment can be replayed externally.
@@ -53,18 +53,15 @@ def _write_rows(path: str, header: str, rows: list[list]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _episodes(config: RunConfig, stream: SeedStream, env, buffer, progress, twin):
-    """Gradient family: (learner, episode units, final actor getter).
-
-    env_steps counts live, so a divergence mid-episode keeps its steps.
-    """
+def _episodes(config: RunConfig, stream: SeedStream, env, buffer, twin):
+    """Gradient family: (learner, episode units, final actor getter)."""
     hp, bound = config.rl, config.robot.action_bound
     learner = init_learner(OBS_SIZE, N_JOINTS, bound, hp, stream.next(), twin=twin)
 
     def policy(obs):
         # Uniform warmup actions, then the actor plus exploration noise.
         action_seed = stream.next()
-        if progress["env_steps"] < config.warmup_steps:
+        if env.total_steps < config.warmup_steps:
             return np.random.default_rng(action_seed).uniform(-bound, bound,
                                                               N_JOINTS)
         return exploration_action(learner.actor, obs, hp.exploration_sigma,
@@ -73,8 +70,7 @@ def _episodes(config: RunConfig, stream: SeedStream, env, buffer, progress, twin
     def units():
         while True:
             for episode in episode_steps(env, policy, stream.next(), buffer):
-                progress["env_steps"] += 1
-                if (progress["env_steps"] > config.warmup_steps
+                if (env.total_steps > config.warmup_steps
                         and len(buffer) >= hp.batch_size):
                     train_step(learner, buffer, stream.next())
             yield episode.episode_return, learner.actor, []
@@ -82,7 +78,7 @@ def _episodes(config: RunConfig, stream: SeedStream, env, buffer, progress, twin
     return learner, units(), lambda: learner.actor
 
 
-def _generations(config: RunConfig, stream: SeedStream, env, buffer, progress, twin):
+def _generations(config: RunConfig, stream: SeedStream, env, buffer, twin):
     """CEM family: (learner, generation units, distribution-mean getter)."""
     ch, bound = config.cem, config.robot.action_bound
     a_spec = actor_spec(OBS_SIZE, N_JOINTS, bound)
@@ -94,12 +90,12 @@ def _generations(config: RunConfig, stream: SeedStream, env, buffer, progress, t
 
     def units():
         nonlocal state
-        collected = 0
+        previous = 0
         while True:
+            before = env.total_steps
             state, log = cem_rl_generation(state, learner, env, buffer,
-                                           collected, stream.next())
-            collected = log.transitions_collected
-            progress["env_steps"] += collected
+                                           previous, stream.next())
+            previous = env.total_steps - before
             # CEM_HEADER's columns; with nobody coached, evo_mean covers all.
             # The median is summarize's: np.median would import numpy.ma.
             fit, coached = log.fitnesses, log.coached
@@ -136,13 +132,13 @@ def train(config: RunConfig) -> tuple[Checkpoint, str]:
     stream = SeedStream(config.master_seed)
     env = QuadrupedEnv(config.terrain("flat", 0), config.robot, t_max=config.t_max)
     buffer = ReplayBuffer(REPLAY_CAPACITY, OBS_SIZE, N_JOINTS)
-    learner, units, final_actor = family(config, stream, env, buffer, progress, twin)
+    learner, units, final_actor = family(config, stream, env, buffer, twin)
 
     rows: list[list] = []
     best_actor = final_actor()
     try:
         for unit in range(1, getattr(config, unit_name) + 1):
-            if config.max_env_steps and progress["env_steps"] >= config.max_env_steps:
+            if config.max_env_steps and env.total_steps >= config.max_env_steps:
                 break
             unit_return, candidate, extra = next(units)
             progress[unit_name] = unit
@@ -154,6 +150,7 @@ def train(config: RunConfig) -> tuple[Checkpoint, str]:
         progress["diverged"] = True
         raise
     finally:
+        progress["env_steps"] = env.total_steps
         metrics_path = os.path.join(config.out_dir, "metrics.csv")
         _write_rows(metrics_path, header, rows)
         names = ("critic_1", "critic_2") if learner.twin else ("critic",)

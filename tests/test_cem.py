@@ -12,6 +12,7 @@ from quadrl.replay import ReplayBuffer
 from quadrl.rl import RlHyperparams, init_learner
 from quadrl.seeds import SeedStream
 from quadrl.terrain import make_terrain
+from test_hygiene import TINY_COACHED_CEM
 from toytask import cem_solve_toy
 
 
@@ -198,7 +199,7 @@ def test_generation_collects_transitions_and_logs():
     state, learner, buffer, env = make_generation_fixture()
     new_state, log = cem.cem_rl_generation(state, learner, env, buffer, 0, seed=0)
     assert new_state.noise_floor == cem.decay_noise(state).noise_floor
-    assert len(buffer) == log.transitions_collected == 4 * 5
+    assert len(buffer) == env.total_steps == 4 * 5
     assert log.fitnesses.shape == (4,)
     assert log.population.shape == (4, state.mean.size)
     assert log.coached == 0  # the first generation has nothing to coach with
@@ -385,3 +386,39 @@ def test_train_frees_a_generation_before_sampling_the_next(monkeypatch, tmp_path
     quadrl.train.train(config)
     assert len(populations) == 2
     assert alive_at_sampling == [0, 0]
+
+
+def test_train_coaches_from_the_previous_generations_steps(monkeypatch, tmp_path):
+    # Once the buffer holds a batch, generation g gives each of its half
+    # coached members min(grad_steps_cap, steps_{g-1} // half) gradient
+    # steps, steps_{g-1} being the env steps generation g - 1 ran.
+    calls, per_generation = [], []
+    run_generation, run_step = quadrl.train.cem_rl_generation, cem.train_step
+
+    def generation(*args):
+        before = len(calls)
+        result = run_generation(*args)
+        per_generation.append(len(calls) - before)
+        return result
+
+    def step(*args):
+        calls.append(None)
+        return run_step(*args)
+
+    monkeypatch.setattr("quadrl.train.cem_rl_generation", generation)
+    monkeypatch.setattr("quadrl.cem.train_step", step)
+    config = parse_config(TINY_COACHED_CEM, algorithm="cem_td3",
+                          out_dir=str(tmp_path))
+    _, metrics_path = quadrl.train.train(config)
+    with open(metrics_path, encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    column = quadrl.train.CEM_HEADER.split(",").index("buffer_size")
+    sizes = [int(line.split(",")[column]) for line in lines[1:]]
+    steps = [sizes[0]] + [b - a for a, b in zip(sizes, sizes[1:])]
+    half, cap = config.cem.population_size // 2, config.cem.grad_steps_cap
+    expected = [0] + [half * min(cap, ran // half)
+                      if size >= config.rl.batch_size else 0
+                      for ran, size in zip(steps[:-1], sizes[:-1])]
+    assert len(per_generation) == config.generations == len(sizes)
+    assert per_generation == expected
+    assert sum(expected) > 0

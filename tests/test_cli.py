@@ -301,6 +301,23 @@ def test_plot_bad_metrics_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("row, problem", [
+    ("1,2", "best_return is None"),
+    ("1,nan,2", "return is 'nan'"),
+    ("1,5.0,inf", "best_return is 'inf'"),
+    ("1,,5.0", "return is ''"),
+])
+def test_plot_refuses_a_short_or_non_finite_row(tmp_path, capsys, row, problem):
+    bad = tmp_path / "metrics.csv"
+    bad.write_text(f"step_or_generation,return,best_return\n1,5.0,5.0\n{row}\n")
+    svg = tmp_path / "c.svg"
+    assert run_cli(["plot", "--metrics", str(bad), "--out", str(svg)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"quadrl plot: error: {str(bad)!r} line 3: {problem}, "
+                   "not a finite number\n")
+    assert not svg.exists()
+
+
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

@@ -744,25 +744,48 @@ def test_train_divergence_mid_episode_counts_its_steps(tmp_path, monkeypatch):
     assert float(lines[1].split(",")[1]) == progress["best_return"]
 
 
-@pytest.mark.parametrize("algo, call, env_steps", [
-    ("ddpg", 30, 29), ("td3", 30, 29), ("cem_ddpg", 90, 80), ("cem_td3", 90, 80)])
-def test_train_records_simulation_divergence(tmp_path, monkeypatch, algo, call,
-                                             env_steps):
+def count_pushes(monkeypatch):
+    """A list that gains one entry per ReplayBuffer.push, which still runs."""
+    pushes = []
+    push = ReplayBuffer.push
+
+    def counted(self, *args):
+        pushes.append(None)
+        return push(self, *args)
+
+    monkeypatch.setattr(ReplayBuffer, "push", counted)
+    return pushes
+
+
+def tiny_config(algo, tmp_path):
+    tiny = TINY_GRADIENT if algo in ("ddpg", "td3") else TINY_CEM
+    return parse_config(tiny, algorithm=algo, out_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("algo", ["ddpg", "td3", "cem_ddpg", "cem_td3"])
+def test_train_counts_each_pushed_step(tmp_path, monkeypatch, algo):
+    pushes = count_pushes(monkeypatch)
+    ck, _ = train(tiny_config(algo, tmp_path))
+    assert ck.progress["env_steps"] == len(pushes) > 0
+
+
+@pytest.mark.parametrize("algo, call", [
+    ("ddpg", 30), ("td3", 30), ("cem_ddpg", 90), ("cem_td3", 90)])
+def test_train_records_simulation_divergence(tmp_path, monkeypatch, algo, call):
     # The call lands in the second unit: after a 20-step first episode, or
-    # after a first generation of four 20-step rollouts. Episodes count
-    # their steps live; a generation counts its steps once it completes.
+    # after a first generation of four 20-step rollouts. The steps before
+    # it count, for every algorithm: each was simulated and pushed.
+    pushes = count_pushes(monkeypatch)
     monkeypatch.setattr("quadrl.env.step",
                         raise_on_call(quadrl.env.step, call, SimulationDiverged))
-    gradient = algo in ("ddpg", "td3")
-    cfg = parse_config(TINY_GRADIENT if gradient else TINY_CEM, algorithm=algo,
-                       out_dir=str(tmp_path))
     with pytest.raises(SimulationDiverged):
-        train(cfg)
-    unit = "episodes" if gradient else "generations"
+        train(tiny_config(algo, tmp_path))
+    unit = "episodes" if algo in ("ddpg", "td3") else "generations"
+    assert len(pushes) == call - 1
     for name in ("checkpoint.json", "checkpoint_best.json"):
         progress = load_checkpoint(str(tmp_path / name)).progress
         assert (progress[unit], progress["env_steps"],
-                progress["diverged"]) == (1, env_steps, True)
+                progress["diverged"]) == (1, call - 1, True)
     lines = read_lines(tmp_path / "metrics.csv")
     assert len(lines) == 1 + 1
     assert float(lines[1].split(",")[1]) == progress["best_return"]

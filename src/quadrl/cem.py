@@ -1,11 +1,11 @@
 """Cross-entropy search over flat actor parameters, plus critic coupling.
 
 The search distribution is a diagonal Gaussian with an additive noise
-floor that decays geometrically per generation. Updates refit the mean
-to a log-rank weighted combination of the elites and refit the variance
-about the pre-update mean, which delays variance collapse. A CemState
-carries its CemHyperparams, which fix the population size, the elite
-count and the floor's decay.
+floor that decays geometrically per generation. One update refits the
+mean to a log-rank weighted combination of the elites, refits the
+variance about the pre-update mean, which delays variance collapse, and
+decays the floor. A CemState carries its CemHyperparams, which fix the
+population size, the elite count and the floor's decay.
 
 The coupled generation (used by the hybrid algorithms) gives the first
 half of each sampled population critic-guided gradient steps before
@@ -82,11 +82,12 @@ def elite_weights(elite_count: int) -> np.ndarray:
 
 def cem_update(state: CemState, population: np.ndarray,
                fitnesses) -> CemState:
-    """Refit mean and variance to the elites of one evaluated population.
+    """Refit the Gaussian to one evaluated population's elites; decay the floor.
 
     Rows of population are ranked by fitness descending with ties broken
     toward the lower index. The variance is refit about the pre-update
-    mean and the current noise floor is added componentwise.
+    mean, and the current floor is added componentwise; the floor then
+    decays to max(noise_floor_final, noise_floor * noise_decay).
     """
     fit = np.asarray(fitnesses, dtype=np.float64)
     if fit.shape != (state.hp.population_size,) or len(population) != fit.size:
@@ -100,12 +101,8 @@ def cem_update(state: CemState, population: np.ndarray,
     centered = elites - state.mean
     centered *= centered  # squared in place: the same operand for the gemv
     new_variance = weights @ centered + state.noise_floor
-    return replace(state, mean=new_mean, variance=new_variance)
-
-
-def decay_noise(state: CemState) -> CemState:
     floor = max(state.hp.noise_floor_final, state.noise_floor * state.hp.noise_decay)
-    return replace(state, noise_floor=floor)
+    return replace(state, mean=new_mean, variance=new_variance, noise_floor=floor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +121,7 @@ class GenerationLog:
 
 def cem_rl_generation(state: CemState, learner: Learner, env, buffer: ReplayBuffer,
                       previous: int, seed: int) -> tuple[CemState, GenerationLog]:
-    """One generation: sample, gradient-coach half, evaluate, refit, decay.
+    """One generation: sample, gradient-coach half, evaluate, update.
 
     The learner and the buffer are updated in place. Every member is
     rolled out in env, whose reset rebuilds all episode state, and each
@@ -158,5 +155,5 @@ def cem_rl_generation(state: CemState, learner: Learner, env, buffer: ReplayBuff
         fitnesses[i] = run_episode(env, lambda obs: net.forward(actor, obs),
                                    eval_seed, buffer).episode_return
 
-    new_state = decay_noise(cem_update(state, population, fitnesses))
-    return new_state, GenerationLog(population, fitnesses, coached)
+    return (cem_update(state, population, fitnesses),
+            GenerationLog(population, fitnesses, coached))

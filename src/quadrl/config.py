@@ -10,7 +10,7 @@ Sections are ``robot`` (simulator constants), ``rl`` (gradient-learner
 hyperparameters), ``cem`` (evolutionary hyperparameters); bare keys are
 run-level settings. Value types follow the field being set: int, float
 or string. Unknown keys are errors so typos cannot silently fall back to
-defaults.
+defaults, and a key set twice is an error so no line silently loses.
 """
 
 from __future__ import annotations
@@ -98,6 +98,7 @@ def _coerce(key: str, raw: str, default):
 def parse_config(text: str, **overrides) -> RunConfig:
     """Parse config text; keyword overrides (e.g. from CLI flags) win."""
     data: dict = {}
+    first_line: dict[str, int] = {}  # each key's line, to refuse a second one
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -108,6 +109,9 @@ def parse_config(text: str, **overrides) -> RunConfig:
         key, value = key.strip(), value.strip()
         if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if first_line.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"line {lineno}: {key!r} is already set on line "
+                              f"{first_line[key]}")
         data[key] = _coerce(key, value, _DEFAULTS[key])
     data.update({k: v for k, v in overrides.items() if v is not None})
     return config_from_dict(data)

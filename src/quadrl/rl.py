@@ -5,11 +5,12 @@ targets every call; with a twin pair of critics it takes min-backup
 targets at smoothed target actions and delays actor updates to every
 d-th call. Critic inputs are the observation concatenated with the
 action, so the actor update chains the critic's action-input gradient
-through the actor.
+through the actor. One rule, noisy_action, adds both of TD3's noises.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,30 +101,20 @@ def reset_actor(learner: Learner, params) -> None:
     learner.update_counter = 0
 
 
-def exploration_action(actor: net.ParamVector, observation, sigma: float,
-                       seed: int) -> np.ndarray:
-    """Policy action plus seeded Gaussian noise, within the actor's bound."""
+def noisy_action(actor: net.ParamVector, observations, sigma: float, seed: int,
+                 noise_clip: float = math.inf) -> np.ndarray:
+    """Policy action plus seeded Gaussian noise clipped to +-noise_clip, in bounds."""
     if sigma < 0.0:
         raise ValueError("sigma must be non-negative")
-    action = net.forward(actor, observation)
-    noise = np.random.default_rng(seed).normal(0.0, sigma, size=action.shape)
+    actions = net.forward(actor, observations)
+    noise = np.random.default_rng(seed).normal(0.0, sigma, size=actions.shape)
     bound = actor.spec.layers[-1].bound  # its scaled_tanh output layer's
-    return np.clip(action + noise, -bound, bound)
+    return np.clip(actions + np.clip(noise, -noise_clip, noise_clip),
+                   -bound, bound)
 
 
 def _critic_input(observations: np.ndarray, actions: np.ndarray) -> np.ndarray:
     return np.concatenate([observations, actions], axis=1)
-
-
-def smoothed_target_action(target_actor: net.ParamVector, next_observations,
-                           hp: RlHyperparams, seed: int) -> np.ndarray:
-    """Target action with clipped Gaussian smoothing noise, clamped to bounds."""
-    actions = net.forward(target_actor, next_observations)
-    rng = np.random.default_rng(seed)
-    noise = np.clip(rng.normal(0.0, hp.target_noise_sigma, size=actions.shape),
-                    -hp.target_noise_clip, hp.target_noise_clip)
-    bound = target_actor.spec.layers[-1].bound
-    return np.clip(actions + noise, -bound, bound)
 
 
 def critic_target(batch: Batch, learner: Learner, seed: int) -> np.ndarray:
@@ -134,8 +125,8 @@ def critic_target(batch: Batch, learner: Learner, seed: int) -> np.ndarray:
     """
     hp = learner.hp
     if learner.twin:
-        a = smoothed_target_action(learner.target_actor, batch.next_observations,
-                                   hp, seed)
+        a = noisy_action(learner.target_actor, batch.next_observations,
+                         hp.target_noise_sigma, seed, hp.target_noise_clip)
     else:
         a = net.forward(learner.target_actor, batch.next_observations)
     x = _critic_input(batch.next_observations, a)

@@ -10,19 +10,24 @@ from __future__ import annotations
 import csv
 import math
 
+from .train import GRADIENT_HEADER
+
 WIDTH, HEIGHT = 800, 480
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 70, 20, 20, 45
 
 
 def read_metrics(path: str) -> tuple[list[float], list[float], list[float]]:
-    """Read (step_or_generation, return, best_return), each cell finite."""
+    """Read GRADIENT_HEADER's columns; refuse a short, long or non-finite row."""
     with open(path, encoding="ascii", newline="") as fh:
         reader = csv.DictReader(fh)
-        required = ("step_or_generation", "return", "best_return")
+        required = GRADIENT_HEADER.split(",")
         if reader.fieldnames is None or not set(required) <= set(reader.fieldnames):
             raise ValueError(f"{path!r} is not a metrics CSV")
         xs, ys, bests = columns = [], [], []
         for row in reader:
+            if None in row:  # DictReader files the extra cells under None
+                raise ValueError(f"{path!r} line {reader.line_num}: "
+                                 f"{len(row[None])} more cells than the header")
             for name, column in zip(required, columns):
                 column.append(float(row[name] or "nan"))  # a missing cell is None
                 if not math.isfinite(column[-1]):

@@ -30,7 +30,7 @@ from .env import OBS_SIZE, N_JOINTS, QuadrupedEnv, SimulationDiverged
 from .evaluate import summarize
 from .net import ParamVector, TrainingDiverged, init_network
 from .replay import ReplayBuffer
-from .rl import actor_spec, exploration_action, init_learner, train_step
+from .rl import actor_spec, init_learner, noisy_action, train_step
 from .rollout import episode_steps
 from .seeds import SeedStream
 
@@ -64,8 +64,7 @@ def _episodes(config: RunConfig, stream: SeedStream, env, buffer, twin):
         if env.total_steps < config.warmup_steps:
             return np.random.default_rng(action_seed).uniform(-bound, bound,
                                                               N_JOINTS)
-        return exploration_action(learner.actor, obs, hp.exploration_sigma,
-                                  action_seed)
+        return noisy_action(learner.actor, obs, hp.exploration_sigma, action_seed)
 
     def units():
         while True:

@@ -26,9 +26,8 @@ from quadrl.env import (OBS_SIZE, QuadrupedEnv, RobotConfig, RobotState,
                         compute_reward, contact_forces, reward_terms)
 from quadrl.evaluate import TABLE_COLUMNS, evaluate, summarize, transfer_table
 from quadrl.replay import Batch, ReplayBuffer
-from quadrl.rl import (RlHyperparams, actor_spec, critic_target,
-                       exploration_action, init_learner,
-                       smoothed_target_action, train_step)
+from quadrl.rl import (RlHyperparams, actor_spec, critic_target, init_learner,
+                       noisy_action, train_step)
 from quadrl.rollout import run_episode
 from quadrl.seeds import SeedStream
 from quadrl.terrain import height_at, make_terrain
@@ -186,8 +185,8 @@ def test_criterion_03_td3_target_properties():
         seed = int(rng.integers(2**62))
         y = critic_target(batch, learner, seed)
         # reconstruct both single-critic targets with the same a' and seed
-        a = smoothed_target_action(learner.target_actor,
-                                   batch.next_observations, hp, seed)
+        a = noisy_action(learner.target_actor, batch.next_observations,
+                         hp.target_noise_sigma, seed, hp.target_noise_clip)
         x = np.concatenate([batch.next_observations, a], axis=1)
         not_done = 1.0 - batch.dones.astype(np.float64)
         y1 = batch.rewards + hp.gamma * not_done * net.forward(
@@ -351,8 +350,8 @@ def test_criterion_07_toy_learning():
             if total < warmup:
                 action = np.random.default_rng(seed).uniform(-0.7, 0.7, 1)
             else:
-                action = exploration_action(learner.actor, obs,
-                                            hp.exploration_sigma, seed)
+                action = noisy_action(learner.actor, obs,
+                                      hp.exploration_sigma, seed)
             result = env.step(action)
             buffer.push(obs, action, result.reward, result.observation,
                         result.done)

@@ -135,13 +135,19 @@ def test_cem_update_rejects_bad_fitness():
         cem.cem_update(state, population, [1.0, np.nan, 2.0])
 
 
+def decayed(state):
+    """cem_update over a fixed population; the floor it returns is read here."""
+    pop, dim = state.hp.population_size, state.mean.size
+    return cem.cem_update(state, np.zeros((pop, dim)), np.arange(pop, dtype=float))
+
+
 def test_decay_noise():
     state = cem.CemState(np.zeros(1), np.ones(1), 1e-3,
                          cem_hp(4, 2, noise_floor_final=1e-5, noise_decay=0.95))
-    once = cem.decay_noise(state)
+    once = decayed(state)
     assert once.noise_floor == pytest.approx(9.5e-4, abs=1e-12)
     for _ in range(500):
-        state = cem.decay_noise(state)
+        state = decayed(state)
     assert state.noise_floor == pytest.approx(1e-5, abs=0)
 
 
@@ -149,7 +155,7 @@ def test_decay_noise_monotone():
     state = simple_state()
     floors = []
     for _ in range(20):
-        state = cem.decay_noise(state)
+        state = decayed(state)
         floors.append(state.noise_floor)
     assert all(b <= a for a, b in zip(floors, floors[1:]))
 
@@ -198,7 +204,11 @@ def make_generation_fixture(batch_size=8, pop=4, t_max=5, **cem_kwargs):
 def test_generation_collects_transitions_and_logs():
     state, learner, buffer, env = make_generation_fixture()
     new_state, log = cem.cem_rl_generation(state, learner, env, buffer, 0, seed=0)
-    assert new_state.noise_floor == cem.decay_noise(state).noise_floor
+    # The generation's one update is cem_update over what it rolled out.
+    refit = cem.cem_update(state, log.population, log.fitnesses)
+    assert new_state.mean.tobytes() == refit.mean.tobytes()
+    assert new_state.variance.tobytes() == refit.variance.tobytes()
+    assert new_state.noise_floor == refit.noise_floor
     assert len(buffer) == env.total_steps == 4 * 5
     assert log.fitnesses.shape == (4,)
     assert log.population.shape == (4, state.mean.size)
@@ -323,9 +333,12 @@ def test_cem_update_matches_old_expression_bytewise(dim, pop, elites):
         weights = cem.elite_weights(elites)
         centered = elites_rows - state.mean
         variance = weights @ (centered * centered) + state.noise_floor
+        floor = max(state.hp.noise_floor_final,
+                    state.noise_floor * state.hp.noise_decay)
         new = cem.cem_update(state, population, fitnesses)
         assert new.mean.tobytes() == (weights @ elites_rows).tobytes()
         assert new.variance.tobytes() == variance.tobytes()
+        assert new.noise_floor == floor  # decayed after the refit read it
 
 
 def traced_peak(fn, *args) -> int:

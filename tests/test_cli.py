@@ -318,6 +318,18 @@ def test_plot_refuses_a_short_or_non_finite_row(tmp_path, capsys, row, problem):
     assert not svg.exists()
 
 
+def test_plot_refuses_a_row_longer_than_its_header(tmp_path, capsys):
+    bad = tmp_path / "metrics.csv"
+    bad.write_text("step_or_generation,return,best_return\n1,5.0,5.0\n"
+                   "2,5.0,5.0,7,8\n")
+    svg = tmp_path / "c.svg"
+    assert run_cli(["plot", "--metrics", str(bad), "--out", str(svg)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"quadrl plot: error: {str(bad)!r} line 3: 2 more cells "
+                   "than the header\n")
+    assert not svg.exists()
+
+
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

@@ -109,6 +109,19 @@ def test_parse_rejects_unknown_keys_and_bad_values():
         parse_config("cem.elite_count = 99")
 
 
+def test_parse_refuses_a_key_set_twice():
+    # The message names the key and both lines, never a value.
+    text = "t_max = 100\n# a comment\nepisodes = 3\nt_max = 250\n"
+    with pytest.raises(ConfigError,
+                       match=r"^line 4: 't_max' is already set on line 1$"):
+        parse_config(text)
+    with pytest.raises(ConfigError, match=r"^line 2: 'rl\.gamma' is already set "
+                                          r"on line 1$"):
+        parse_config("rl.gamma = 0.9\n  rl.gamma   =   0.9  # the same value")
+    # A keyword override (a CLI flag) still wins over the file's one line.
+    assert parse_config("t_max = 100", t_max=250).t_max == 250
+
+
 def test_parse_overrides_win_and_none_is_skipped():
     cfg = parse_config("master_seed = 1\nepisodes = 5",
                        master_seed=42, out_dir=None)
@@ -816,7 +829,7 @@ def test_train_seed_changes_results(tmp_path):
 
 
 def test_train_env_step_cap(tmp_path):
-    cfg = parse_config(TINY_GRADIENT + "max_env_steps = 25\nepisodes = 50\n",
+    cfg = parse_config(TINY_GRADIENT + "max_env_steps = 25\n", episodes=50,
                        algorithm="ddpg", out_dir=str(tmp_path))
     ck, metrics_path = train(cfg)
     # The cap is checked at episode boundaries: training stops at the end

@@ -97,8 +97,7 @@ def test_exploration_action_noise_free_limit():
     learner = small_learner("ddpg")
     obs = np.random.default_rng(0).normal(size=OBS)
     clean = net.forward(learner.actor, obs)
-    assert np.array_equal(rl.exploration_action(learner.actor, obs, 0.0, 1),
-                          clean)
+    assert np.array_equal(rl.noisy_action(learner.actor, obs, 0.0, 1), clean)
 
 
 def test_exploration_action_bounded_and_seeded():
@@ -106,25 +105,62 @@ def test_exploration_action_bounded_and_seeded():
     rng = np.random.default_rng(2)
     for i in range(50):
         obs = rng.normal(size=OBS)
-        a1 = rl.exploration_action(learner.actor, obs, 0.5, seed=i)
-        a2 = rl.exploration_action(learner.actor, obs, 0.5, seed=i)
-        a3 = rl.exploration_action(learner.actor, obs, 0.5, seed=i + 1000)
+        a1 = rl.noisy_action(learner.actor, obs, 0.5, seed=i)
+        a2 = rl.noisy_action(learner.actor, obs, 0.5, seed=i)
+        a3 = rl.noisy_action(learner.actor, obs, 0.5, seed=i + 1000)
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, a3)
         assert np.all(np.abs(a1) <= 0.7)
     with pytest.raises(ValueError):
-        rl.exploration_action(learner.actor, obs, -0.1, seed=0)
+        rl.noisy_action(learner.actor, obs, -0.1, seed=0)
+
+
+def smooth(target_actor, observations, seed):
+    """The target action a twin learner with HP backs up at."""
+    return rl.noisy_action(target_actor, observations, HP.target_noise_sigma,
+                           seed, HP.target_noise_clip)
+
+
+def noisy_observations(rng):
+    """Single observations and batches, the shapes both noises act on."""
+    return [rng.normal(size=OBS), rng.normal(size=(1, OBS)),
+            rng.normal(size=(32, OBS))]
+
+
+def test_noisy_action_unclipped_matches_old_exploration_bytewise():
+    learner = small_learner("td3")
+    actor, bound = learner.actor, learner.actor.spec.layers[-1].bound
+    rng = np.random.default_rng(11)
+    for seed in range(200):
+        for obs in noisy_observations(rng):
+            action = net.forward(actor, obs)
+            noise = np.random.default_rng(seed).normal(0.0, 0.3, size=action.shape)
+            expected = np.clip(action + noise, -bound, bound)
+            assert (rl.noisy_action(actor, obs, 0.3, seed).tobytes()
+                    == expected.tobytes())
+
+
+def test_noisy_action_clipped_matches_old_smoothing_bytewise():
+    learner = small_learner("td3")
+    target, bound = learner.target_actor, learner.target_actor.spec.layers[-1].bound
+    rng = np.random.default_rng(12)
+    for seed in range(200):
+        for obs in noisy_observations(rng):
+            actions = net.forward(target, obs)
+            noise = np.clip(np.random.default_rng(seed).normal(
+                0.0, HP.target_noise_sigma, size=actions.shape),
+                -HP.target_noise_clip, HP.target_noise_clip)
+            expected = np.clip(actions + noise, -bound, bound)
+            assert smooth(target, obs, seed).tobytes() == expected.tobytes()
 
 
 def test_noise_is_clamped_to_the_actors_own_bound():
     # Both noisy actions clip where the actor's scaled_tanh output does.
     learner = rl.init_learner(OBS, ACT, 0.3, HP, 0, twin=True, hidden=(8, 8))
     obs = np.random.default_rng(3).normal(size=(64, OBS))
-    explored = np.array([rl.exploration_action(learner.actor, o, 5.0, seed)
+    explored = np.array([rl.noisy_action(learner.actor, o, 5.0, seed)
                          for seed, o in enumerate(obs)])
-    smoothed = rl.smoothed_target_action(
-        learner.target_actor, obs,
-        rl.RlHyperparams(target_noise_sigma=5.0, target_noise_clip=5.0), 0)
+    smoothed = rl.noisy_action(learner.target_actor, obs, 5.0, 0, noise_clip=5.0)
     for actions in (explored, smoothed):
         assert np.abs(actions).max() == 0.3
 
@@ -150,10 +186,10 @@ def test_smoothed_target_action_properties():
     obs = rng.normal(size=(32, OBS))
     clean = net.forward(learner.target_actor, obs)
     for seed in range(20):
-        smoothed = rl.smoothed_target_action(learner.target_actor, obs, HP, seed)
+        smoothed = smooth(learner.target_actor, obs, seed)
         assert np.all(np.abs(smoothed) <= 0.7)
         assert np.all(np.abs(smoothed - clean) <= HP.target_noise_clip + 1e-12)
-        again = rl.smoothed_target_action(learner.target_actor, obs, HP, seed)
+        again = smooth(learner.target_actor, obs, seed)
         assert np.array_equal(smoothed, again)
 
 
@@ -163,8 +199,7 @@ def test_td3_target_uses_pessimistic_critic():
     for seed in range(50):
         batch = buf.sample_batch(16, seed=seed)
         y = rl.critic_target(batch, learner, seed=seed)
-        a = rl.smoothed_target_action(learner.target_actor,
-                                      batch.next_observations, HP, seed=seed)
+        a = smooth(learner.target_actor, batch.next_observations, seed)
         x = np.concatenate([batch.next_observations, a], axis=1)
         q1 = net.forward(learner.target_critics[0], x)[:, 0]
         q2 = net.forward(learner.target_critics[1], x)[:, 0]

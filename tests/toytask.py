@@ -13,7 +13,7 @@ with no critic, on any deterministic objective.
 
 import numpy as np
 
-from quadrl.cem import CemState, cem_update, decay_noise, sample_population
+from quadrl.cem import CemState, cem_update, sample_population
 from quadrl.env import StepResult
 from quadrl.seeds import SeedStream
 
@@ -79,5 +79,5 @@ def cem_solve_toy(objective, dim: int, state: CemState, generations: int,
         if fitnesses[top] > best_fitness:
             best_fitness = float(fitnesses[top])
             best_params = population[top].copy()
-        state = decay_noise(cem_update(state, population, fitnesses))
+        state = cem_update(state, population, fitnesses)
     return best_params, state

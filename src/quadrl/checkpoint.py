@@ -1,17 +1,20 @@
-"""Versioned JSON checkpoints with exact 64-bit parameter round trips.
+"""Versioned JSON checkpoints of one actor, with exact 64-bit round trips.
 
 Parameter arrays are stored as base64 of their little-endian float64
 bytes, so save/load reproduces every bit. Network specs are stored as
-[input_size, output_size, activation, bound] rows per layer. The config
-snapshot uses the flat dotted-key dictionary from the config module; the
-document's "algorithm" repeats the config's, and a load rejects a
-document where the two differ.
+[input_size, output_size, activation, bound] rows per layer. Both sit
+under the name "actor"; a load ignores any other name, such as the
+critics that older files hold. The config snapshot uses the flat
+dotted-key dictionary from the config module; the document's
+"algorithm" repeats the config's, and a load rejects a document where
+the two differ.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,15 +34,11 @@ class CheckpointError(ValueError):
 
 @dataclass
 class Checkpoint:
-    """An actor (plus a training run's critics), its config and progress."""
+    """An actor, its config and progress."""
 
-    networks: dict[str, ParamVector]
+    actor: ParamVector
     config: RunConfig
     progress: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if "actor" not in self.networks:
-            raise CheckpointError("checkpoint requires an actor network")
 
 
 def _encode_spec(spec: NetworkSpec) -> list:
@@ -47,12 +46,22 @@ def _encode_spec(spec: NetworkSpec) -> list:
             for layer in spec.layers]
 
 
+def _decode_layer(row) -> LayerSpec:
+    # JSON already types each field, so a row is checked, not coerced: a
+    # size of 8.9 is not read as 8, nor a bound of "0.7" as 0.7.
+    input_size, output_size, activation, bound = row
+    if not (type(input_size) is int and type(output_size) is int
+            and type(activation) is str and type(bound) in (int, float)
+            and math.isfinite(bound)):
+        raise ValueError(f"layer {row!r} needs integer sizes, an activation "
+                         "name and a finite bound")
+    return LayerSpec(input_size, output_size, activation, float(bound))
+
+
 def _decode_spec(rows, name: str) -> NetworkSpec:
     try:
-        layers = tuple(LayerSpec(int(r[0]), int(r[1]), str(r[2]), float(r[3]))
-                       for r in rows)
-        return NetworkSpec(layers)
-    except (ValueError, TypeError, IndexError, KeyError) as exc:
+        return NetworkSpec(tuple(_decode_layer(row) for row in rows))
+    except (ValueError, TypeError) as exc:
         raise CheckpointError(f"invalid network spec for {name!r}: {exc}") from None
 
 
@@ -77,9 +86,8 @@ def save_checkpoint(ck: Checkpoint, path: str) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
         "algorithm": ck.config.algorithm,
-        "specs": {name: _encode_spec(p.spec) for name, p in ck.networks.items()},
-        "params": {name: _encode_params(p.values)
-                   for name, p in ck.networks.items()},
+        "specs": {"actor": _encode_spec(ck.actor.spec)},
+        "params": {"actor": _encode_params(ck.actor.values)},
         "config": config_to_dict(ck.config),
         "progress": ck.progress,
     }
@@ -105,9 +113,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     if not_objects:
         raise CheckpointError(f"checkpoint fields are not JSON objects: "
                               f"{', '.join(not_objects)}")
-    if doc["format_version"] != FORMAT_VERSION:
-        raise CheckpointError(
-            f"unsupported format_version {doc['format_version']!r}")
+    version = doc["format_version"]
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise CheckpointError(f"unsupported format_version {version!r}")
     try:
         config = config_from_dict({k: v for k, v in doc["config"].items()
                                    if k not in _RETIRED_KEYS})
@@ -118,12 +126,12 @@ def load_checkpoint(path: str) -> Checkpoint:
                               f"the config's {config.algorithm!r}")
     if set(doc["specs"]) != set(doc["params"]):
         raise CheckpointError("specs and params name different networks")
-    networks = {}
-    for name, rows in doc["specs"].items():
-        spec = _decode_spec(rows, name)
-        values = _decode_params(doc["params"][name], name)
-        try:
-            networks[name] = ParamVector(values, spec)
-        except ValueError as exc:
-            raise CheckpointError(f"network {name!r}: {exc}") from None
-    return Checkpoint(networks, config, doc["progress"])
+    if "actor" not in doc["specs"]:
+        raise CheckpointError("checkpoint requires an actor network")
+    spec = _decode_spec(doc["specs"]["actor"], "actor")
+    values = _decode_params(doc["params"]["actor"], "actor")
+    try:
+        actor = ParamVector(values, spec)
+    except ValueError as exc:
+        raise CheckpointError(f"network 'actor': {exc}") from None
+    return Checkpoint(actor, config, doc["progress"])

@@ -94,7 +94,7 @@ def evaluate(ck: Checkpoint, terrain_kind: str, trials: int = EVAL_TRIALS,
         raise ValueError("the last trial seed, eval_seed + trials - 1, must be "
                          "below 2**64")
     _check_fixed_kind(fixed_terrain, terrain_kind)
-    actor = ck.networks["actor"]
+    actor = ck.actor
     cfg = ck.config
     returns = []
     for t in range(trials):

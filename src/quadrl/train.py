@@ -54,7 +54,7 @@ def _write_rows(path: str, header: str, rows: list[list]) -> None:
 
 
 def _episodes(config: RunConfig, stream: SeedStream, env, buffer, twin):
-    """Gradient family: (learner, episode units, final actor getter)."""
+    """Gradient family: (episode units, final actor getter)."""
     hp, bound = config.rl, config.robot.action_bound
     learner = init_learner(OBS_SIZE, N_JOINTS, bound, hp, stream.next(), twin=twin)
 
@@ -74,11 +74,11 @@ def _episodes(config: RunConfig, stream: SeedStream, env, buffer, twin):
                     train_step(learner, buffer, stream.next())
             yield episode.episode_return, learner.actor, []
 
-    return learner, units(), lambda: learner.actor
+    return units(), lambda: learner.actor
 
 
 def _generations(config: RunConfig, stream: SeedStream, env, buffer, twin):
-    """CEM family: (learner, generation units, distribution-mean getter)."""
+    """CEM family: (generation units, distribution-mean getter)."""
     ch, bound = config.cem, config.robot.action_bound
     a_spec = actor_spec(OBS_SIZE, N_JOINTS, bound)
     mean = init_network(a_spec, stream.next())
@@ -108,18 +108,22 @@ def _generations(config: RunConfig, stream: SeedStream, env, buffer, twin):
                 fit.mean(), summarize(fit)[2], state.noise_floor, len(buffer),
                 rl_mean, fit[coached:].mean()]
 
-    return learner, units(), lambda: ParamVector(state.mean, a_spec)
+    return units(), lambda: ParamVector(state.mean, a_spec)
 
 
 def train(config: RunConfig) -> tuple[Checkpoint, str]:
     """Run one training job; returns the final checkpoint and metrics path.
 
-    Writes metrics.csv, checkpoint.json (final actor) and
-    checkpoint_best.json (the actor of the best return seen) into
-    config.out_dir; both checkpoints hold the learner's critics and the
-    same progress. If the simulation or the learner diverges, partial
-    artifacts are written with a diverged progress flag and the
-    divergence is re-raised.
+    Writes metrics.csv, checkpoint.json (the final actor: the learner's,
+    or for CEM the distribution mean) and checkpoint_best.json into
+    config.out_dir; each holds one actor and the same progress. The best
+    file holds the actor of the unit with the highest return: for ddpg
+    and td3, learner.actor after the updates of the episode with the
+    highest training return, earned under exploration noise or, in
+    warmup, by uniform random actions (so it can be the untrained actor);
+    for CEM, the best-scoring member exactly as it was rolled out. If the
+    simulation or the learner diverges, partial artifacts are written
+    with a diverged progress flag and the divergence is re-raised.
     """
     os.makedirs(config.out_dir, exist_ok=True)
     population, twin = ALGORITHMS[config.algorithm]
@@ -131,7 +135,7 @@ def train(config: RunConfig) -> tuple[Checkpoint, str]:
     stream = SeedStream(config.master_seed)
     env = QuadrupedEnv(config.terrain("flat", 0), config.robot, t_max=config.t_max)
     buffer = ReplayBuffer(REPLAY_CAPACITY, OBS_SIZE, N_JOINTS)
-    learner, units, final_actor = family(config, stream, env, buffer, twin)
+    units, final_actor = family(config, stream, env, buffer, twin)
 
     rows: list[list] = []
     best_actor = final_actor()
@@ -152,10 +156,8 @@ def train(config: RunConfig) -> tuple[Checkpoint, str]:
         progress["env_steps"] = env.total_steps
         metrics_path = os.path.join(config.out_dir, "metrics.csv")
         _write_rows(metrics_path, header, rows)
-        names = ("critic_1", "critic_2") if learner.twin else ("critic",)
-        critics = dict(zip(names, learner.critics))
-        final = Checkpoint(dict(critics, actor=final_actor()), config, progress)
+        final = Checkpoint(final_actor(), config, progress)
         save_checkpoint(final, os.path.join(config.out_dir, "checkpoint.json"))
-        best = Checkpoint(dict(critics, actor=best_actor), config, progress)
-        save_checkpoint(best, os.path.join(config.out_dir, "checkpoint_best.json"))
+        save_checkpoint(Checkpoint(best_actor, config, progress),
+                        os.path.join(config.out_dir, "checkpoint_best.json"))
     return final, metrics_path

@@ -396,7 +396,7 @@ def test_criterion_08_protocol_fidelity():
     default_trials = inspect.signature(evaluate).parameters["trials"].default
     spec = actor_spec(OBS_SIZE, 8, 0.7, hidden=(8, 8))
     values = np.random.default_rng(0).normal(size=spec.param_count)
-    ck = Checkpoint({"actor": net.ParamVector(values, spec)},
+    ck = Checkpoint(net.ParamVector(values, spec),
                     parse_config("algorithm = td3\nt_max = 30"))
     flat = evaluate(ck, "flat")
     rough = evaluate(ck, "rough")
@@ -483,8 +483,7 @@ def test_zero_actor_stands_until_timeout(monkeypatch):
     monkeypatch.setattr("quadrl.evaluate.run_episode", recorded)
     config = parse_config(_ORDERING_BUDGET, algorithm="td3")
     spec = actor_spec(OBS_SIZE, 8, config.robot.action_bound)
-    ck = Checkpoint({"actor": net.ParamVector(np.zeros(spec.param_count), spec)},
-                    config)
+    ck = Checkpoint(net.ParamVector(np.zeros(spec.param_count), spec), config)
     flat, rough = (evaluate(ck, kind, 10, 1000) for kind in ("flat", "rough"))
     assert reasons == ["timeout"] * 20
     assert len(set(flat.trial_returns)) == 1

@@ -1,5 +1,5 @@
 """Pinned sha256 of the criterion-5 training artifacts, per algorithm,
-of one transfer report, and of the simulator's own trajectories.
+of two transfer reports, and of the simulator's own trajectories.
 
 Byte-identical artifacts are the behaviour spec: a refactor that claims
 to keep behaviour must reproduce these digests bit for bit. A change
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import blas_kernel
-from quadrl.checkpoint import Checkpoint
+from quadrl.checkpoint import Checkpoint, load_checkpoint
 from quadrl.config import parse_config
 from quadrl.env import (JOINT_RANGE, OBS_SIZE, QuadrupedEnv, RobotConfig,
                         integrate, reset)
@@ -24,6 +24,7 @@ from quadrl.rl import actor_spec
 from quadrl.terrain import make_terrain
 from quadrl.train import train
 from test_acceptance import _ARTIFACTS, _TINY_BUDGET
+from test_hygiene import PERFBENCH
 
 # The OpenBLAS kernel the digests below were taken under. Another kernel
 # gives other training bytes (see the README's byte contract), so each
@@ -37,33 +38,33 @@ PINNED = {
         "metrics.csv":
             "ad22800326c9ddb3722f99c0ea3de15582cc4f88ac1d1854192fc89463aba1a1",
         "checkpoint.json":
-            "3a0fd1f6445403511a307b6d2e7df408a5f986c18d735f1a86aac35ac62b0bca",
+            "f48276179100f79b321cea13e29686daf429e518ef1114dce95078f4c42ca20d",
         "checkpoint_best.json":
-            "48cb00e78960ec61f1ee166974e6bbacc53f3e8fcb64115a9f1bb45c376770cc",
+            "88f4d18d80f0a999360fe8292f863fa2e7f41d6d6237446e36d463b6c990c463",
     },
     "td3": {
         "metrics.csv":
             "dcf19083015c1373683e57c0a77fce7e8ca765e00db594e89865f07fe7fd484b",
         "checkpoint.json":
-            "ac684b1abf6a576f6724694f134e981963a28d87f09f4fd9cdb31a0363ccc655",
+            "44eec9b8997c1ba427846063e3d469394623787e4b4ab8781e4d25c91dc6cc99",
         "checkpoint_best.json":
-            "81ceea90eed1b3605f0ab87e21bf4116a4ad131e86fa6e2e219747356bdad697",
+            "56cc851dc599d174c1d47329b8c9850800089ad0ad20c04959a93ba932373d87",
     },
     "cem_ddpg": {
         "metrics.csv":
             "ef7924fafc974b424688f8d505fc8e31710fb2ce0126b38ec8f13758f9026a43",
         "checkpoint.json":
-            "1e10926ca2613a236a29a3c8c42b59f920c2291572ac3f1273b22645d324d578",
+            "eab73c3f300e565850724676c09cba7901b4fbde1ac012f6e72da249c3da4af4",
         "checkpoint_best.json":
-            "ce6dfc377a9ed958f9dadede6629de1d5a2f88dbe03fd80b315e0e7d09e1b61e",
+            "65e04e938dad41ba2aae0a2d558e6569f4d95a10f1a42489b5706d90305c6220",
     },
     "cem_td3": {
         "metrics.csv":
             "a8ec58e75aed62e7b2bdbdb236f0bbdf57eaa48b9c919285417ebc0428c0a7a4",
         "checkpoint.json":
-            "f055b7aa34479f47939e801860a708b48bf12c58a5139e1c5ff773dd43f76599",
+            "beaff21d395eb7d49f70ff4bd027bfa09c0b69c60541383b1b23bf1be4f6b093",
         "checkpoint_best.json":
-            "40cad177b269f888b81394585daa8302adc933160ef76927a07a82a24e4ca7c8",
+            "a13882fee636b30a5a6bc33f3027ec5c70b4de75fbefc25e637d94a4db542df4",
     },
 }
 
@@ -86,11 +87,24 @@ def test_transfer_report_matches_pinned_sha256():
     # The criterion-8 checkpoint: a random small actor, 30-step episodes.
     spec = actor_spec(OBS_SIZE, 8, 0.7, hidden=(8, 8))
     values = np.random.default_rng(0).normal(size=spec.param_count)
-    ck = Checkpoint({"actor": ParamVector(values, spec)},
+    ck = Checkpoint(ParamVector(values, spec),
                     parse_config("algorithm = td3\nt_max = 30"))
     flat, rough, _ = transfer_experiment(ck, eval_seed=0, trials=3)
     digest = hashlib.sha256(report_csv([flat, rough]).encode("ascii")).hexdigest()
     assert digest == TRANSFER_REPORT_SHA256, KERNEL_NOTE
+
+
+# The committed benchmark checkpoint, which still holds its run's two
+# critics: the load reads its actor alone, and must read the same actor.
+BENCHMARK_TRANSFER_REPORT_SHA256 = (
+    "cd2ef9f22edb2b0cbd64da495183e62f165c9946b8af16945584b7e3c0ac2048")
+
+
+def test_benchmark_checkpoint_transfer_report_matches_pinned_sha256():
+    ck = load_checkpoint(str(PERFBENCH / "transfer_checkpoint.json"))
+    flat, rough, _ = transfer_experiment(ck, eval_seed=1000, trials=10)
+    digest = hashlib.sha256(report_csv([flat, rough]).encode("ascii")).hexdigest()
+    assert digest == BENCHMARK_TRANSFER_REPORT_SHA256, KERNEL_NOTE
 
 
 SIMULATOR_SHA256 = (

@@ -153,7 +153,7 @@ def actor_checkpoint(path, nan_index=None):
     values = np.random.default_rng(0).normal(size=spec.param_count)
     if nan_index is not None:
         values[nan_index] = np.nan
-    save_checkpoint(Checkpoint({"actor": net.ParamVector(values, spec)},
+    save_checkpoint(Checkpoint(net.ParamVector(values, spec),
                                parse_config("t_max = 30")), str(path))
     return path
 

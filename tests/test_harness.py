@@ -398,7 +398,7 @@ def sample_checkpoint(seed=0):
     values = rng.normal(size=spec.param_count)
     values[0] = 1e-300  # denormal-adjacent values must survive the trip
     values[1] = -1e300
-    return Checkpoint({"actor": net.ParamVector(values, spec)},
+    return Checkpoint(net.ParamVector(values, spec),
                       parse_config("algorithm = td3\nt_max = 30"), {"episodes": 3})
 
 
@@ -408,19 +408,17 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     save_checkpoint(ck, path)
     loaded = load_checkpoint(path)
     assert loaded.config.algorithm == "td3"
-    assert loaded.networks["actor"].spec == ck.networks["actor"].spec
-    assert np.array_equal(loaded.networks["actor"].values,
-                          ck.networks["actor"].values)
+    assert loaded.actor.spec == ck.actor.spec
+    assert np.array_equal(loaded.actor.values, ck.actor.values)
     assert loaded.progress == {"episodes": 3}
     assert loaded.config.t_max == 30
     obs = np.zeros(OBS_SIZE)
-    assert np.array_equal(net.forward(loaded.networks["actor"], obs),
-                          net.forward(ck.networks["actor"], obs))
+    assert np.array_equal(net.forward(loaded.actor, obs), net.forward(ck.actor, obs))
 
 
 def test_largest_master_seed_survives_the_config_snapshot(tmp_path):
     ck = sample_checkpoint()
-    ck = Checkpoint(ck.networks, parse_config("", master_seed=2**64 - 1), {})
+    ck = Checkpoint(ck.actor, parse_config("", master_seed=2**64 - 1), {})
     path = str(tmp_path / "ck.json")
     save_checkpoint(ck, path)
     seed = load_checkpoint(path).config.master_seed
@@ -435,11 +433,15 @@ def test_checkpoint_save_is_byte_stable(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
-def test_checkpoint_requires_actor():
-    spec = actor_spec(4, 2, 0.7, hidden=(4,))
-    critic = net.ParamVector(np.zeros(spec.param_count), spec)
-    with pytest.raises(CheckpointError):
-        Checkpoint({"critic": critic}, RunConfig())
+def test_checkpoint_requires_actor(tmp_path):
+    path = tmp_path / "ck.json"
+    save_checkpoint(sample_checkpoint(), str(path))
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(doc, specs={"critic": doc["specs"]["actor"]},
+                                    params={"critic": doc["params"]["actor"]})))
+    with pytest.raises(CheckpointError,
+                       match="^checkpoint requires an actor network$"):
+        load_checkpoint(str(path))
 
 
 def test_checkpoint_rejects_length_mismatch(tmp_path):
@@ -479,6 +481,12 @@ def test_load_rejects_malformed_documents(tmp_path):
         load_checkpoint(str(path))
 
 
+def _with_actor_cell(doc, layer, column, value):
+    rows = [list(row) for row in doc["specs"]["actor"]]
+    rows[layer][column] = value
+    return dict(doc, specs=dict(doc["specs"], actor=rows))
+
+
 def test_load_rejects_tampered_fields(tmp_path):
     path = tmp_path / "ck.json"
     save_checkpoint(sample_checkpoint(), str(path))
@@ -500,6 +508,13 @@ def test_load_rejects_tampered_fields(tmp_path):
         # A spec row that is an object, once a bare KeyError.
         dict(doc, specs=dict(doc["specs"],
                              actor=[{"x": 1}, *doc["specs"]["actor"][1:]])),
+        # Each once loaded: True == 1.0 == 1, int(8.9) == 8 and
+        # float("0.7") == 0.7, and an infinite bound passed bound > 0.
+        dict(doc, format_version=True),
+        dict(doc, format_version=1.0),
+        _with_actor_cell(doc, 0, 1, 8.9),
+        _with_actor_cell(doc, 2, 3, "0.7"),
+        _with_actor_cell(doc, 2, 3, math.inf),
     ]
     for bad in cases:
         tampered.write_text(json.dumps(bad))
@@ -518,9 +533,8 @@ def test_a_snapshot_with_retired_settings_loads_as_before(tmp_path):
     path.write_text(json.dumps(doc))
     loaded = load_checkpoint(str(path))
     assert loaded.config == ck.config
-    assert loaded.networks["actor"].spec == ck.networks["actor"].spec
-    assert np.array_equal(loaded.networks["actor"].values,
-                          ck.networks["actor"].values)
+    assert loaded.actor.spec == ck.actor.spec
+    assert np.array_equal(loaded.actor.values, ck.actor.values)
 
 
 def test_the_benchmark_transfer_checkpoint_loads(monkeypatch):
@@ -534,9 +548,11 @@ def test_the_benchmark_transfer_checkpoint_loads(monkeypatch):
     spec.loader.exec_module(workloads)
     transfer = workloads.TransferWorkload()
     transfer.prepare()
-    snapshot = json.loads(workloads.TRANSFER_CHECKPOINT.read_text())["config"]
-    assert {"record_wall_time", "rl.action_bound"} <= set(snapshot)
-    assert transfer.checkpoint.networks["actor"].spec.layers[-1].bound == 0.7
+    doc = json.loads(workloads.TRANSFER_CHECKPOINT.read_text())
+    assert {"record_wall_time", "rl.action_bound"} <= set(doc["config"])
+    # It holds its run's critics too; the load ignores them.
+    assert set(doc["specs"]) == {"actor", "critic_1", "critic_2"}
+    assert transfer.checkpoint.actor.spec.layers[-1].bound == 0.7
 
 
 @pytest.mark.parametrize("field", ["specs", "params", "config", "progress"])
@@ -668,13 +684,18 @@ def test_train_gradient_artifacts(tmp_path, algo):
         assert b == max(returns[: i + 1])
     final = load_checkpoint(os.path.join(str(tmp_path), "checkpoint.json"))
     best = load_checkpoint(os.path.join(str(tmp_path), "checkpoint_best.json"))
-    assert np.array_equal(final.networks["actor"].values,
-                          ck.networks["actor"].values)
-    assert best.networks["actor"].spec == final.networks["actor"].spec
-    if algo == "td3":
-        assert "critic_1" in final.networks and "critic_2" in final.networks
-    else:
-        assert "critic" in final.networks
+    assert np.array_equal(final.actor.values, ck.actor.values)
+    assert best.actor.spec == final.actor.spec
+
+
+@pytest.mark.parametrize("algo", ["ddpg", "td3", "cem_ddpg", "cem_td3"])
+def test_training_writes_only_the_actor(tmp_path, algo):
+    # The learner's critics are not saved: no reader reads them.
+    tiny = TINY_GRADIENT if algo in ("ddpg", "td3") else TINY_CEM
+    train(parse_config(tiny, algorithm=algo, out_dir=str(tmp_path)))
+    for name in ("checkpoint.json", "checkpoint_best.json"):
+        doc = json.loads((tmp_path / name).read_text())
+        assert set(doc["specs"]) == set(doc["params"]) == {"actor"}
 
 
 def test_train_cem_artifacts(tmp_path):
@@ -693,8 +714,7 @@ def test_train_cem_artifacts(tmp_path):
     assert ck.progress["best_return"] == max(
         float(l.split(",")[1]) for l in lines[1:])
     # Final actor is the distribution mean, best is one individual.
-    assert not np.array_equal(best.networks["actor"].values,
-                              ck.networks["actor"].values)
+    assert not np.array_equal(best.actor.values, ck.actor.values)
 
 
 @pytest.mark.parametrize("algo", ["ddpg", "td3", "cem_ddpg", "cem_td3"])
@@ -957,9 +977,9 @@ def test_evaluate_raises_on_a_diverged_trial():
     # A NaN weight makes every action NaN, so the first step diverges; the
     # trial is not scored as a return of 0.
     ck = eval_checkpoint()
-    values = ck.networks["actor"].values.copy()
+    values = ck.actor.values.copy()
     values[5] = np.nan
-    ck.networks["actor"] = net.ParamVector(values, ck.networks["actor"].spec)
+    ck.actor = net.ParamVector(values, ck.actor.spec)
     with pytest.raises(SimulationDiverged, match="control step 1"):
         evaluate(ck, "flat", trials=2)
 

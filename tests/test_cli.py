@@ -18,6 +18,8 @@ from quadrl.env import OBS_SIZE, SimulationDiverged
 from quadrl.rl import actor_spec
 from quadrl.terrain import make_terrain, save_terrain
 
+from test_terrain import OLD_TEXT_FORMAT
+
 TINY = """
 t_max = 20
 episodes = 2
@@ -246,6 +248,25 @@ def test_fixed_terrain_of_another_kind_exit_2_without_report(
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "reports").exists()
+    assert episodes == []
+
+
+@pytest.mark.parametrize("argv, report", [
+    (["eval", "--terrain", "rough", "--out", "eval.csv"], "eval.csv"),
+    (["transfer", "--out", "reports"], "reports"),
+])
+def test_fixed_terrain_in_the_older_text_format_exit_2_without_report(
+        argv, report, tmp_path, monkeypatch, capsys):
+    # Such a file is refused as it is read, not misread as a grid.
+    monkeypatch.chdir(tmp_path)
+    ck = actor_checkpoint(tmp_path / "ck.json")
+    (tmp_path / "old.terrain").write_bytes(OLD_TEXT_FORMAT)
+    episodes = record_episodes(monkeypatch)
+    code = run_cli([*argv, "--checkpoint", str(ck), "--trials", "2",
+                    "--fixed-terrain", "old.terrain"])
+    assert code == 2
+    assert "terrain file 'old.terrain' holds no NPY 1.0 grid" in capsys.readouterr().err
+    assert not (tmp_path / report).exists()
     assert episodes == []
 
 

@@ -338,6 +338,42 @@ def test_unnamed_function_check_sees_test_only_functions():
     assert _unnamed_public_functions(trees, {"shipped"}) == ["a.py: spare"]
 
 
+def _unpickling_names(tree: ast.Module) -> list[str]:
+    """Lines that import pickle or name numpy's `load`, which can unpickle."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.partition(".")[0] == "pickle"
+                  or name in ("np.load", "numpy.load")]
+    return found
+
+
+def test_no_module_can_unpickle():
+    # A terrain or checkpoint file is data; reading one must not run code.
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = _unpickling_names(ast.parse(path.read_text(), str(path)))
+        if names:
+            found[path.name] = names
+    assert found == {}
+
+
+def test_unpickling_check_sees_pickle_and_numpy_load():
+    tree = ast.parse("import pickle\nimport numpy as np\nfrom pickle import loads\n"
+                     "from numpy import load\nnp.load(f)\njson.load(f)\n"
+                     "np.lib.format.read_magic(f)\n")
+    assert _unpickling_names(tree) == ["line 1: pickle", "line 3: pickle.loads",
+                                       "line 4: numpy.load", "line 5: np.load"]
+
+
 def test_every_traced_name_resolves():
     # The benchmark's tracer rebinds these names; a refactor that drops one
     # would otherwise break only a traced benchmark run.

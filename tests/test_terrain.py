@@ -250,16 +250,15 @@ def test_save_load_round_trip(tmp_path):
         assert np.array_equal(loaded.height_grid, src.height_grid)
 
 
-def test_saved_file_is_plain_text(tmp_path):
+def test_saved_file_is_a_text_header_then_an_npy_grid(tmp_path):
     rough = terrain.make_terrain("rough", seed=1)
     path = tmp_path / "t.terrain"
     terrain.save_terrain(rough, path)
-    text = path.read_text()
-    lines = text.splitlines()
-    assert lines[0].startswith("kind ")
-    assert lines[1].startswith("seed ")
-    rows, cols = rough.height_grid.shape
-    assert len(lines) == 6 + rows
+    lines = path.read_bytes().split(b"\n", 6)
+    assert [line.partition(b" ")[0] for line in lines[:6]] == [
+        b"kind", b"seed", b"amplitude", b"cell_size", b"rows", b"cols"]
+    assert lines[6].startswith(b"\x93NUMPY\x01\x00")
+    assert lines[6].endswith(rough.height_grid.astype("<f8").tobytes())
 
 
 def test_saving_a_generated_grid_holds_it_about_once(tmp_path):
@@ -272,12 +271,12 @@ def test_saving_a_generated_grid_holds_it_about_once(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The grid, its lattice and one row's text; not a nested list of floats.
+    # The grid and its lattice, written in place; not a nested list of floats.
     assert rough.height_grid.shape == (321, 321)
     assert peak < 2 * rough.height_grid.nbytes
 
 
-def test_loading_a_grid_reads_it_one_row_at_a_time(tmp_path):
+def test_loading_a_grid_holds_it_about_once(tmp_path):
     path = tmp_path / "t.terrain"
     terrain.save_terrain(terrain.make_terrain("rough", seed=1), path)
     terrain.load_terrain(path)  # first-use allocations are paid first
@@ -287,10 +286,10 @@ def test_loading_a_grid_reads_it_one_row_at_a_time(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The grid, which `Terrain` keeps rather than copies, one row's floats and
-    # the finiteness check's mask; not every line of the file, a nested list
-    # of floats or a second grid.
+    # The grid, read in place and kept by `Terrain` rather than copied, and the
+    # finiteness check's mask; not a second grid.
     assert loaded.height_grid.shape == (321, 321)
+    assert loaded.height_grid.flags.owndata
     assert peak < 1.5 * loaded.height_grid.nbytes
 
 
@@ -301,30 +300,43 @@ def test_a_loaded_terrain_saves_to_the_same_bytes(tmp_path, cell_size):
     terrain.save_terrain(made, tmp_path / "made.terrain")
     loaded = terrain.load_terrain(tmp_path / "made.terrain")
     terrain.save_terrain(loaded, tmp_path / "loaded.terrain")
-    text = (tmp_path / "made.terrain").read_text()
-    assert text.splitlines()[2] == "amplitude 1.0"
-    assert text == (tmp_path / "loaded.terrain").read_text()
+    data = (tmp_path / "made.terrain").read_bytes()
+    assert data.splitlines()[2] == b"amplitude 1.0"
+    assert data == (tmp_path / "loaded.terrain").read_bytes()
+
+
+def edit_saved(path, edit):
+    """Rewrite a saved terrain file as edit(lines) joined by newlines, where
+    lines are its six header lines and then its NPY header and grid bytes."""
+    path.write_bytes(b"\n".join(edit(path.read_bytes().split(b"\n", 6))))
+
+
+ROW = 8 * 321  # the bytes of one row of the default grid
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda lines: lines[:-1] + lines[-1:] * 2, "expected 321 height rows, found 322"),
-    (lambda lines: lines[:-1] + [lines[-1].rsplit(" ", 1)[0]], "ragged or mis-sized"),
-    (lambda lines: lines[:5] + ["cols 322"] + lines[6:], "ragged or mis-sized"),
-    (lambda lines: lines[:4] + ["rows 0"] + lines[5:6], "ragged or mis-sized"),
-    (lambda lines: lines[:4] + ["rows -1"] + lines[5:], "expected -1 height rows"),
-    (lambda lines: lines[:4] + ["rows 10000000000"] + lines[5:],
-     "expected 10000000000 height rows, found 321"),
-    (lambda lines: lines[:5] + ["cols 10000000000"] + lines[6:], "ragged or mis-sized"),
-    (lambda lines: lines[:5] + ["rows 321"] + lines[6:], "malformed header"),
+    (lambda lines: lines[:6] + [lines[6] + lines[6][-ROW:]],
+     rf"\(321, 321\), '<f8', False, {321 * ROW}\), found .* {322 * ROW}\)"),
+    (lambda lines: lines[:6] + [lines[6][:-8]], rf"found .* {321 * ROW - 8}\)"),
+    (lambda lines: lines[:5] + [b"cols 322"] + lines[6:],
+     r"expected .*\(\(321, 322\).* found \(\(321, 321\)"),
+    (lambda lines: lines[:4] + [b"rows 0"] + lines[5:], "rows and cols must be positive"),
+    (lambda lines: lines[:4] + [b"rows -1"] + lines[5:], "rows and cols must be positive"),
+    (lambda lines: lines[:4] + [b"rows 10000000000"] + lines[5:],
+     r"expected .*\(\(10000000000, 321\).* found \(\(321, 321\)"),
+    (lambda lines: lines[:5] + [b"cols 10000000000"] + lines[6:],
+     r"expected .*\(\(321, 10000000000\).* found \(\(321, 321\)"),
+    (lambda lines: lines[:5] + [b"rows 321"] + lines[6:], "malformed header"),
 ], ids=["extra_row", "short_row", "long_header_cols", "zero_rows", "negative_rows",
         "huge_rows", "huge_cols", "duplicate_key"])
 def test_load_refuses_a_grid_that_does_not_match_its_header(tmp_path, edit, message):
     # A header asking for more heights than the file holds allocates no grid.
     path = tmp_path / "t.terrain"
     terrain.save_terrain(terrain.make_terrain("rough", seed=4), path)
-    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-    with pytest.raises(ValueError, match=message):
+    edit_saved(path, edit)
+    with pytest.raises(ValueError, match=message) as refused:
         terrain.load_terrain(path)
+    assert str(path) in str(refused.value)
 
 
 def test_load_rejects_garbage(tmp_path):
@@ -338,8 +350,7 @@ def test_load_rejects_truncated_grid(tmp_path):
     rough = terrain.make_terrain("rough", seed=4)
     path = tmp_path / "t.terrain"
     terrain.save_terrain(rough, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-2]) + "\n")
+    edit_saved(path, lambda lines: lines[:6] + [lines[6][:-2 * ROW]])
     with pytest.raises(ValueError):
         terrain.load_terrain(path)
 
@@ -349,14 +360,93 @@ def test_load_rejects_non_finite_numbers(tmp_path, bad):
     rough = terrain.make_terrain("rough", seed=4)
     path = tmp_path / "t.terrain"
     terrain.save_terrain(rough, path)
-    lines = path.read_text().splitlines()
-    assert lines[2].startswith("amplitude ") and lines[3].startswith("cell_size ")
-    # A height, the amplitude and the cell size, one at a time.
-    for index, line in ((len(lines) - 1, " ".join([bad] + lines[-1].split()[1:])),
-                        (2, f"amplitude {bad}"), (3, f"cell_size {bad}")):
-        path.write_text("\n".join(lines[:index] + [line] + lines[index + 1:]) + "\n")
+    lines = path.read_bytes().split(b"\n", 6)
+    assert lines[2].startswith(b"amplitude ") and lines[3].startswith(b"cell_size ")
+    # The last height, the amplitude and the cell size, one at a time.
+    height = lines[6][:-8] + np.array([float(bad)], "<f8").tobytes()
+    for index, line in ((6, height), (2, f"amplitude {bad}".encode()),
+                        (3, f"cell_size {bad}".encode())):
+        path.write_bytes(b"\n".join(lines[:index] + [line] + lines[index + 1:]))
         with pytest.raises(ValueError, match="finite"):
             terrain.load_terrain(path)
+
+
+def write_crafted(path, descr="<f8", fortran_order=False, shape=(3, 3),
+                  version=(1, 0), rows_cols=None, body=None):
+    """Write a terrain file whose NPY header says what the arguments say,
+    with rows and cols from ``rows_cols`` (default: the shape) and a body of
+    9 zero heights unless ``body`` is given."""
+    rows, cols = rows_cols or shape
+    with open(path, "wb") as fh:
+        fh.write(f"kind rough\nseed 0\namplitude 0.03\ncell_size 0.05\n"
+                 f"rows {rows}\ncols {cols}\n".encode())
+        header = {"descr": descr, "fortran_order": fortran_order, "shape": shape}
+        write_header = (np.lib.format.write_array_header_1_0 if version == (1, 0)
+                        else np.lib.format.write_array_header_2_0)
+        write_header(fh, header)
+        fh.write(bytes(72) if body is None else body)
+
+
+def test_a_crafted_file_loads_when_it_holds_what_its_headers_say(tmp_path):
+    write_crafted(tmp_path / "t.terrain")
+    loaded = terrain.load_terrain(tmp_path / "t.terrain")
+    assert loaded.height_grid.tobytes() == bytes(72)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"shape": (10**6, 10**6)}, r"found \(\(1000000, 1000000\), '<f8', False, 72\)"),
+    ({"descr": ">f8"}, r"found \(\(3, 3\), '>f8', False, 72\)"),
+    ({"descr": "<f4"}, r"found \(\(3, 3\), '<f4', False, 72\)"),
+    ({"descr": "|O"}, r"found \(\(3, 3\), '\|O', False, 72\)"),
+    ({"fortran_order": True}, r"found \(\(3, 3\), '<f8', True, 72\)"),
+    ({"version": (2, 0)}, "holds no NPY 1.0 grid: its NPY version is not 1.0"),
+    ({"shape": (0, 3), "body": b""}, "rows and cols must be positive"),
+    ({"rows_cols": (1, 9)}, r"\(\(1, 9\), '<f8', False, 72\), found \(\(3, 3\)"),
+], ids=["huge_shape", "big_endian", "float32", "object", "fortran_order",
+        "version_2", "empty", "other_shape"])
+def test_load_refuses_a_crafted_npy_body_before_allocating(tmp_path, kwargs, message):
+    # Nothing the size of the NPY shape is allocated.
+    path = tmp_path / "t.terrain"
+    write_crafted(path, **kwargs)
+    with pytest.raises(ValueError):  # first-use allocations are paid first
+        terrain.load_terrain(path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message) as refused:
+            terrain.load_terrain(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(path) in str(refused.value)
+    assert peak < 2**20
+
+
+# A 5x5 rough terrain (seed 5, extent 0.1) in the older text format, one line
+# of height reprs per row.
+OLD_TEXT_FORMAT = (
+    b"kind rough\nseed 5\namplitude 0.03\ncell_size 0.05\nrows 5\ncols 5\n"
+    b"0.018300175424722807 0.01834424341458951 0.018388311404456216 "
+    b"0.01843237939432292 0.018476447384189625\n"
+    b"0.013955014984174235 0.013127350297996762 0.012299685611819289 "
+    b"0.011472020925641814 0.010644356239464341\n"
+    b"0.009609854543625663 0.007910457181404013 0.006211059819182361 "
+    b"0.00451166245696071 0.00281226509473906\n"
+    b"0.005264694103077091 0.002693564064811262 0.00012243402654543364 "
+    b"-0.002448696011720394 -0.005019826049986223\n"
+    b"0.0009195336625285183 -0.0025233290517814875 -0.005966191766091493 "
+    b"-0.0094090544804015 -0.012851917194711505\n")
+
+
+def test_a_file_in_the_older_text_format_is_refused(tmp_path):
+    path = tmp_path / "old.terrain"
+    path.write_bytes(OLD_TEXT_FORMAT)
+    with pytest.raises(ValueError, match="holds no NPY 1.0 grid") as refused:
+        terrain.load_terrain(path)
+    assert str(path) in str(refused.value)
+    # make_terrain re-makes it from its header, the extent (cols - 1) / 2 cells.
+    remade = terrain.make_terrain("rough", 5, 0.03, 0.05, (5 - 1) / 2 * 0.05)
+    assert [list(map(repr, row)) for row in remade.height_grid.tolist()] == [
+        line.split() for line in OLD_TEXT_FORMAT.decode().splitlines()[6:]]
 
 
 def test_terrain_immutable():

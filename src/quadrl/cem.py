@@ -28,6 +28,7 @@ from .replay import ReplayBuffer
 from .rl import Learner, reset_actor, train_step
 from .rollout import run_episode
 from .seeds import SeedStream
+from .trace import span
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +120,7 @@ class GenerationLog:
     coached: int
 
 
+@span
 def cem_rl_generation(state: CemState, learner: Learner, env, buffer: ReplayBuffer,
                       previous: int, seed: int) -> tuple[CemState, GenerationLog]:
     """One generation: sample, gradient-coach half, evaluate, update.

@@ -21,6 +21,7 @@ import numpy as np
 
 from .config import RunConfig, config_from_dict, config_to_dict
 from .net import LayerSpec, NetworkSpec, ParamVector
+from .trace import span
 
 FORMAT_VERSION = 1
 # Settings a snapshot may hold from before they were retired. No evaluation
@@ -82,6 +83,7 @@ def _decode_params(text: str, name: str) -> np.ndarray:
     return values
 
 
+@span
 def save_checkpoint(ck: Checkpoint, path: str) -> None:
     doc = {
         "format_version": FORMAT_VERSION,

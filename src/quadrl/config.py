@@ -19,7 +19,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from .env import RobotConfig
-from .records import ConfigError, Settings, copied, setting
+from .records import ConfigError, Settings, copied, read_value, setting
 from .rl import RlHyperparams
 from .terrain import AnyTerrain, Ground, grid_side, make_terrain
 
@@ -84,17 +84,6 @@ class RunConfig(Settings):
 _SECTIONS = {"robot": RobotConfig, "rl": RlHyperparams, "cem": CemHyperparams}
 
 
-def _coerce(key: str, raw: str, default):
-    kind = type(default)
-    if kind in (int, float):
-        try:
-            return kind(raw)
-        except ValueError:
-            expected = "an integer" if kind is int else "a number"
-            raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
-    return raw
-
-
 def parse_config(text: str, **overrides) -> RunConfig:
     """Parse config text; keyword overrides (e.g. from CLI flags) win."""
     data: dict = {}
@@ -112,7 +101,7 @@ def parse_config(text: str, **overrides) -> RunConfig:
         if first_line.setdefault(key, lineno) != lineno:
             raise ConfigError(f"line {lineno}: {key!r} is already set on line "
                               f"{first_line[key]}")
-        data[key] = _coerce(key, value, _DEFAULTS[key])
+        data[key] = read_value(key, value, type(_DEFAULTS[key]))
     data.update({k: v for k, v in overrides.items() if v is not None})
     return config_from_dict(data)
 

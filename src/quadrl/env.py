@@ -42,6 +42,7 @@ import numpy as np
 
 from .records import Settings, positive
 from .terrain import AnyTerrain, height_at
+from .trace import span
 
 N_LEGS = 4
 N_JOINTS = 8
@@ -255,6 +256,7 @@ def contact_forces(depth: float, vx: float, vy: float, vz: float,
     return -magnitude * (vx / safe_speed), -magnitude * (vy / safe_speed), normal
 
 
+@span
 def integrate(state: RobotState, torques, terrain: AnyTerrain,
               config: RobotConfig) -> RobotState:
     """Advance one control step with semi-implicit Euler substeps.
@@ -409,6 +411,7 @@ def _done_reason(state: RobotState, terrain: AnyTerrain, config: RobotConfig,
     return "none"
 
 
+@span
 def step(state: RobotState, action, terrain: AnyTerrain, config: RobotConfig,
          t_max: int) -> tuple[RobotState, StepResult]:
     """Apply one control step: clamp action, PD torques, integrate, score."""

@@ -18,6 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .trace import span
+
 ACTIVATIONS = ("tanh", "linear", "scaled_tanh")
 
 
@@ -179,6 +181,7 @@ def _activation_grad(g: np.ndarray, y: np.ndarray, layer: LayerSpec) -> np.ndarr
     return dz
 
 
+@span
 def layer_outputs(params: ParamVector, inputs) -> list[np.ndarray]:
     """The input batch, then each layer's output: one recorded forward pass.
 
@@ -201,6 +204,7 @@ def layer_outputs(params: ParamVector, inputs) -> list[np.ndarray]:
     return outputs
 
 
+@span
 def forward(params: ParamVector, inputs) -> np.ndarray:
     """Evaluate the network. Accepts a single input vector or a batch."""
     y = layer_outputs(params, inputs)[-1]
@@ -210,6 +214,7 @@ def forward(params: ParamVector, inputs) -> np.ndarray:
 GRADIENTS = ("params", "inputs")
 
 
+@span
 def backward(params: ParamVector, outputs: Sequence[np.ndarray], output_grad,
              wrt: str) -> np.ndarray:
     """Exact reverse-mode gradient of a recorded forward pass.
@@ -272,6 +277,7 @@ def init_adam(param_count: int) -> AdamState:
     return AdamState(np.zeros(param_count), np.zeros(param_count))
 
 
+@span
 def adam_step(params: ParamVector, grads, state: AdamState,
               lr: float) -> tuple[ParamVector, AdamState]:
     """One bias-corrected Adam descent step; refuses non-finite gradients."""
@@ -301,6 +307,7 @@ def adam_step(params: ParamVector, grads, state: AdamState,
     return ParamVector(step, params.spec), AdamState(m, v, t)
 
 
+@span
 def polyak_blend(target: ParamVector, source: ParamVector, tau: float) -> ParamVector:
     """target' = (1 - tau) * target + tau * source, componentwise."""
     if target.spec != source.spec:

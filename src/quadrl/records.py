@@ -53,6 +53,17 @@ def positive(default):
     return setting(default, 0, open_low=True)
 
 
+def read_value(key: str, raw: str, kind: type):
+    """Text read as an int or a float where `kind` is one, else as it is."""
+    if kind in (int, float):
+        try:
+            return kind(raw)
+        except ValueError:
+            expected = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
+    return raw
+
+
 def _in_range(value, low, high, open_low: bool, open_high: bool) -> bool:
     return ((value > low if open_low else value >= low)
             and (high is None or (value < high if open_high else value <= high)))

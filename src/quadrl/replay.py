@@ -35,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .trace import span
+
 
 @dataclass(frozen=True, eq=False)
 class Batch:
@@ -81,6 +83,7 @@ class ReplayBuffer:
             setattr(self, name, new)
         self._allocated = new_alloc
 
+    @span
     def push(self, observation, action, reward, next_observation, done) -> None:
         obs = np.asarray(observation, dtype=np.float64)
         act = np.asarray(action, dtype=np.float64)
@@ -109,6 +112,7 @@ class ReplayBuffer:
         self.write_index = (self.write_index + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
+    @span
     def sample_batch(self, batch_size: int, seed: int) -> Batch:
         """batch_size uniform draws with replacement, seeded."""
         if self.size < 1:

@@ -20,6 +20,7 @@ from .net import TrainingDiverged
 from .records import Settings, setting
 from .replay import Batch, ReplayBuffer
 from .seeds import SeedStream
+from .trace import span
 
 # Hidden layer widths of the actor and critic networks.
 HIDDEN = (64, 64)
@@ -184,6 +185,7 @@ def _blend_targets(learner: Learner) -> None:
         for target, critic in zip(learner.target_critics, learner.critics))
 
 
+@span
 def train_step(learner: Learner, buffer: ReplayBuffer, seed: int) -> None:
     """One minibatch update.
 

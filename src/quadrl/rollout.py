@@ -12,6 +12,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from .trace import span
+
 
 @dataclass
 class EpisodeResult:
@@ -50,6 +52,7 @@ def episode_steps(env, policy: Callable[[np.ndarray], np.ndarray],
         obs = result.observation
 
 
+@span
 def run_episode(env, policy: Callable[[np.ndarray], np.ndarray], reset_seed: int,
                 buffer=None) -> EpisodeResult:
     """Roll the policy until the env reports done; episode_steps' last record."""

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .records import Settings, setting
+from .records import ConfigError, Settings, read_value, setting
+from .trace import span
 
 KINDS = ("flat", "rough")
 LATTICE_STEP = 4
@@ -169,6 +170,7 @@ def _lattice_row(lattice: np.ndarray, amplitude: float, size: int,
     return np.clip(row, -amplitude, amplitude, out=row)
 
 
+@span
 def make_terrain(kind: str, seed: int, amplitude: float = Ground.amplitude,
                  cell_size: float = Ground.cell_size,
                  extent: float = Ground.extent) -> AnyTerrain:
@@ -222,7 +224,7 @@ def height_at(terrain: AnyTerrain, x: float, y: float) -> float:
             + fy * wx * node(i1, j0) + fy * fx * node(i1, j1))
 
 
-_HEADER = ("kind", "seed", "amplitude", "cell_size", "rows", "cols")
+_HEADER = dict(kind=str, seed=int, amplitude=float, cell_size=float, rows=int, cols=int)
 _HEIGHT = np.dtype("<f8")
 
 
@@ -246,7 +248,11 @@ def load_terrain(path: str) -> Terrain:
                       for _ in _HEADER)
         if sorted(header) != sorted(_HEADER):
             raise ValueError(f"terrain file {path!r} has a malformed header")
-        rows, cols = int(header["rows"]), int(header["cols"])
+        try:
+            header = {k: read_value(k, header[k], kind) for k, kind in _HEADER.items()}
+        except ConfigError as err:
+            raise ValueError(f"terrain file {path!r}: {err}") from err
+        rows, cols = header.pop("rows"), header.pop("cols")
         if rows < 1 or cols < 1:
             raise ValueError(f"terrain file {path!r}: rows and cols must be positive")
         try:
@@ -263,5 +269,7 @@ def load_terrain(path: str) -> Terrain:
         grid = np.empty((rows, cols), _HEIGHT)
         fh.readinto(grid)
     grid.setflags(write=False)  # so the Terrain keeps the grid, not a copy
-    return Terrain(header["kind"], int(header["seed"]), float(header["amplitude"]),
-                   float(header["cell_size"]), grid)
+    try:
+        return Terrain(**header, height_grid=grid)
+    except ValueError as err:  # the kind, seed and sizes, and the heights
+        raise ValueError(f"terrain file {path!r}: {err}") from err

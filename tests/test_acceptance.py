@@ -469,23 +469,16 @@ def test_criterion_09_rough_terrain_ordering(tmp_path):
              f"{per_seed} -> cem-td3 wins {wins}/3 at 15000-step budget")
 
 
-def test_zero_actor_stands_until_timeout(monkeypatch):
+def test_zero_actor_stands_until_timeout(spans):
     # The stand-still floor under criterion 9: an all-zero actor outputs
     # zero actions, and at the criterion-9 evaluation (t_max 250, 10
     # trials from seed 1000) it stands through every flat and rough trial.
-    reasons = []
-
-    def recorded(*args):
-        episode = run_episode(*args)
-        reasons.append(episode.done_reason)
-        return episode
-
-    monkeypatch.setattr("quadrl.evaluate.run_episode", recorded)
+    episodes = spans.keep("rollout.run_episode")
     config = parse_config(_ORDERING_BUDGET, algorithm="td3")
     spec = actor_spec(OBS_SIZE, 8, config.robot.action_bound)
     ck = Checkpoint(net.ParamVector(np.zeros(spec.param_count), spec), config)
     flat, rough = (evaluate(ck, kind, 10, 1000) for kind in ("flat", "rough"))
-    assert reasons == ["timeout"] * 20
+    assert [episode.done_reason for _, episode in episodes] == ["timeout"] * 20
     assert len(set(flat.trial_returns)) == 1
     assert len(set(rough.trial_returns)) > 1
 

@@ -16,7 +16,7 @@ from quadrl.cli import build_parser, main
 from quadrl.config import parse_config
 from quadrl.env import OBS_SIZE, SimulationDiverged
 from quadrl.rl import actor_spec
-from quadrl.terrain import make_terrain, save_terrain
+from quadrl.terrain import load_terrain, make_terrain, save_terrain
 
 from test_terrain import OLD_TEXT_FORMAT
 
@@ -160,19 +160,6 @@ def actor_checkpoint(path, nan_index=None):
     return path
 
 
-def record_episodes(monkeypatch) -> list:
-    """The argument tuples of every evaluation episode run from now on."""
-    episodes = []
-    run_episode = quadrl.evaluate.run_episode
-
-    def counted(*args):
-        episodes.append(args)
-        return run_episode(*args)
-
-    monkeypatch.setattr("quadrl.evaluate.run_episode", counted)
-    return episodes
-
-
 def test_eval_divergence_exit_2_without_report(tmp_path, monkeypatch, capsys):
     def diverge(*args):
         raise SimulationDiverged("forced")
@@ -236,19 +223,18 @@ def test_eval_fixed_terrain(tmp_path, capsys):
     (["transfer", "--out", "reports"], "flat", "fixed terrain is flat, not rough"),
 ])
 def test_fixed_terrain_of_another_kind_exit_2_without_report(
-        argv, kind, message, tmp_path, monkeypatch, capsys):
+        argv, kind, message, tmp_path, monkeypatch, capsys, spans):
     # The report would carry the label of one terrain and the returns of the other.
     # The kind is checked before any trial runs, flat trials included.
     monkeypatch.chdir(tmp_path)
     ck = actor_checkpoint(tmp_path / "ck.json")
     save_terrain(make_terrain(kind, seed=5), "pinned.terrain")
-    episodes = record_episodes(monkeypatch)
     code = run_cli([*argv, "--checkpoint", str(ck), "--trials", "2",
                     "--fixed-terrain", "pinned.terrain"])
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "reports").exists()
-    assert episodes == []
+    assert spans.counts["rollout.run_episode"] == 0
 
 
 @pytest.mark.parametrize("argv, report", [
@@ -256,18 +242,47 @@ def test_fixed_terrain_of_another_kind_exit_2_without_report(
     (["transfer", "--out", "reports"], "reports"),
 ])
 def test_fixed_terrain_in_the_older_text_format_exit_2_without_report(
-        argv, report, tmp_path, monkeypatch, capsys):
+        argv, report, tmp_path, monkeypatch, capsys, spans):
     # Such a file is refused as it is read, not misread as a grid.
     monkeypatch.chdir(tmp_path)
     ck = actor_checkpoint(tmp_path / "ck.json")
     (tmp_path / "old.terrain").write_bytes(OLD_TEXT_FORMAT)
-    episodes = record_episodes(monkeypatch)
     code = run_cli([*argv, "--checkpoint", str(ck), "--trials", "2",
                     "--fixed-terrain", "old.terrain"])
     assert code == 2
     assert "terrain file 'old.terrain' holds no NPY 1.0 grid" in capsys.readouterr().err
     assert not (tmp_path / report).exists()
-    assert episodes == []
+    assert spans.counts["rollout.run_episode"] == 0
+
+
+@pytest.mark.parametrize("line, edited, message", [
+    (5, b"cols x", "cols: expected an integer, got 'x'"),
+    (1, b"seed x", "seed: expected an integer, got 'x'"),
+    (2, b"amplitude x", "amplitude: expected a number, got 'x'"),
+    (0, b"kind bumpy", "unknown terrain kind 'bumpy'"),
+    (3, b"cell_size 0.0", "cell_size must lie in [2**-64, 2**64)"),
+], ids=["cols", "seed", "amplitude", "kind", "cell_size"])
+def test_fixed_terrain_with_a_bad_header_field_exit_2_without_report(
+        line, edited, message, tmp_path, monkeypatch, capsys, spans):
+    # Each refusal names the file and the field. The first three once
+    # raised int()'s or float()'s own message, and none named the file.
+    monkeypatch.chdir(tmp_path)
+    ck = actor_checkpoint(tmp_path / "ck.json")
+    save_terrain(make_terrain("rough", seed=5), "pinned.terrain")
+    lines = Path("pinned.terrain").read_bytes().split(b"\n", 6)
+    lines[line] = edited
+    Path("pinned.terrain").write_bytes(b"\n".join(lines))
+    expected = f"terrain file 'pinned.terrain': {message}"
+    with pytest.raises(ValueError) as refused:
+        load_terrain("pinned.terrain")
+    assert str(refused.value) == expected
+    code = run_cli(["eval", "--checkpoint", str(ck), "--terrain", "rough",
+                    "--trials", "2", "--fixed-terrain", "pinned.terrain",
+                    "--out", "eval.csv"])
+    assert code == 2
+    assert expected in capsys.readouterr().err
+    assert not (tmp_path / "eval.csv").exists()
+    assert spans.counts["rollout.run_episode"] == 0
 
 
 @pytest.mark.parametrize("argv, report", [
@@ -275,18 +290,17 @@ def test_fixed_terrain_in_the_older_text_format_exit_2_without_report(
     (["transfer", "--out", "reports"], "reports"),
 ])
 def test_negative_eval_seed_exit_2_before_any_trial(argv, report, tmp_path,
-                                                    monkeypatch, capsys):
+                                                    monkeypatch, capsys, spans):
     # A transfer once ran every flat trial before the rough terrain's draw
     # refused the seed.
     monkeypatch.chdir(tmp_path)
     ck = actor_checkpoint(tmp_path / "ck.json")
-    episodes = record_episodes(monkeypatch)
     code = run_cli([*argv, "--checkpoint", str(ck), "--trials", "2",
                     "--seed", "-3"])
     assert code == 2
     assert "eval_seed must be non-negative" in capsys.readouterr().err
     assert not (tmp_path / report).exists()
-    assert episodes == []
+    assert spans.counts["rollout.run_episode"] == 0
 
 
 def test_transfer_writes_table_and_report(tmp_path, capsys):

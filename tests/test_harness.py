@@ -777,44 +777,30 @@ def test_train_divergence_mid_episode_counts_its_steps(tmp_path, monkeypatch):
     assert float(lines[1].split(",")[1]) == progress["best_return"]
 
 
-def count_pushes(monkeypatch):
-    """A list that gains one entry per ReplayBuffer.push, which still runs."""
-    pushes = []
-    push = ReplayBuffer.push
-
-    def counted(self, *args):
-        pushes.append(None)
-        return push(self, *args)
-
-    monkeypatch.setattr(ReplayBuffer, "push", counted)
-    return pushes
-
-
 def tiny_config(algo, tmp_path):
     tiny = TINY_GRADIENT if algo in ("ddpg", "td3") else TINY_CEM
     return parse_config(tiny, algorithm=algo, out_dir=str(tmp_path))
 
 
 @pytest.mark.parametrize("algo", ["ddpg", "td3", "cem_ddpg", "cem_td3"])
-def test_train_counts_each_pushed_step(tmp_path, monkeypatch, algo):
-    pushes = count_pushes(monkeypatch)
+def test_train_counts_each_pushed_step(tmp_path, spans, algo):
     ck, _ = train(tiny_config(algo, tmp_path))
-    assert ck.progress["env_steps"] == len(pushes) > 0
+    assert ck.progress["env_steps"] == spans.counts["replay.push"] > 0
 
 
 @pytest.mark.parametrize("algo, call", [
     ("ddpg", 30), ("td3", 30), ("cem_ddpg", 90), ("cem_td3", 90)])
-def test_train_records_simulation_divergence(tmp_path, monkeypatch, algo, call):
+def test_train_records_simulation_divergence(tmp_path, monkeypatch, spans, algo,
+                                             call):
     # The call lands in the second unit: after a 20-step first episode, or
     # after a first generation of four 20-step rollouts. The steps before
     # it count, for every algorithm: each was simulated and pushed.
-    pushes = count_pushes(monkeypatch)
     monkeypatch.setattr("quadrl.env.step",
                         raise_on_call(quadrl.env.step, call, SimulationDiverged))
     with pytest.raises(SimulationDiverged):
         train(tiny_config(algo, tmp_path))
     unit = "episodes" if algo in ("ddpg", "td3") else "generations"
-    assert len(pushes) == call - 1
+    assert spans.counts["replay.push"] == call - 1
     for name in ("checkpoint.json", "checkpoint_best.json"):
         progress = load_checkpoint(str(tmp_path / name)).progress
         assert (progress[unit], progress["env_steps"],
@@ -898,17 +884,10 @@ def test_evaluate_refuses_a_negative_eval_seed_that_has_no_str():
         evaluate(eval_checkpoint(), "flat", 1, -10**5000)
 
 
-def test_evaluate_refuses_trial_seeds_of_2_64_or_more_before_any_trial(
-        monkeypatch):
+def test_evaluate_refuses_trial_seeds_of_2_64_or_more_before_any_trial(spans):
     # A transfer once ran its flat trials before a rough terrain refused the
     # seed. The message leaves out a seed that may have no str.
-    ck, seeds = eval_checkpoint(), []
-
-    def recorded(env, policy, seed):
-        seeds.append(seed)
-        return run_episode(env, policy, seed)
-
-    monkeypatch.setattr("quadrl.evaluate.run_episode", recorded)
+    ck = eval_checkpoint()
     message = r"^the last trial seed, eval_seed \+ trials - 1, must be below 2\*\*64$"
     with pytest.raises(ValueError, match=message):
         transfer_experiment(ck, eval_seed=2**64 - 3, trials=10)
@@ -916,9 +895,10 @@ def test_evaluate_refuses_trial_seeds_of_2_64_or_more_before_any_trial(
         evaluate(ck, "rough", 2, 2**64 - 1, make_terrain("rough", 5))
     with pytest.raises(ValueError, match=message):
         evaluate(ck, "flat", 1, 10**5000)
-    assert seeds == []
+    assert spans.counts["rollout.run_episode"] == 0
+    episodes = spans.keep("rollout.run_episode")
     evaluate(ck, "flat", 2, 2**64 - 2)
-    assert seeds == [2**64 - 2, 2**64 - 1]
+    assert [args[2] for args, _ in episodes] == [2**64 - 2, 2**64 - 1]
 
 
 def test_evaluate_runs_requested_trials():
